@@ -16,7 +16,8 @@ moment at most ``r_ce``.  This module optimizes that objective:
   objective is linear in Q under a single moment constraint, so an optimal Q
   has at most two atoms; that inner problem is the upper concave envelope of
   the curve ``v**2 -> C_s(rates(v))`` evaluated at the energy budget, which
-  is computed exactly on a grid and then polished continuously.
+  is computed exactly on a grid through its Lagrangian dual (no hull is
+  built) and then polished continuously.
 
 * ``optimize_general`` handles any PSK constellation by coordinate ascent on
   a discretized control grid, alternating per-pair tilt maximization with a
@@ -264,34 +265,45 @@ def _upper_hull_value(
     """Maximum of E_Q[values] over distributions on the grid with
     E_Q[energies] <= budget.
 
-    ``energies`` must be strictly increasing.  The optimum lies on the upper
-    concave envelope of the point set, evaluated at the budget (or at the
-    envelope's peak when the budget is not binding).  Returns the value and
-    the supporting atoms as (grid index, weight) pairs.
+    ``energies`` must be strictly increasing and start at or below the
+    budget.  The optimum is the upper concave envelope of the point set at
+    the budget (or at the first maximizer when the budget does not bind).
+    It is evaluated through the Lagrangian dual
+    ``min_{lam >= 0} max_i [values_i - lam * (energies_i - budget)]``
+    without building the envelope: a chord between a left atom (energy at
+    most the budget) and a right atom (energy above it) fixes ``lam``, and
+    the point highest above that chord replaces the atom on its side.  Each
+    replacement raises the chord at the budget, so the loop ends within
+    ``len(energies)`` steps, at the envelope edge over the budget.  Heights
+    along a line are monotone in the energy and ties go to the lowest
+    index, so a point of a collinear run is only ever picked at the run's
+    end: the atoms are the edge's extreme points, as in a hull that drops
+    collinear points.  Returns the value and the supporting atoms as
+    (grid index, weight) pairs.
     """
-    # Monotone-chain upper hull; hull[k] are indices into the grid.
-    hull: list[int] = []
-    for i in range(len(energies)):
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (energies[a] - energies[o]) * (values[i] - values[o]) - (
-                values[a] - values[o]
-            ) * (energies[i] - energies[o])
-            if cross >= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    hull_e = energies[hull]
-    hull_v = values[hull]
-    peak = int(np.argmax(hull_v))
-    target = min(budget, float(hull_e[peak]))
-    seg = int(np.searchsorted(hull_e, target, side="right")) - 1
-    if seg >= len(hull) - 1 or hull_e[seg] == target:
-        return float(hull_v[seg]), [(hull[seg], 1.0)]
-    frac = (target - hull_e[seg]) / (hull_e[seg + 1] - hull_e[seg])
-    value = float(hull_v[seg] + frac * (hull_v[seg + 1] - hull_v[seg]))
-    return value, [(hull[seg], 1.0 - frac), (hull[seg + 1], float(frac))]
+    peak = int(np.argmax(values))
+    if energies[peak] <= budget:
+        return float(values[peak]), [(peak, 1.0)]
+    lo, hi = 0, peak
+    for _ in range(len(energies)):
+        # Height above the lo-hi line, scaled by energies[hi] - energies[lo].
+        cross = (energies[hi] - energies[lo]) * (values - values[lo]) - (
+            values[hi] - values[lo]
+        ) * (energies - energies[lo])
+        k = int(np.argmax(cross))
+        if cross[k] <= 0.0:
+            break
+        if energies[k] <= budget:
+            lo = k
+        else:
+            hi = k
+    else:
+        raise RuntimeError("concave envelope search did not converge")
+    if energies[lo] == budget:
+        return float(values[lo]), [(lo, 1.0)]
+    frac = (budget - energies[lo]) / (energies[hi] - energies[lo])
+    value = float(values[lo] + frac * (values[hi] - values[lo]))
+    return value, [(lo, 1.0 - frac), (hi, float(frac))]
 
 
 def _binary_candidate(
@@ -311,7 +323,10 @@ def optimize_binary(
     makes this lossless).  Outer loop: grid over the tilt ``s`` with
     iterative refinement around the best value.  Inner problem at fixed
     ``s``: exact two-atom optimum from the upper concave envelope of
-    ``v**2 -> C_s(rates(v))``.  The best grid candidate is then polished by
+    ``v**2 -> C_s(rates(v))`` at the budget, evaluated through the dual of
+    the one-constraint linear program (``_upper_hull_value``), which finds
+    the envelope edge over the budget in a few vectorized passes instead of
+    a full hull pass.  The best grid candidate is then polished by
     continuous local refinement of (v1, v2, s), with the two-atom weight
     pinned to the active energy constraint throughout, and the final value
     re-maximized over ``s`` exactly.  Grid candidates are kept alongside
@@ -434,6 +449,23 @@ def optimize_binary(
     )
 
 
+def _within_budget(q: ControlDistribution, budget: float) -> ControlDistribution:
+    """Mix ``q`` with the origin atom just enough to meet the energy budget.
+
+    LP solutions can exceed the budget by more than ``ENERGY_TOL`` (HiGHS
+    iterates were seen ~3e-8 over); weight ``(m - budget) / m`` on the
+    origin brings a second moment ``m`` down to the budget, up to rounding.
+    """
+    m = q.second_moment()
+    if m <= budget:
+        return q
+    w0 = (m - budget) / m
+    return ControlDistribution.from_arrays(
+        np.concatenate([[0.0], q.points]),
+        np.concatenate([[w0], (1.0 - w0) * q.weights]),
+    )
+
+
 def optimize_general(
     constellation: PskConstellation,
     ratios: OperatingRatios,
@@ -446,8 +478,10 @@ def optimize_general(
     Alternates (a) fixing each pair's tilt at its current maximizer with
     (b) a linear program maximizing the worst pair's fixed-tilt objective
     over distributions on the control grid under the energy constraint.
-    Every iterate is feasible and the true objective is non-decreasing along
-    the iteration, so the best iterate is a certified achievability bound.
+    Every iterate is feasible (an LP solution over the budget is mixed with
+    the origin, see ``_within_budget``) and the true objective is
+    non-decreasing along the iteration, so the best iterate is a certified
+    achievability bound.
     Not guaranteed globally optimal for more than two hypotheses.
     """
     grid = control_grid(grid_k, ratios)
@@ -493,7 +527,10 @@ def optimize_general(
         )
         if not lp.success:
             raise RuntimeError(f"control LP failed: {lp.message}")
-        q = ControlDistribution.from_arrays(grid, np.maximum(lp.x[:n], 0.0))
+        q = _within_budget(
+            ControlDistribution.from_arrays(grid, np.maximum(lp.x[:n], 0.0)),
+            ratios.r_ce,
+        )
         per_pair = evaluate(q)
         beta = min(pv.value for pv in per_pair)
         if beta > best_beta:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import poisson as poisson_dist
 
 from .constellation import (
     DISK_TOL,
@@ -324,6 +323,9 @@ def exact_error_small(
     degenerate policies (identical rates under all hypotheses) give exactly
     (M-1)/M.
     """
+    # Imported here: scipy.stats costs every CLI process about half a second.
+    from scipy.stats import poisson as poisson_dist
+
     num_states = policy.constellation.num_states
     num_slices = policy.scale.slices
     rate_matrix = np.stack(

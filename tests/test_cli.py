@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pskexp
 from pskexp.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -330,3 +335,24 @@ class TestVerify:
         assert by_name["energy-convexity-margin-positive"] is True
         assert by_name["vanishing-dark-time-sharing"] is True
         assert any("2.1359" in note for note in doc["notes"])
+
+
+class TestStartup:
+    """Validate what every CLI process pays before it does any work."""
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        """scipy.stats is imported by the exact oracle only, not at start-up."""
+        src = str(Path(pskexp.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        probe = "import sys, pskexp.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

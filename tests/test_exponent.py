@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pskexp.constellation import OperatingRatios, bpsk, uniform_psk
-from pskexp.divergence import RatePair, chernoff_s
+from pskexp.divergence import RatePair, chernoff_s, chernoff_values
 from pskexp.exponent import (
+    ENERGY_TOL,
     ControlDistribution,
     ExponentSolution,
     PairValue,
@@ -19,6 +20,7 @@ from pskexp.exponent import (
     optimize_binary,
     optimize_general,
     pair_exponent,
+    _upper_hull_value,
     verify_claims,
 )
 
@@ -38,6 +40,164 @@ HIGH_SNR_FULL_VALUE = 3.02079770393544019  # point mass at v = 1, r_sn = 1e-6
 def bpsk_rates(v: float, r: float) -> RatePair:
     """Normalized BPSK rate pair at real displacement v and dark ratio r."""
     return RatePair((1.0 - v) ** 2 + r, (1.0 + v) ** 2 + r)
+
+
+def reference_upper_hull_value(energies, values, budget):
+    """Envelope value at the budget from an explicit monotone-chain hull.
+
+    Oracle for ``_upper_hull_value``: builds the whole upper hull (popping
+    collinear points, so edges end at the extreme points of a run), then
+    reads the edge over the budget, or the first peak when the budget does
+    not bind.
+    """
+    hull = []
+    for i in range(len(energies)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            cross = (energies[a] - energies[o]) * (values[i] - values[o]) - (
+                values[a] - values[o]
+            ) * (energies[i] - energies[o])
+            if cross >= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    hull_e = energies[hull]
+    hull_v = values[hull]
+    peak = int(np.argmax(hull_v))
+    target = min(budget, float(hull_e[peak]))
+    seg = int(np.searchsorted(hull_e, target, side="right")) - 1
+    if seg >= len(hull) - 1 or hull_e[seg] == target:
+        return float(hull_v[seg]), [(hull[seg], 1.0)]
+    frac = (target - hull_e[seg]) / (hull_e[seg + 1] - hull_e[seg])
+    value = float(hull_v[seg] + frac * (hull_v[seg + 1] - hull_v[seg]))
+    return value, [(hull[seg], 1.0 - frac), (hull[seg + 1], float(frac))]
+
+
+@st.composite
+def envelope_problems(draw, integer=False):
+    """(energies, values, budget): strictly increasing energies, any values,
+    and a budget at or above the first energy, often exactly on a grid
+    energy or past the last one."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    if integer:
+        # Small integers keep every cross product exact, so collinear runs
+        # and ties are exact too.
+        e0 = draw(st.integers(min_value=0, max_value=3))
+        steps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+        values = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    else:
+        e0 = draw(st.floats(min_value=0.0, max_value=1.0))
+        steps = draw(
+            st.lists(
+                st.floats(min_value=1e-3, max_value=2.0),
+                min_size=n - 1,
+                max_size=n - 1,
+            )
+        )
+        values = draw(
+            st.lists(
+                st.floats(min_value=-10.0, max_value=10.0),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    energies = np.cumsum(np.array([e0, *steps], dtype=float))
+    budget = draw(
+        st.one_of(
+            st.sampled_from([float(e) for e in energies]),
+            st.floats(
+                min_value=float(energies[0]), max_value=float(energies[-1]) + 1.0
+            ),
+        )
+    )
+    return energies, np.array(values, dtype=float), budget
+
+
+class TestUpperHullValue:
+    """The dual envelope evaluation returns exactly the hull oracle's answer."""
+
+    @staticmethod
+    def check(energies, values, budget):
+        energies = np.asarray(energies, dtype=float)
+        values = np.asarray(values, dtype=float)
+        got = _upper_hull_value(energies, values, budget)
+        assert got == reference_upper_hull_value(energies, values, budget)
+        return got
+
+    @given(envelope_problems())
+    def test_matches_oracle_on_random_curves(self, problem):
+        self.check(*problem)
+
+    @given(envelope_problems(integer=True))
+    def test_matches_oracle_on_integer_curves(self, problem):
+        """Integer curves: exact collinear runs, ties and grid-energy budgets."""
+        self.check(*problem)
+
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        bend=st.floats(min_value=0.1, max_value=0.9),
+        noise=st.lists(
+            st.floats(min_value=-0.05, max_value=0.05), min_size=60, max_size=60
+        ),
+        budget=st.floats(min_value=0.0, max_value=1.2),
+    )
+    def test_matches_oracle_on_convex_then_concave(self, n, bend, noise, budget):
+        """A sigmoid in the energy, convex below ``bend`` and concave above."""
+        energies = np.linspace(0.0, 1.0, n)
+        values = np.tanh(6.0 * (energies - bend)) + np.array(noise[:n])
+        self.check(energies, values, budget)
+
+    @given(
+        log_r=st.floats(min_value=-6.0, max_value=-0.5),
+        s=st.floats(min_value=0.0, max_value=1.0),
+        r_ce=st.floats(min_value=0.01, max_value=1.0),
+        cells=st.integers(min_value=2, max_value=400),
+    )
+    def test_matches_oracle_on_bpsk_chernoff_curves(self, log_r, s, r_ce, cells):
+        """The curves ``optimize_binary`` feeds it: C_s along v**2 in [0, 1]."""
+        v = np.linspace(0.0, 1.0, cells + 1)
+        r = 10.0**log_r
+        values = chernoff_values((v - 1.0) ** 2 + r, (v + 1.0) ** 2 + r, s)
+        self.check(v**2, values, r_ce)
+
+    def test_collinear_run_takes_its_extreme_points(self):
+        """Points 0..3 lie on one line: the edge runs from 0 to 3."""
+        value, support = self.check([0, 1, 2, 3, 4], [0, 1, 2, 3, 3], 1.5)
+        assert value == 1.5
+        assert support == [(0, 0.5), (3, 0.5)]
+
+    def test_collinear_run_with_budget_on_an_inner_point(self):
+        """A budget on a grid point inside a collinear run still mixes the ends."""
+        _, support = self.check([0, 1, 2, 3, 4], [0, 1, 2, 3, 3], 2.0)
+        assert [i for i, _ in support] == [0, 3]
+
+    def test_tied_maxima_take_the_first(self):
+        value, support = self.check([0, 1, 2, 3], [0, 2, 2, 0], 3.0)
+        assert (value, support) == (2.0, [(1, 1.0)])
+
+    def test_tied_maxima_with_binding_budget(self):
+        value, support = self.check([0, 1, 2, 3], [0, 2, 2, 1], 0.25)
+        assert (value, support) == (0.5, [(0, 0.75), (1, 0.25)])
+
+    def test_budget_exactly_at_a_grid_energy(self):
+        """A budget on a hull vertex gives that single atom."""
+        value, support = self.check([0, 1, 4, 9], [0, 3, 5, 6], 1.0)
+        assert (value, support) == (3.0, [(1, 1.0)])
+
+    @pytest.mark.parametrize("budget", [2.0, 2.5, 10.0])
+    def test_budget_at_or_above_the_peak_energy(self, budget):
+        value, support = self.check([0, 1, 2, 3], [0, 1, 4, 1], budget)
+        assert (value, support) == (4.0, [(2, 1.0)])
+
+    def test_all_equal_values(self):
+        value, support = self.check([0, 1, 2, 3], [0.7] * 4, 1.5)
+        assert (value, support) == (0.7, [(0, 1.0)])
+
+    @pytest.mark.parametrize("budget", [0.0, 0.3, 1.0, 2.0])
+    def test_two_point_grid(self, budget):
+        self.check([0.0, 1.0], [0.0, 2.0], budget)
+        self.check([0.0, 1.0], [2.0, 0.0], budget)
 
 
 class TestControlDistribution:
@@ -308,6 +468,41 @@ class TestOptimizeBinary:
         sol = optimize_binary(ratios)
         assert sol.beta == pytest.approx(HIGH_SNR_FULL_VALUE, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "r_sn, r_ca, r_ce, beta, atoms",
+        [
+            (0.01, 1.0, 0.9, 1.9824072224662472, ((0.9486832980505138 + 0j, 1.0),)),
+            (
+                1e-6, 1.0, 0.9, 2.7187601930788743,
+                (
+                    (0j, 0.09994312374499192),
+                    (0.999968403578115 + 0j, 0.9000568762550081),
+                ),
+            ),
+            (
+                1e-3, 1.25, 0.6, 1.5063153334606845,
+                (
+                    (0j, 0.3870227033191138),
+                    (0.9893579102127543 + 0j, 0.6129772966808862),
+                ),
+            ),
+            (0.05, 1.25, 0.95, 1.7258776919357353, ((0.9746794344808963 + 0j, 1.0),)),
+            (
+                1e-4, 1.0, 0.3, 0.8201024142035344,
+                (
+                    (0j, 0.699030850651797),
+                    (0.9983886541240242 + 0j, 0.3009691493482029),
+                ),
+            ),
+            (1e-2, 1.0, 1.0, 2.145957698272967, ((1 + 0j, 1.0),)),
+        ],
+    )
+    def test_pinned_solutions(self, r_sn, r_ca, r_ce, beta, atoms):
+        """beta and q_star are exactly those of the monotone-chain hull version."""
+        sol = optimize_binary(OperatingRatios(r_sn=r_sn, r_ca=r_ca, r_ce=r_ce))
+        assert sol.beta == beta
+        assert sol.q_star.atoms == atoms
+
 
 class TestOptimizeGeneral:
     """Validate the grid coordinate-ascent optimizer."""
@@ -337,6 +532,18 @@ class TestOptimizeGeneral:
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.0)
         sol = optimize_general(uniform_psk(4), ratios, grid_k=8)
         assert sol.beta == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "m, r_sn, r_ce", [(16, 0.001, 0.5), (8, 0.001, 0.6), (16, 0.01, 0.7)]
+    )
+    def test_lp_overshoot_is_pulled_back_into_budget(self, m, r_sn, r_ce):
+        """LP solutions a few 1e-8 over the budget are mixed with the origin."""
+        ratios = OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce)
+        sol = optimize_general(uniform_psk(m), ratios, grid_k=40)
+        sol.q_star.validate_feasible(ratios)
+        assert sol.q_star.second_moment() <= r_ce + ENERGY_TOL
+        assert sol.certified
+        assert exponent_of(sol.q_star, uniform_psk(m), ratios) == sol.beta
 
     def test_reports_convergence_diagnostics(self):
         """Iteration count and convergence flag are exposed."""
