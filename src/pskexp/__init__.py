@@ -61,7 +61,6 @@ from .receiver import (
     ml_decide,
     monte_carlo,
     realize_policy,
-    sample_trial,
 )
 
 __version__ = "0.1.0"
@@ -107,7 +106,6 @@ __all__ = [
     "poisson_log_pmf",
     "realize_policy",
     "s_star_ratio",
-    "sample_trial",
     "theorem_bound",
     "tilted_rate",
     "uniform_psk",

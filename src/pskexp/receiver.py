@@ -7,25 +7,31 @@ count of that slice is Poisson with rate (alpha**2/N)(|v_n + e^{i phi_m}|^2
 count vector; the log-factorial term is common to all hypotheses and drops,
 leaving the linear statistic sum_n y_n log(rate_mn) - sum_n rate_mn.  Ties
 are broken toward the smallest hypothesis index, a fixed deterministic rule.
+One scoring function, ``_ml_decisions``, evaluates this rule for
+``ml_decide``, ``monte_carlo`` and ``exact_error_small``.
+
+Slices sharing one displacement value form a group.  The statistic sees
+their counts only through the group total, which is Poisson with the summed
+rate (superposition), so both the simulator and the oracle work on group
+totals: the decision statistic's distribution is unchanged.
 
 Simulation splits each hypothesis's trials into blocks of MC_BLOCK_TRIALS
 trials and draws block b from its own Philox counter-based stream keyed by
 (seed, hypothesis, b) (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11).  The block is the unit of work, so results are bit-for-bit
-reproducible no matter how blocks are scheduled.  Slices sharing one
-displacement value are drawn as a single Poisson total (superposition),
-which leaves the distribution of the decision statistic unchanged.
+reproducible no matter how blocks are scheduled.
 
-The exact oracle enumerates a truncated count box and reports the neglected
-tail mass; error probabilities are computed conditionally on the box, so the
-all-zero policy yields exactly 1/2 for binary hypotheses.
+The exact oracle enumerates a truncated box of group totals and reports the
+neglected tail mass; its cost grows with the number of distinct
+displacements, not with N.  Error probabilities are computed conditionally
+on the box, so the all-zero policy yields exactly 1/2 for binary hypotheses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,11 +47,10 @@ from .exponent import ControlDistribution
 #: Mean-energy slack allowed on a realized policy (matches the peak slack).
 POLICY_ENERGY_TOL = 1e-12
 
-#: Per-slice Poisson tail mass neglected by the automatic truncation.
-AUTO_TAIL_PER_SLICE = 1e-12
-
-#: Tail bound above which an explicit truncation is rejected.
-EXPLICIT_TAIL_LIMIT = 1e-9
+#: Upper-tail mass of each group total neglected by the oracle's box.  Two
+#: orders below the 1e-12 the oracle is trusted to, so the conditional
+#: errors stay that accurate with several groups.
+AUTO_TAIL_PER_GROUP = 1e-14
 
 #: Cells in the enumeration box beyond which the oracle refuses to run.
 MAX_BOX_CELLS = 2_000_000
@@ -76,8 +81,10 @@ class OpenLoopPolicy:
                 f"{len(self.displacements)} displacements for "
                 f"{self.scale.slices} slices"
             )
-        mags = np.abs(np.array(self.displacements, dtype=complex))
-        if np.any(mags > self.ratios.r_ca + DISK_TOL):
+        points = np.array(self.displacements, dtype=complex)
+        if not np.all(np.isfinite(points)):
+            raise ValueError("displacements must be finite")
+        if np.any(np.abs(points) > self.ratios.r_ca + DISK_TOL):
             raise ValueError("a displacement lies outside the control disk")
         if self.mean_energy() > self.ratios.r_ce + POLICY_ENERGY_TOL:
             raise ValueError(
@@ -194,13 +201,6 @@ def _block_generator(seed: int, m: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_trial(
-    policy: OpenLoopPolicy, true_m: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One count vector: independent Poisson draws per slice under true_m."""
-    return rng.poisson(policy.rates(true_m))
-
-
 def _group_policy(
     policy: OpenLoopPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,22 +230,41 @@ def _group_policy(
     return group_rates, multiplicity, totals
 
 
+def _ml_decisions(
+    columns: Sequence[np.ndarray], log_rates: np.ndarray, totals: np.ndarray
+) -> np.ndarray:
+    """Maximum-likelihood hypothesis for every cell of a set of count columns.
+
+    ``columns[g]`` holds the counts of slice or group g, broadcastable
+    against the others, with a trailing axis of length 1 for the hypothesis;
+    ``log_rates`` is (M, G) and ``totals`` is (M,).  The score of m is
+    sum_g columns[g] * log_rates[m, g] - totals[m], accumulated in g order,
+    and ties go to the smallest index (argmax first occurrence).
+    """
+    scores = columns[0] * log_rates[:, 0]
+    for g in range(1, len(columns)):
+        scores = scores + columns[g] * log_rates[:, g]
+    scores -= totals
+    return np.argmax(scores, axis=-1)
+
+
 def ml_decide(policy: OpenLoopPolicy, counts: Sequence[int]) -> int:
     """Maximum-likelihood hypothesis for one count vector.
 
     Maximizes sum_n y_n log(rate_mn) - sum_n rate_mn over m; ties go to the
-    smallest index (argmax first occurrence).
+    smallest index.  Counts must be nonnegative integers, one per slice.
     """
     y = np.asarray(counts, dtype=float)
     if y.shape != (policy.scale.slices,):
         raise ValueError(
             f"expected {policy.scale.slices} counts, got shape {y.shape}"
         )
-    scores = [
-        float(np.dot(y, np.log(policy.rates(m))) - np.sum(policy.rates(m)))
-        for m in range(policy.constellation.num_states)
-    ]
-    return int(np.argmax(scores))
+    if not np.all(np.isfinite(y) & (y >= 0.0) & (y == np.round(y))):
+        raise ValueError(f"counts must be nonnegative integers, got {counts!r}")
+    rates = np.stack(
+        [policy.rates(m) for m in range(policy.constellation.num_states)]
+    )  # (M, N)
+    return int(_ml_decisions(y[:, None], np.log(rates), rates.sum(axis=1)))
 
 
 def monte_carlo(
@@ -279,11 +298,9 @@ def monte_carlo(
             slab = _block_generator(seed, m, block).poisson(
                 trial_rates, size=(rows, num_groups)
             )
-            scores = slab[:, :1] * log_rates[:, 0]  # (rows, M)
-            for g in range(1, num_groups):
-                scores += slab[:, g : g + 1] * log_rates[:, g]
-            scores -= totals
-            errors += int(np.count_nonzero(np.argmax(scores, axis=1) != m))
+            columns = [slab[:, g : g + 1] for g in range(num_groups)]
+            decisions = _ml_decisions(columns, log_rates, totals)
+            errors += int(np.count_nonzero(decisions != m))
         error_counts.append(errors)
     rates_hat = np.array(error_counts) / trials_per_hypothesis
     p_e = float(np.mean(rates_hat))
@@ -302,7 +319,11 @@ def monte_carlo(
 
 @dataclass(frozen=True)
 class ExactErrorResult:
-    """Exact (conditional on the truncation box) Bayesian error."""
+    """Exact (conditional on the truncation box) Bayesian error.
+
+    ``y_max`` holds the largest enumerated total of each displacement
+    group, one entry per distinct displacement in ``np.unique`` order.
+    """
 
     p_e: float
     tail_bound: float
@@ -310,65 +331,62 @@ class ExactErrorResult:
     per_hypothesis: tuple[float, ...]
 
 
-def exact_error_small(
-    policy: OpenLoopPolicy, count_truncation: Optional[int] = None
-) -> ExactErrorResult:
-    """Enumerate count vectors and sum exact Poisson masses by ML region.
+def _group_log_pmf(means: np.ndarray) -> np.ndarray:
+    """log P_m(Y = k) for k = 0..y_max, one row per hypothesis mean.
 
-    Intended for small N (a few slices).  The box is {0..y_max_n} per slice,
-    with per-slice bounds picked so each slice's neglected tail is below
-    1e-12 under every hypothesis; ``count_truncation`` instead forces one
-    uniform bound, and raises if the resulting tail bound exceeds 1e-9.
+    y_max is the smallest count whose upper tail P_m(Y > y_max) is below
+    AUTO_TAIL_PER_GROUP under every hypothesis.  The range searched runs to
+    mean + 12 sqrt(mean) + 12, where the Poisson tail is below 1e-20.
+    """
+    worst = float(means.max())
+    k = np.arange(int(worst + 12.0 * math.sqrt(worst) + 12.0) + 1, dtype=float)
+    log_factorial = np.array([math.lgamma(y + 1.0) for y in k])
+    log_pmf = k * np.log(means)[:, None] - means[:, None] - log_factorial
+    # beyond[:, y] = P(Y > y), summed from the far end so small tails keep
+    # their relative precision; the last entry is 0, so a cut always exists.
+    beyond = np.zeros_like(log_pmf)
+    beyond[:, :-1] = np.cumsum(np.exp(log_pmf[:, :0:-1]), axis=1)[:, ::-1]
+    y_max = int(np.argmax(np.all(beyond < AUTO_TAIL_PER_GROUP, axis=0)))
+    return log_pmf[:, : y_max + 1]
+
+
+def exact_error_small(policy: OpenLoopPolicy) -> ExactErrorResult:
+    """Enumerate group totals and sum exact Poisson masses by ML region.
+
+    Intended for policies with few distinct displacements; the number of
+    slices does not matter.  Group g's total is Poisson with mean
+    multiplicity_g * rate, and the ML statistic depends on the counts only
+    through these totals.  The box is {0..y_max_g} per group, each group's
+    neglected upper tail below AUTO_TAIL_PER_GROUP under every hypothesis.
     Error mass is normalized per hypothesis by the in-box mass, so
     degenerate policies (identical rates under all hypotheses) give exactly
     (M-1)/M.
     """
-    # Imported here: scipy.stats costs every CLI process about half a second.
-    from scipy.stats import poisson as poisson_dist
-
-    num_states = policy.constellation.num_states
-    num_slices = policy.scale.slices
-    rate_matrix = np.stack(
-        [policy.rates(m) for m in range(num_states)]
-    )  # (M, N)
-
-    if count_truncation is not None:
-        if count_truncation < 0:
-            raise ValueError("count_truncation must be nonnegative")
-        y_max = np.full(num_slices, count_truncation, dtype=int)
-    else:
-        worst = rate_matrix.max(axis=0)
-        y_max = poisson_dist.isf(AUTO_TAIL_PER_SLICE, worst).astype(int) + 1
-        while True:
-            tails = poisson_dist.sf(y_max, rate_matrix).max(axis=0)
-            grow = tails >= AUTO_TAIL_PER_SLICE
-            if not np.any(grow):
-                break
-            y_max[grow] += 1
-
-    box_shape = tuple(int(b) + 1 for b in y_max)
+    group_rates, multiplicity, totals = _group_policy(policy)
+    num_states, num_groups = group_rates.shape
+    log_pmfs = [
+        _group_log_pmf(group_rates[:, g] * multiplicity[g])
+        for g in range(num_groups)
+    ]
+    box_shape = tuple(lp.shape[1] for lp in log_pmfs)
     cells = math.prod(box_shape)
     if cells > MAX_BOX_CELLS:
         raise ValueError(
             f"truncation box has {cells} cells (limit {MAX_BOX_CELLS}); "
-            "reduce the slice count or rates"
+            "reduce the number of distinct displacements or the rates"
         )
 
-    # log-likelihood and log-pmf accumulated over slices by broadcasting.
+    # Group g varies along box axis g; columns carry a trailing hypothesis
+    # axis, the log-pmf a leading one.
+    columns = []
     log_pmf = np.zeros((num_states,) + box_shape)
-    scores = np.zeros((num_states,) + box_shape)
-    for n in range(num_slices):
-        counts_n = np.arange(box_shape[n], dtype=float)
-        lgamma_n = np.array([math.lgamma(y + 1.0) for y in counts_n])
-        shape_n = [1] * num_slices
-        shape_n[n] = box_shape[n]
-        for m in range(num_states):
-            lam = rate_matrix[m, n]
-            loglin = counts_n * math.log(lam) - lam
-            log_pmf[m] += (loglin - lgamma_n).reshape(shape_n)
-            scores[m] += loglin.reshape(shape_n)
+    for g, lp in enumerate(log_pmfs):
+        shape = [1] * num_groups
+        shape[g] = box_shape[g]
+        columns.append(np.arange(box_shape[g]).reshape(shape + [1]))
+        log_pmf += lp.reshape([num_states] + shape)
 
-    decisions = np.argmax(scores, axis=0)
+    decisions = _ml_decisions(columns, np.log(group_rates), totals)
     masses = np.exp(log_pmf)
     per_hypothesis = []
     tail_bound = 0.0
@@ -377,14 +395,9 @@ def exact_error_small(
         err = float(masses[m][decisions != m].sum())
         per_hypothesis.append(err / in_box)
         tail_bound = max(tail_bound, 1.0 - in_box)
-    if count_truncation is not None and tail_bound > EXPLICIT_TAIL_LIMIT:
-        raise ValueError(
-            f"count_truncation={count_truncation} leaves tail bound "
-            f"{tail_bound:.3e} above {EXPLICIT_TAIL_LIMIT:.0e}"
-        )
     return ExactErrorResult(
         p_e=float(np.mean(per_hypothesis)),
         tail_bound=tail_bound,
-        y_max=tuple(int(b) for b in y_max),
+        y_max=tuple(n - 1 for n in box_shape),
         per_hypothesis=tuple(per_hypothesis),
     )

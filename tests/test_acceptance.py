@@ -287,6 +287,20 @@ class TestAcceptance:
             f"p_e={report.p_e:.3e} bound={bound:.3e} "
             f"slack={slack:.3f} t={elapsed:.1f}s",
         )
+        # The realized policy is one displacement group, so the oracle gives
+        # its error exactly; Monte Carlo becomes a stated-sigma cross-check
+        # against the binomial law of the exact per-hypothesis errors.
+        exact = exact_error_small(policy)
+        rates = np.array(exact.per_hypothesis)
+        sigma = math.sqrt(float(np.sum(rates * (1.0 - rates))) / 1_000_000) / 2
+        gap = abs(report.p_e - exact.p_e) / sigma
+        ok_exact = exact.p_e <= bound and gap <= 4.0
+        assert emit(
+            "8b",
+            ok_exact,
+            f"exact_p_e={exact.p_e:.4e} bound={bound:.3e} "
+            f"mc_gap={gap:.2f}sigma tail={exact.tail_bound:.1e}",
+        )
 
     def test_c9_high_snr_homodyne_crossover(self):
         """Near-ideal detectors: the bound overtakes homodyne near one photon."""

@@ -337,22 +337,38 @@ class TestVerify:
         assert any("2.1359" in note for note in doc["notes"])
 
 
+def run_probe(code: str) -> str:
+    """Run Python code in a fresh interpreter that imports this pskexp."""
+    src = str(Path(pskexp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.strip()
+
+
 class TestStartup:
     """Validate what every CLI process pays before it does any work."""
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        """scipy.stats is imported by the exact oracle only, not at start-up."""
-        src = str(Path(pskexp.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
+        """The CLI does not import scipy.stats at start-up."""
         probe = "import sys, pskexp.cli; print('scipy.stats' in sys.modules)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
+        assert run_probe(probe) == "False"
+
+    def test_exact_oracle_leaves_scipy_stats_unloaded(self):
+        """The exact oracle computes its Poisson tails without scipy.stats."""
+        probe = (
+            "import sys\n"
+            "from pskexp.constellation import OperatingRatios, SignalScale, bpsk\n"
+            "from pskexp.receiver import OpenLoopPolicy, exact_error_small\n"
+            "policy = OpenLoopPolicy((1 + 0j,), SignalScale(2.0, 1, 1), bpsk(),\n"
+            "                        OperatingRatios(0.01, 1.0, 1.0))\n"
+            "exact_error_small(policy)\n"
+            "print('scipy.stats' in sys.modules)"
         )
-        assert out.stdout.strip() == "False"
+        assert run_probe(probe) == "False"

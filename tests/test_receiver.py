@@ -1,5 +1,5 @@
 """Tests for policy realization, the sliced photon-counting simulator, and
-the exact small-instance error oracle."""
+the exact error oracle over per-displacement count totals."""
 
 import math
 
@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pskexp.constellation import OperatingRatios, SignalScale, bpsk, normalized_rate
+from pskexp.constellation import (
+    OperatingRatios,
+    SignalScale,
+    bpsk,
+    normalized_rate,
+    uniform_psk,
+)
 from pskexp.exponent import ControlDistribution, exponent_of
 from pskexp.receiver import (
     MC_BLOCK_TRIALS,
@@ -19,7 +25,6 @@ from pskexp.receiver import (
     ml_decide,
     monte_carlo,
     realize_policy,
-    sample_trial,
 )
 
 BPSK = bpsk()
@@ -38,6 +43,44 @@ def single_slice_policy(v: complex, alpha_sq: float = 2.0) -> OpenLoopPolicy:
     return OpenLoopPolicy(
         displacements=(complex(v),), scale=scale, constellation=BPSK, ratios=ratios
     )
+
+
+def reference_exact_error(policy: OpenLoopPolicy) -> tuple[float, tuple[float, ...]]:
+    """Per-slice enumeration oracle: (p_e, per-hypothesis errors).
+
+    One box axis per slice, each cut where its Poisson tail falls below
+    1e-12 under every hypothesis; masses are normalized by the in-box mass.
+    Exponential in N, so only for a few slices.
+    """
+    num_states = policy.constellation.num_states
+    num_slices = policy.scale.slices
+    rate_matrix = np.stack([policy.rates(m) for m in range(num_states)])  # (M, N)
+    y_max = stats.poisson.isf(1e-12, rate_matrix.max(axis=0)).astype(int) + 1
+    while True:
+        grow = stats.poisson.sf(y_max, rate_matrix).max(axis=0) >= 1e-12
+        if not np.any(grow):
+            break
+        y_max[grow] += 1
+    box_shape = tuple(int(b) + 1 for b in y_max)
+    log_pmf = np.zeros((num_states,) + box_shape)
+    scores = np.zeros((num_states,) + box_shape)
+    for n in range(num_slices):
+        counts_n = np.arange(box_shape[n], dtype=float)
+        lgamma_n = np.array([math.lgamma(y + 1.0) for y in counts_n])
+        shape_n = [1] * num_slices
+        shape_n[n] = box_shape[n]
+        for m in range(num_states):
+            lam = rate_matrix[m, n]
+            loglin = counts_n * math.log(lam) - lam
+            log_pmf[m] += (loglin - lgamma_n).reshape(shape_n)
+            scores[m] += loglin.reshape(shape_n)
+    decisions = np.argmax(scores, axis=0)
+    masses = np.exp(log_pmf)
+    per_hypothesis = tuple(
+        float(masses[m][decisions != m].sum()) / float(masses[m].sum())
+        for m in range(num_states)
+    )
+    return float(np.mean(per_hypothesis)), per_hypothesis
 
 
 def uniform_policy(v: complex, slices: int, r_ce: float) -> OpenLoopPolicy:
@@ -104,6 +147,25 @@ class TestOpenLoopPolicy:
         q = pol.type_distribution()
         assert q == ControlDistribution.from_arrays([0.0, 1.0], [0.25, 0.75])
 
+    def test_total_rate_invariant_under_slicing(self):
+        """Doubling N preserves the total rate (Poisson superposition)."""
+        coarse = uniform_policy(0.5, slices=4, r_ce=0.25)
+        fine = uniform_policy(0.5, slices=8, r_ce=0.25)
+        for m in range(2):
+            assert coarse.rates(m).sum() == pytest.approx(fine.rates(m).sum(), rel=1e-14)
+
+    def test_rejects_non_finite_displacement(self):
+        """A NaN or infinite displacement is rejected at construction."""
+        scale = SignalScale(alpha_sq=2.0, slices=2, grid_k=1)
+        for bad in (complex(math.nan), complex(0.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                OpenLoopPolicy(
+                    displacements=(bad, 0.0j),
+                    scale=scale,
+                    constellation=BPSK,
+                    ratios=RATIOS_09,
+                )
+
 
 class TestRealizePolicy:
     """Validate type-matching apportionment with energy repair."""
@@ -162,49 +224,6 @@ class TestRealizePolicy:
         assert tv <= (1.0 + moves) / slices + 1e-12
 
 
-class TestSampleTrial:
-    """Validate the per-trial Poisson sampler."""
-
-    def test_total_count_law_of_large_numbers(self):
-        """Empirical mean total count matches the rate sum within 3 sigma."""
-        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.5)
-        scale = SignalScale(alpha_sq=2.0, slices=4, grid_k=1)
-        pol = OpenLoopPolicy(
-            displacements=(0.0j, 0.5 + 0.0j, 0.5j, complex(math.sqrt(0.5))),
-            scale=scale,
-            constellation=BPSK,
-            ratios=ratios,
-        )
-        expected = float(pol.rates(1).sum())
-        rng = np.random.default_rng(3)
-        trials = 100_000
-        total = sum(int(sample_trial(pol, 1, rng).sum()) for _ in range(trials))
-        mean = total / trials
-        sigma = math.sqrt(expected / trials)
-        assert abs(mean - expected) <= 3.0 * sigma
-
-    def test_nulling_with_negligible_dark_rate(self):
-        """Nulling the true hypothesis at tiny r_sn yields all-zero counts."""
-        ratios = OperatingRatios(r_sn=1e-9, r_ca=1.0, r_ce=1.0)
-        scale = SignalScale(alpha_sq=2.0, slices=2, grid_k=1)
-        pol = OpenLoopPolicy(
-            displacements=(1.0 + 0.0j, 1.0 + 0.0j),
-            scale=scale,
-            constellation=BPSK,
-            ratios=ratios,
-        )
-        counts = sample_trial(pol, 0, np.random.default_rng(0))
-        assert counts.shape == (2,)
-        assert np.all(counts == 0)
-
-    def test_total_rate_invariant_under_slicing(self):
-        """Doubling N preserves the total rate (Poisson superposition)."""
-        coarse = uniform_policy(0.5, slices=4, r_ce=0.25)
-        fine = uniform_policy(0.5, slices=8, r_ce=0.25)
-        for m in range(2):
-            assert coarse.rates(m).sum() == pytest.approx(fine.rates(m).sum(), rel=1e-14)
-
-
 class TestMlDecide:
     """Validate the maximum-likelihood decision rule."""
 
@@ -229,6 +248,13 @@ class TestMlDecide:
         pol = uniform_policy(0.5, slices=3, r_ce=0.25)
         with pytest.raises(ValueError, match="counts"):
             ml_decide(pol, [0, 1])
+
+    def test_rejects_negative_or_fractional_counts(self):
+        """Counts must be nonnegative integers."""
+        pol = single_slice_policy(1.0)
+        for counts in ([-3], [1.7], [math.nan]):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                ml_decide(pol, counts)
 
 
 class TestMonteCarlo:
@@ -328,6 +354,17 @@ class TestExactErrorSmall:
         assert result.p_e == 0.5
         assert result.per_hypothesis == (0.0, 1.0)
 
+    @pytest.mark.parametrize("num_states", [3, 4])
+    def test_all_zero_policy_is_chance(self, num_states: int):
+        """Without displacement every hypothesis looks alike: (M-1)/M."""
+        pol = OpenLoopPolicy(
+            displacements=(0.0j,) * 3,
+            scale=SignalScale(alpha_sq=2.0, slices=3, grid_k=1),
+            constellation=uniform_psk(num_states),
+            ratios=RATIOS_09,
+        )
+        assert exact_error_small(pol).p_e == (num_states - 1) / num_states
+
     def test_single_slice_closed_form(self):
         """The single-slice case reduces to two Poisson CDF terms."""
         pol = single_slice_policy(1.0)
@@ -357,25 +394,59 @@ class TestExactErrorSmall:
             exact_error_small(b).p_e, abs=1e-14
         )
 
-    def test_explicit_truncation_matches_auto(self):
-        """A generous explicit box reproduces the automatic choice."""
-        pol = single_slice_policy(1.0)
-        auto = exact_error_small(pol)
-        explicit = exact_error_small(pol, count_truncation=60)
-        assert explicit.p_e == pytest.approx(auto.p_e, abs=1e-10)
-        assert explicit.y_max == (60,)
-
-    def test_explicit_truncation_too_small_raises(self):
-        """A box that chops off real mass is reported, not silently used."""
-        pol = single_slice_policy(1.0)
-        with pytest.raises(ValueError, match="tail bound"):
-            exact_error_small(pol, count_truncation=1)
-
     def test_box_guard(self):
         """Unenumerable boxes raise instead of exhausting memory."""
-        pol = uniform_policy(0.5, slices=10, r_ce=0.25)
+        # Ten distinct displacements give ten group axes of at least nine
+        # totals each, far more than MAX_BOX_CELLS cells.
+        scale = SignalScale(alpha_sq=2.0, slices=10, grid_k=1)
+        pol = OpenLoopPolicy(
+            displacements=tuple(complex(0.05 * k) for k in range(10)),
+            scale=scale,
+            constellation=BPSK,
+            ratios=RATIOS_09,
+        )
         with pytest.raises(ValueError, match="cells"):
             exact_error_small(pol)
+
+    def test_many_slices_one_group(self):
+        """Slice count does not limit the oracle: 200 equal slices are one
+        group whose total is Poisson with the summed rate."""
+        pol = uniform_policy(0.5, slices=200, r_ce=0.25)
+        result = exact_error_small(pol)
+        # One slice at alpha_sq = 2 has the same total rates.
+        one = exact_error_small(single_slice_policy(0.5))
+        assert len(result.y_max) == 1
+        assert result.p_e == pytest.approx(one.p_e, abs=1e-14)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        num_states=st.sampled_from([2, 3, 4]),
+        picks=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
+        alpha_sq=st.floats(min_value=0.5, max_value=3.0),
+    )
+    def test_matches_per_slice_reference(
+        self, num_states: int, picks: list[int], alpha_sq: float
+    ):
+        """Grouped enumeration agrees with the per-slice oracle to 1e-12."""
+        # Few candidate points, so slices repeat and form groups.  No sum of
+        # up to four of them is equidistant from two constellation points, so
+        # no two hypotheses have equal rate totals: such a pair ties on the
+        # all-zero count vector, and rounding, which differs between the two
+        # oracles, would decide that tie.
+        candidates = (0.31 + 0.07j, -0.23 + 0.41j, 0.52 - 0.19j, 0.13 - 0.57j)
+        displacements = tuple(candidates[i] for i in picks)
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=1.0)
+        pol = OpenLoopPolicy(
+            displacements=displacements,
+            scale=SignalScale(alpha_sq=alpha_sq, slices=len(picks), grid_k=1),
+            constellation=uniform_psk(num_states),
+            ratios=ratios,
+        )
+        result = exact_error_small(pol)
+        p_e, per_hypothesis = reference_exact_error(pol)
+        assert len(result.y_max) == len(set(picks))
+        assert result.p_e == pytest.approx(p_e, abs=1e-12)
+        np.testing.assert_allclose(result.per_hypothesis, per_hypothesis, atol=1e-12)
 
     def test_monotone_in_displacement(self):
         """Stronger displacement separates the rates and lowers the error."""
