@@ -51,6 +51,7 @@ from .exponent import (
     optimize_binary,
     optimize_general,
     pair_exponent,
+    pair_exponents,
     verify_claims,
 )
 from .receiver import (
@@ -102,6 +103,7 @@ __all__ = [
     "optimize_binary",
     "optimize_general",
     "pair_exponent",
+    "pair_exponents",
     "physical_rate",
     "poisson_log_pmf",
     "realize_policy",

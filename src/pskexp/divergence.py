@@ -112,19 +112,21 @@ def chernoff_s(pair: RatePair, s: float) -> float:
 
 
 def chernoff_values(
-    lambda0: np.ndarray, lambda1: np.ndarray, s: float
+    lambda0: np.ndarray, lambda1: np.ndarray, s: float | np.ndarray
 ) -> np.ndarray:
     """Vectorized ``C_s`` over arrays of rate pairs.
 
+    ``s`` is a tilt or an array of tilts broadcasting against the rates,
+    such as a ``(rows, 1)`` column giving each row of ``(rows, n)`` rate
+    arrays its own tilt; every element is computed as with a scalar tilt.
     Zero rates are admitted with the continuous convention
     ``C_s(0, lambda1) = s*0 + (1-s)*lambda1`` for s in (0, 1].
     """
     l0 = np.asarray(lambda0, dtype=float)
     l1 = np.asarray(lambda1, dtype=float)
+    # The logs are temporaries, so large (rows, n) calls hold fewer arrays.
     with np.errstate(divide="ignore"):
-        log0 = np.log(l0)
-        log1 = np.log(l1)
-    exponent = s * log0 + (1.0 - s) * log1
+        exponent = s * np.log(l0) + (1.0 - s) * np.log(l1)
     # s*(-inf) is nan for s == 0; the convention 0**0 = 1 restores lambda1.
     mixed = np.where(np.isnan(exponent), np.where(l0 == 0, l1, l0), np.exp(exponent))
     return s * l0 + (1.0 - s) * l1 - mixed
@@ -161,42 +163,87 @@ def chernoff_s_series(pair: RatePair, s: float, tail_tol: float = 1e-16) -> floa
     return -math.log(total)
 
 
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = GOLDEN_TOL,
-    max_iter: int = GOLDEN_MAX_ITER,
-) -> tuple[float, float]:
-    """Maximize a unimodal function on [lo, hi] by golden-section search.
-
-    Args:
-        f: unimodal (e.g. strictly concave) function.
-        lo, hi: bracket endpoints, lo < hi.
-        tol: absolute tolerance on the argument.
-        max_iter: iteration cap.
-
-    Returns:
-        ``(x, f(x))`` at the located maximum.
+def _golden_search(lo: float, hi: float, tol: float, max_iter: int):
+    """One golden-section search as a generator: it yields each argument to
+    evaluate, is sent the function's value there, and returns ``(x, f(x))``.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    fc = yield c
+    fd = yield d
     for _ in range(max_iter):
         if b - a <= tol:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = f(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = f(d)
+            fd = yield d
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, (yield x)
+
+
+def golden_section_max(
+    f: Callable,
+    lo: float,
+    hi: float,
+    tol: float = GOLDEN_TOL,
+    max_iter: int = GOLDEN_MAX_ITER,
+    lanes: int | None = None,
+):
+    """Maximize a unimodal function on [lo, hi] by golden-section search.
+
+    With ``lanes=None``, ``f`` maps a float to a float and the result is
+    ``(x, f(x))``.  With ``lanes=n``, ``n`` searches over the same bracket
+    run in lockstep: ``f`` maps a list of ``n`` arguments, one per lane, to
+    ``n`` values, and the result is the lists ``(xs, f(xs))``.  Every lane
+    is one search of its own (``_golden_search``, its bracket in Python
+    floats), making exactly the comparisons and updates of the scalar form;
+    a lane whose bracket is within ``tol`` finishes, keeping its last
+    argument in the list while the others go on, and its values are ignored
+    from then.  So when ``f``'s i-th value depends on the i-th argument
+    alone, lane i returns bit for bit what the scalar search of that
+    function returns, and ``f`` is called once per step for all lanes.
+    The scalar form drives a single such search.
+
+    Args:
+        f: unimodal (e.g. strictly concave) function, per lane.
+        lo, hi: bracket endpoints, lo < hi, shared by all lanes.
+        tol: absolute tolerance on the argument.
+        max_iter: iteration cap per lane.
+        lanes: number of lockstep searches, or None for the scalar form.
+
+    Returns:
+        ``(x, f(x))`` at the located maximum, or per lane ``(xs, values)``.
+    """
+    if lanes is None:
+        search = _golden_search(lo, hi, tol, max_iter)
+        x = next(search)
+        try:
+            while True:
+                x = search.send(f(x))
+        except StopIteration as done:
+            return done.value
+    searches = [_golden_search(lo, hi, tol, max_iter) for _ in range(lanes)]
+    probes = [next(search) for search in searches]
+    xs, values = [0.0] * lanes, [0.0] * lanes
+    running = range(lanes)
+    while running:
+        found = f(probes)
+        still = []
+        for i in running:
+            try:
+                probes[i] = searches[i].send(found[i])
+                still.append(i)
+            except StopIteration as done:
+                xs[i], values[i] = done.value
+        running = still
+    return xs, values
 
 
 def max_chernoff(pair: RatePair) -> ChernoffOptimum:

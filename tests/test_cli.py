@@ -372,3 +372,48 @@ class TestStartup:
             "print('scipy.stats' in sys.modules)"
         )
         assert run_probe(probe) == "False"
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        """scipy.optimize is imported when a solver first runs, not at start-up."""
+        probe = "import sys, pskexp.cli; print('scipy.optimize' in sys.modules)"
+        assert run_probe(probe) == "False"
+
+    def test_crosscheck_path_leaves_scipy_optimize_unloaded(self):
+        """Building a policy, the exact oracle and Monte Carlo run no solver."""
+        probe = (
+            "import sys\n"
+            "from pskexp.constellation import OperatingRatios, SignalScale, bpsk\n"
+            "from pskexp.receiver import OpenLoopPolicy, exact_error_small, monte_carlo\n"
+            "policy = OpenLoopPolicy((0.5 + 0j,) * 2, SignalScale(2.0, 2, 1), bpsk(),\n"
+            "                        OperatingRatios(0.01, 1.0, 1.0))\n"
+            "exact_error_small(policy)\n"
+            "monte_carlo(policy, 100, seed=1)\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
+        assert run_probe(probe) == "False"
+
+    def test_solvers_are_called_through_the_exponent_module(self, monkeypatch):
+        """The optimizers look up linprog and minimize on pskexp.exponent at
+        call time, so a wrapper put there (as the benchmark tracer does) sees
+        every solve."""
+        from pskexp import exponent
+        from pskexp.constellation import OperatingRatios, uniform_psk
+
+        calls = []
+
+        def spy(name):
+            solver = getattr(exponent, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return solver(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("linprog", "minimize"):
+            monkeypatch.setattr(exponent, name, spy(name))
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
+        exponent.optimize_general(uniform_psk(4), ratios, grid_k=4)
+        assert "linprog" in calls
+        exponent.optimize_binary(ratios)
+        assert "minimize" in calls

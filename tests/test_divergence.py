@@ -207,7 +207,7 @@ class TestChernoffSeries:
 
 
 class TestGoldenSection:
-    """Validate the scalar concave maximizer."""
+    """Validate the concave maximizer, scalar and in lockstep lanes."""
 
     def test_quadratic_peak(self):
         """Recovers the vertex of a concave parabola."""
@@ -219,6 +219,54 @@ class TestGoldenSection:
         """Handles maxima at a bracket endpoint."""
         x, _ = golden_section_max(lambda t: t, 0.0, 1.0)
         assert x == pytest.approx(1.0, abs=1e-9)
+
+    @given(
+        peaks=st.lists(
+            st.floats(min_value=-0.5, max_value=1.5), min_size=1, max_size=8
+        ),
+        max_iter=st.sampled_from([0, 3, 200]),
+    )
+    def test_lanes_match_separate_searches(self, peaks, max_iter):
+        """Lockstep lanes return bit for bit the separate scalar searches."""
+        lanes = golden_section_max(
+            lambda ts: [-((t - p) ** 2) for t, p in zip(ts, peaks)],
+            0.0,
+            1.0,
+            max_iter=max_iter,
+            lanes=len(peaks),
+        )
+        alone = [
+            golden_section_max(lambda t: -((t - p) ** 2), 0.0, 1.0, max_iter=max_iter)
+            for p in peaks
+        ]
+        assert lanes == ([x for x, _ in alone], [fx for _, fx in alone])
+
+    def test_lane_that_stops_early_keeps_its_result(self):
+        """At this tolerance rounding ends some lanes' brackets one step
+        before the others'; each lane still matches its own search, and the
+        lanes share one call per step."""
+        tol = 0.09016994374947428
+        peaks = [0.0, 0.5, 0.7, 1.0]
+        alone, evals = [], []
+        for p in peaks:
+            calls = []
+            alone.append(
+                golden_section_max(
+                    lambda t: calls.append(t) or -((t - p) ** 2), 0.0, 1.0, tol=tol
+                )
+            )
+            evals.append(len(calls))
+        assert len(set(evals)) == 2
+        batches = []
+        lanes = golden_section_max(
+            lambda ts: batches.append(ts) or [-((t - p) ** 2) for t, p in zip(ts, peaks)],
+            0.0,
+            1.0,
+            tol=tol,
+            lanes=len(peaks),
+        )
+        assert lanes == ([x for x, _ in alone], [fx for _, fx in alone])
+        assert len(batches) == max(evals)
 
 
 class TestMaxChernoff:

@@ -2,14 +2,27 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pskexp.constellation import OperatingRatios, bpsk, uniform_psk
-from pskexp.divergence import RatePair, chernoff_s, chernoff_values
+from pskexp.constellation import (
+    OperatingRatios,
+    bpsk,
+    normalized_rates,
+    uniform_psk,
+)
+from pskexp.divergence import (
+    EQUAL_RATE_RTOL,
+    GOLDEN_MAX_ITER,
+    GOLDEN_TOL,
+    RatePair,
+    chernoff_s,
+    chernoff_values,
+)
 from pskexp.exponent import (
     ENERGY_TOL,
     ControlDistribution,
@@ -20,6 +33,7 @@ from pskexp.exponent import (
     optimize_binary,
     optimize_general,
     pair_exponent,
+    pair_exponents,
     _upper_hull_value,
     verify_claims,
 )
@@ -36,10 +50,81 @@ COUNTEREXAMPLE_VALUE = 1.98240722246624747  # point mass at v = sqrt(0.9)
 COUNTEREXAMPLE_POINT = 0.9486832980505138  # sqrt(0.9)
 HIGH_SNR_FULL_VALUE = 3.02079770393544019  # point mass at v = 1, r_sn = 1e-6
 
+#: ``optimize_general`` solutions recorded before its pair tilts were solved
+#: in one batch and its LP presolve was turned off: per case (m, r_sn, r_ce,
+#: grid_k) with r_ca = 1, ``beta``, the atoms of ``q_star`` as
+#: [re, im, weight] and ``per_pair`` as [l, m, s_star, value].
+PINNED_GENERAL = json.loads(
+    (Path(__file__).with_name("pinned_general_solutions.json")).read_text()
+)
+
 
 def bpsk_rates(v: float, r: float) -> RatePair:
     """Normalized BPSK rate pair at real displacement v and dark ratio r."""
     return RatePair((1.0 - v) ** 2 + r, (1.0 + v) ** 2 + r)
+
+
+def reference_golden_section_max(f, lo, hi, tol=GOLDEN_TOL, max_iter=GOLDEN_MAX_ITER):
+    """Scalar golden-section search, one function evaluation per step."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(max_iter):
+        if b - a <= tol:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def reference_pair_exponent(q, pair, constellation, ratios):
+    """One pair's tilt solve on its own: scalar golden search over
+    ``np.dot(weights, chernoff_values(rates_l, rates_m, s))``.
+
+    Oracle for ``pair_exponents``, which searches all pairs in lockstep and
+    must agree with it bit for bit.
+    """
+    q.validate_feasible(ratios)
+    l, m = pair
+    rates_l = normalized_rates(q.points, l, constellation, ratios)
+    rates_m = normalized_rates(q.points, m, constellation, ratios)
+    scale = np.maximum(rates_l, rates_m)
+    if np.all(np.abs(rates_l - rates_m) <= EQUAL_RATE_RTOL * scale):
+        return PairValue(s_star=0.5, value=0.0)
+    weights = q.weights
+
+    def objective(s):
+        return float(np.dot(weights, chernoff_values(rates_l, rates_m, s)))
+
+    s_star, value = reference_golden_section_max(objective, 0.0, 1.0)
+    return PairValue(s_star=s_star, value=max(value, 0.0))
+
+
+@st.composite
+def mixtures(draw):
+    """Distributions of 1-40 atoms in the unit disk, some at the origin
+    (which makes every pair degenerate when all atoms are there)."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    origin = st.just(0j)
+    anywhere = st.builds(
+        lambda rho, phi: complex(rho * math.cos(phi), rho * math.sin(phi)),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    points = draw(st.lists(st.one_of(origin, anywhere), min_size=n, max_size=n))
+    weights = draw(
+        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=n, max_size=n)
+    )
+    return ControlDistribution.from_arrays(points, weights)
 
 
 def reference_upper_hull_value(energies, values, budget):
@@ -228,6 +313,18 @@ class TestControlDistribution:
         np.testing.assert_allclose(q.points, [0.0, 0.5])
         np.testing.assert_allclose(q.weights, [0.5, 0.5], rtol=1e-14)
 
+    def test_rejects_non_finite_points(self):
+        """A NaN or infinite atom is refused, not carried into the rates."""
+        for point in (complex("nan"), complex("inf"), complex(0.5, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                ControlDistribution.point_mass(point)
+
+    def test_from_arrays_rejects_non_finite_weights(self):
+        """A NaN weight raises instead of being dropped as dust."""
+        for weight in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ControlDistribution.from_arrays([0.1, 0.2], [weight, 1.0])
+
     def test_from_arrays_rejects_all_dust(self):
         """An entirely sub-threshold weight vector is an error."""
         with pytest.raises(ValueError, match="vanished"):
@@ -360,6 +457,36 @@ class TestPairExponent:
         """The distribution must satisfy the operating constraints."""
         with pytest.raises(ValueError):
             pair_exponent(ControlDistribution.point_mass(1.0), (0, 1), BPSK, RATIOS_LOW)
+
+
+class TestPairExponents:
+    """The lockstep solve over all pairs equals the one-pair solves."""
+
+    @given(
+        q=mixtures(),
+        m=st.sampled_from([2, 3, 4, 8]),
+        log_r=st.floats(min_value=-8.0, max_value=0.0),
+    )
+    def test_matches_one_pair_reference_exactly(self, q, m, log_r):
+        """s_star and value equal the per-pair golden search bit for bit."""
+        con = uniform_psk(m)
+        ratios = OperatingRatios(r_sn=10.0**log_r, r_ca=1.0, r_ce=1.0)
+        pairs = con.pairs()
+        got = pair_exponents(q, pairs, con, ratios)
+        want = [reference_pair_exponent(q, pair, con, ratios) for pair in pairs]
+        assert [(pv.s_star, pv.value) for pv in got] == [
+            (pv.s_star, pv.value) for pv in want
+        ]
+        if np.all(q.points == 0):
+            assert got == [PairValue(s_star=0.5, value=0.0)] * len(pairs)
+
+    def test_any_pair_order_and_subset(self):
+        """Each pair's value does not depend on which pairs share the call."""
+        con = uniform_psk(4)
+        q = ControlDistribution.from_arrays([0.0, 0.6, 0.8j, -0.5], [1, 2, 3, 4])
+        pairs = [(2, 3), (0, 1), (1, 3)]
+        got = pair_exponents(q, pairs, con, RATIOS_LOW)
+        assert got == [pair_exponent(q, pair, con, RATIOS_LOW) for pair in pairs]
 
 
 class TestExponentOf:
@@ -544,6 +671,24 @@ class TestOptimizeGeneral:
         assert sol.q_star.second_moment() <= r_ce + ENERGY_TOL
         assert sol.certified
         assert exponent_of(sol.q_star, uniform_psk(m), ratios) == sol.beta
+
+    @pytest.mark.parametrize(
+        "case", PINNED_GENERAL, ids=lambda c: f"psk{c['m']}-k{c['grid_k']}"
+    )
+    def test_pinned_solutions(self, case):
+        """beta, q_star and per_pair are exactly those recorded before."""
+        sol = optimize_general(
+            uniform_psk(case["m"]),
+            OperatingRatios(r_sn=case["r_sn"], r_ca=1.0, r_ce=case["r_ce"]),
+            grid_k=case["grid_k"],
+        )
+        assert sol.beta == case["beta"]
+        assert sol.q_star.atoms == tuple(
+            (complex(re, im), w) for re, im, w in case["atoms"]
+        )
+        assert sol.per_pair == tuple(
+            ((l, m), s, v) for l, m, s, v in case["per_pair"]
+        )
 
     def test_reports_convergence_diagnostics(self):
         """Iteration count and convergence flag are exposed."""
