@@ -17,24 +17,6 @@ and the exact likelihood-ratio prefactor 1/2 available for binary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
-
-from .constellation import OperatingRatios, PskConstellation
-from .exponent import ControlDistribution, exponent_of
-
-
-@dataclass(frozen=True)
-class BaselineCurve:
-    """A labeled sweep of (x, p_e) points."""
-
-    label: str
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        for _, p_e in self.points:
-            if not 0.0 <= p_e <= 1.0:
-                raise ValueError(f"p_e out of range in curve {self.label!r}")
 
 
 def helstrom_binary(n_s: float) -> float:
@@ -69,22 +51,3 @@ def theorem_bound(
         raise ValueError("the 1/2 prefactor is only valid for two hypotheses")
     prefactor = 0.5 if binary_prefactor else float(num_states - 1)
     return min(1.0, prefactor * math.exp(-n_s * beta))
-
-
-def fixed_displacement_exponent(
-    v: complex, constellation: PskConstellation, ratios: OperatingRatios
-) -> float:
-    """Exponent of the constant-displacement policy Q = delta_v."""
-    if abs(v) > ratios.r_ca + 1e-12:
-        raise ValueError(f"|v| = {abs(v)!r} exceeds the disk radius")
-    if abs(v) ** 2 > ratios.r_ce + 1e-9:
-        raise ValueError(f"|v|**2 = {abs(v)**2!r} exceeds the energy budget")
-    return exponent_of(
-        ControlDistribution.point_mass(v), constellation, ratios
-    )
-
-
-def sweep_curve(
-    label: str, xs: Sequence[float], p_es: Sequence[float]
-) -> BaselineCurve:
-    return BaselineCurve(label=label, points=tuple(zip(xs, p_es)))

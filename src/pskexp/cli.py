@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -29,12 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .baselines import (
-    fixed_displacement_exponent,
-    helstrom_binary,
-    homodyne_binary,
-    theorem_bound,
-)
+from .baselines import helstrom_binary, homodyne_binary, theorem_bound
 from .constellation import (
     InfeasibleRatiosError,
     OperatingRatios,
@@ -102,6 +96,22 @@ def _add_constellation_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_grid_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--grid-k",
+        type=_positive_int,
+        default=20,
+        help="control grid fineness (default 20)",
+    )
+
+
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None, help="output file path")
     parser.add_argument(
@@ -118,9 +128,7 @@ def build_parser() -> _Parser:
     )
     _add_ratio_flags(p_exp)
     _add_constellation_flags(p_exp)
-    p_exp.add_argument(
-        "--grid-k", type=int, default=20, help="control grid fineness (default 20)"
-    )
+    _add_grid_flag(p_exp)
     _add_output_flags(p_exp)
 
     p_photon = sub.add_parser(
@@ -148,9 +156,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument(
         "--alpha-sq", type=float, default=2.0, help="mean photon number (default 2)"
     )
-    p_sim.add_argument(
-        "--grid-k", type=int, default=20, help="control grid fineness (default 20)"
-    )
+    _add_grid_flag(p_sim)
     p_sim.add_argument(
         "--slices", type=int, default=200, help="time slices N (default 200)"
     )
@@ -308,10 +314,7 @@ def cmd_sweep_photon(args: argparse.Namespace) -> int:
         )
         for a in grid
     ]
-    text = _csv_doc("alpha_sq,bound_ours,helstrom,homodyne", rows)
-    if (args.format or "csv") != "csv":
-        raise ValueError("sweep-photon emits CSV only")
-    _write_text(args.out, text)
+    _write_text(args.out, _csv_doc("alpha_sq,bound_ours,helstrom,homodyne", rows))
     return EXIT_OK
 
 
@@ -320,8 +323,6 @@ def cmd_sweep_energy(args: argparse.Namespace) -> int:
     constellation = _constellation(args)
     if not _is_binary(constellation):
         raise ValueError("sweep-energy supports the binary constellation only")
-    if (args.format or "csv") != "csv":
-        raise ValueError("sweep-energy emits CSV only")
     grid = [
         float(r_ce)
         for r_ce in np.linspace(0.0, 1.0, 21)
@@ -444,11 +445,22 @@ _COMMANDS = {
     "verify": cmd_verify,
 }
 
+#: The one output format of each command that does not offer a choice.
+_FIXED_FORMAT = {
+    "exponent": "json",
+    "sweep-photon": "csv",
+    "sweep-energy": "csv",
+    "simulate": "json",
+}
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        fixed = _FIXED_FORMAT.get(args.command)
+        if fixed and (args.format or fixed) != fixed:
+            raise ValueError(f"{args.command} emits {fixed.upper()} only")
         return _COMMANDS[args.command](args)
     except InfeasibleRatiosError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")

@@ -149,30 +149,6 @@ class SignalScale:
         if self.grid_k < 1 or self.grid_k != int(self.grid_k):
             raise ValueError(f"grid_k must be a positive integer, got {self.grid_k!r}")
 
-    @property
-    def alpha(self) -> float:
-        return math.sqrt(self.alpha_sq)
-
-    def dark_rate(self, ratios: OperatingRatios) -> float:
-        """Total dark rate alpha_sq * r_sn (always derived, never stored)."""
-        return self.alpha_sq * ratios.r_sn
-
-
-def normalized_rate(
-    v: complex, m: int, constellation: PskConstellation, ratios: OperatingRatios
-) -> float:
-    """Normalized Poisson mean |v + exp(i*phi_m)|**2 + r_sn.
-
-    Args:
-        v: displacement ratio, must lie in the closed disk |v| <= r_ca.
-        m: hypothesis index.
-        constellation: the PSK hypothesis set.
-        ratios: operating point providing r_sn and the disk radius.
-    """
-    if abs(v) > ratios.r_ca + DISK_TOL:
-        raise ValueError(f"|v|={abs(v)!r} exceeds the control radius {ratios.r_ca!r}")
-    return abs(v + constellation.state_point(m)) ** 2 + ratios.r_sn
-
 
 def normalized_rates(
     points: np.ndarray,
@@ -180,33 +156,12 @@ def normalized_rates(
     constellation: PskConstellation,
     ratios: OperatingRatios,
 ) -> np.ndarray:
-    """Vectorized ``normalized_rate`` over an array of displacement ratios."""
+    """Normalized Poisson means |v + exp(i*phi_m)|**2 + r_sn of hypothesis m
+    over an array of displacement ratios, each in the disk |v| <= r_ca."""
     pts = np.asarray(points, dtype=complex)
     if np.any(np.abs(pts) > ratios.r_ca + DISK_TOL):
         raise ValueError("a grid point exceeds the control radius")
     return np.abs(pts + constellation.state_point(m)) ** 2 + ratios.r_sn
-
-
-def physical_rate(
-    u: complex,
-    m: int,
-    constellation: PskConstellation,
-    scale: SignalScale,
-    ratios: OperatingRatios,
-) -> float:
-    """Per-slice Poisson mean (alpha_sq/N) * Lambda_m(u/alpha).
-
-    Args:
-        u: displacement in amplitude units, |u| <= alpha * r_ca.
-    """
-    alpha = scale.alpha
-    if abs(u) > alpha * (ratios.r_ca + DISK_TOL):
-        raise ValueError(
-            f"|u|={abs(u)!r} exceeds the physical control radius {alpha * ratios.r_ca!r}"
-        )
-    return (scale.alpha_sq / scale.slices) * normalized_rate(
-        u / alpha, m, constellation, ratios
-    )
 
 
 def control_grid(grid_k: int, ratios: OperatingRatios) -> np.ndarray:

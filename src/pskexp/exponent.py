@@ -45,7 +45,6 @@ import numpy as np
 
 from .constellation import (
     DISK_TOL,
-    InfeasibleRatiosError,
     OperatingRatios,
     PskConstellation,
     bpsk,
@@ -64,6 +63,14 @@ ENERGY_TOL = 1e-9
 #: Two candidate distributions within this beta gap are considered tied and
 #: resolved toward the smaller second moment.
 TIE_TOL = 1e-10
+
+#: Weights at or below this are dropped by ``from_arrays`` (LP solutions
+#: carry that much dust).
+DROP_TOL = 1e-12
+
+#: Coordinate-ascent cap and stopping gain of ``optimize_general``.
+MAX_ITERATIONS = 50
+IMPROVEMENT_TOL = 1e-9
 
 
 def linprog(*args, **kwargs):
@@ -118,22 +125,21 @@ class ControlDistribution:
 
     @classmethod
     def from_arrays(
-        cls,
-        points: Sequence[complex],
-        weights: Sequence[float],
-        drop_tol: float = 1e-12,
+        cls, points: Sequence[complex], weights: Sequence[float]
     ) -> "ControlDistribution":
         """Build from parallel arrays, merging duplicates and renormalizing.
 
-        Weights at or below ``drop_tol`` are discarded (LP solutions carry
-        that much dust); the remainder is renormalized to sum exactly to 1.
-        A non-finite weight raises.
+        Weights at or below ``DROP_TOL`` are discarded; the remainder is
+        renormalized to sum exactly to 1.  Arrays of different lengths, or a
+        negative or non-finite weight, raise.
         """
         merged: dict[complex, float] = {}
-        for point, weight in zip(points, weights):
-            if not math.isfinite(weight):
-                raise ValueError(f"atom weights must be finite, got {weight!r}")
-            if weight > drop_tol:
+        for point, weight in zip(points, weights, strict=True):
+            if not math.isfinite(weight) or weight < 0.0:
+                raise ValueError(
+                    f"atom weights must be finite and nonnegative, got {weight!r}"
+                )
+            if weight > DROP_TOL:
                 key = complex(point)
                 merged[key] = merged.get(key, 0.0) + float(weight)
         if not merged:
@@ -362,14 +368,6 @@ def _upper_hull_value(
     return value, [(lo, 1.0 - frac), (hi, float(frac))]
 
 
-def _binary_candidate(
-    points: Sequence[float], weights: Sequence[float]
-) -> ControlDistribution:
-    return ControlDistribution.from_arrays(
-        [complex(p) for p in points], list(weights)
-    )
-
-
 def optimize_binary(
     ratios: OperatingRatios, resolution: float = 1e-3
 ) -> ExponentSolution:
@@ -441,7 +439,7 @@ def optimize_binary(
     # Exact grid candidate from the hull support at the best tilt.
     grid_points = [float(vgrid[i]) for i, _ in support]
     grid_weights = [w for _, w in support]
-    candidates.append(_binary_candidate(grid_points, grid_weights))
+    candidates.append(ControlDistribution.from_arrays(grid_points, grid_weights))
 
     sqrt_ce = math.sqrt(ce)
     if len(support) == 2 and sqrt_ce < ca - 1e-12:
@@ -468,17 +466,19 @@ def optimize_binary(
         if v2 - v1 > 1e-14:
             w2 = min(max((ce - v1**2) / (v2**2 - v1**2), 0.0), 1.0)
             if w2 <= 1e-12:
-                candidates.append(_binary_candidate([v1], [1.0]))
+                candidates.append(ControlDistribution.point_mass(v1))
             elif w2 >= 1.0 - 1e-12:
-                candidates.append(_binary_candidate([v2], [1.0]))
+                candidates.append(ControlDistribution.point_mass(v2))
             else:
-                candidates.append(_binary_candidate([v1, v2], [1.0 - w2, w2]))
+                candidates.append(
+                    ControlDistribution.from_arrays([v1, v2], [1.0 - w2, w2])
+                )
 
     # Single-atom candidate: best unconstrained-in-the-budget point.
     feasible = energies <= ce * (1.0 + 1e-15)
     h_best = chernoff_values(rates0[feasible], rates1[feasible], best_s)
     v_single = float(vgrid[feasible][int(np.argmax(h_best))])
-    candidates.append(_binary_candidate([v_single], [1.0]))
+    candidates.append(ControlDistribution.point_mass(v_single))
 
     res = minimize(
         lambda x: -h_scalar(x[0], x[1]),
@@ -486,7 +486,7 @@ def optimize_binary(
         method="L-BFGS-B",
         bounds=[(0.0, v_single_max), (0.0, 1.0)],
     )
-    candidates.append(_binary_candidate([float(res.x[0])], [1.0]))
+    candidates.append(ControlDistribution.point_mass(res.x[0]))
 
     best_q = None
     best_beta = -math.inf
@@ -526,8 +526,6 @@ def optimize_general(
     constellation: PskConstellation,
     ratios: OperatingRatios,
     grid_k: int = 20,
-    max_iterations: int = 50,
-    improvement_tol: float = 1e-9,
 ) -> ExponentSolution:
     """Coordinate-ascent lower bound for any PSK constellation.
 
@@ -564,7 +562,7 @@ def optimize_general(
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         # LP over (Q, t): maximize t with E_Q[C_{s_pair}] >= t per pair.
         rows = []
         for (l, m), pv in zip(pairs, per_pair):
@@ -591,7 +589,7 @@ def optimize_general(
         beta = min(pv.value for pv in per_pair)
         if beta > best_beta:
             best_q, best_beta, best_per_pair = q, beta, per_pair
-        if beta - beta_prev < improvement_tol:
+        if beta - beta_prev < IMPROVEMENT_TOL:
             converged = True
             break
         beta_prev = beta

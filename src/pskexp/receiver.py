@@ -7,8 +7,8 @@ count of that slice is Poisson with rate (alpha**2/N)(|v_n + e^{i phi_m}|^2
 count vector; the log-factorial term is common to all hypotheses and drops,
 leaving the linear statistic sum_n y_n log(rate_mn) - sum_n rate_mn.  Ties
 are broken toward the smallest hypothesis index, a fixed deterministic rule.
-One scoring function, ``_ml_decisions``, evaluates this rule for
-``ml_decide``, ``monte_carlo`` and ``exact_error_small``.
+One scoring function, ``_ml_decisions``, evaluates this rule for both of
+its consumers, ``monte_carlo`` and ``exact_error_small``.
 
 Slices sharing one displacement value form a group.  The statistic sees
 their counts only through the group total, which is Poisson with the summed
@@ -96,14 +96,6 @@ class OpenLoopPolicy:
         mags2 = np.abs(np.array(self.displacements, dtype=complex)) ** 2
         return float(np.mean(mags2))
 
-    def rates(self, m: int) -> np.ndarray:
-        """Per-slice Poisson rates under hypothesis m (physical units)."""
-        points = np.array(self.displacements, dtype=complex)
-        per_slice = self.scale.alpha_sq / self.scale.slices
-        return per_slice * normalized_rates(
-            points, m, self.constellation, self.ratios
-        )
-
     def type_distribution(self) -> ControlDistribution:
         """Empirical distribution of the displacement sequence."""
         n = len(self.displacements)
@@ -125,10 +117,6 @@ class MonteCarloReport:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_e <= 1.0:
             raise ValueError(f"p_e out of range: {self.p_e!r}")
-
-    @property
-    def relative_stderr(self) -> float:
-        return self.stderr / self.p_e if self.p_e > 0.0 else math.inf
 
 
 def realize_policy(
@@ -246,25 +234,6 @@ def _ml_decisions(
         scores = scores + columns[g] * log_rates[:, g]
     scores -= totals
     return np.argmax(scores, axis=-1)
-
-
-def ml_decide(policy: OpenLoopPolicy, counts: Sequence[int]) -> int:
-    """Maximum-likelihood hypothesis for one count vector.
-
-    Maximizes sum_n y_n log(rate_mn) - sum_n rate_mn over m; ties go to the
-    smallest index.  Counts must be nonnegative integers, one per slice.
-    """
-    y = np.asarray(counts, dtype=float)
-    if y.shape != (policy.scale.slices,):
-        raise ValueError(
-            f"expected {policy.scale.slices} counts, got shape {y.shape}"
-        )
-    if not np.all(np.isfinite(y) & (y >= 0.0) & (y == np.round(y))):
-        raise ValueError(f"counts must be nonnegative integers, got {counts!r}")
-    rates = np.stack(
-        [policy.rates(m) for m in range(policy.constellation.num_states)]
-    )  # (M, N)
-    return int(_ml_decisions(y[:, None], np.log(rates), rates.sum(axis=1)))
 
 
 def monte_carlo(

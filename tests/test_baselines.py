@@ -5,15 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from pskexp.baselines import (
-    BaselineCurve,
-    fixed_displacement_exponent,
-    helstrom_binary,
-    homodyne_binary,
-    sweep_curve,
-    theorem_bound,
-)
+from pskexp.baselines import helstrom_binary, homodyne_binary, theorem_bound
 from pskexp.constellation import OperatingRatios, bpsk, uniform_psk
+from pskexp.exponent import ControlDistribution, exponent_of, pair_exponent
 
 # Frozen oracle values, mpmath at 50 decimal digits, n_s = 2.
 HELSTROM_AT_2 = 8.38726916040248636e-5
@@ -110,43 +104,46 @@ class TestTheoremBound:
             theorem_bound(beta=1.0, n_s=1.0, num_states=1)
 
 
+def point_mass_exponent(v, constellation, ratios):
+    """Exponent of the constant-displacement policy Q = delta_v."""
+    return exponent_of(ControlDistribution.point_mass(v), constellation, ratios)
+
+
 class TestFixedDisplacementExponent:
-    """Validate the point-mass exponent shortcut."""
+    """Validate the exponent of a point-mass (constant-displacement) policy."""
 
     def test_passive_displacement_is_zero(self):
         """v = 0 gives identical rates and a zero exponent."""
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=1.0)
-        assert fixed_displacement_exponent(0.0, bpsk(), ratios) == pytest.approx(
+        assert point_mass_exponent(0.0, bpsk(), ratios) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_full_displacement_value(self):
         """v = 1 at r_sn = 0.01 reproduces the frozen full-point exponent."""
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=1.0)
-        got = fixed_displacement_exponent(1.0, bpsk(), ratios)
+        got = point_mass_exponent(1.0, bpsk(), ratios)
         assert got == pytest.approx(FULL_POINT_VALUE, abs=1e-9)
 
     def test_budget_saturating_value(self):
         """v = sqrt(0.9) reproduces the frozen interior-point exponent."""
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
-        got = fixed_displacement_exponent(math.sqrt(0.9), bpsk(), ratios)
+        got = point_mass_exponent(math.sqrt(0.9), bpsk(), ratios)
         assert got == pytest.approx(COUNTEREXAMPLE_VALUE, abs=1e-9)
         assert got == pytest.approx(1.9822, abs=2e-3)
 
     def test_quaternary_uses_worst_pair(self):
         """For M > 2 the value is the minimum over hypothesis pairs."""
-        from pskexp.exponent import ControlDistribution, pair_exponent
-
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=1.0)
         con = uniform_psk(4)
         # A real displacement leaves the conjugate pair (+i, -i) at equal
         # rates, so its worst-pair exponent is exactly zero.
-        assert fixed_displacement_exponent(0.5, con, ratios) == pytest.approx(
+        assert point_mass_exponent(0.5, con, ratios) == pytest.approx(
             0.0, abs=1e-12
         )
         # A symmetry-breaking complex displacement separates every pair.
         v = 0.3 + 0.4j
-        got = fixed_displacement_exponent(v, con, ratios)
+        got = point_mass_exponent(v, con, ratios)
         per_pair = [
             pair_exponent(ControlDistribution.point_mass(v), pair, con, ratios).value
             for pair in con.pairs()
@@ -158,21 +155,6 @@ class TestFixedDisplacementExponent:
         """Disk and budget preconditions are enforced."""
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.25)
         with pytest.raises(ValueError, match="disk"):
-            fixed_displacement_exponent(1.5, bpsk(), ratios)
+            point_mass_exponent(1.5, bpsk(), ratios)
         with pytest.raises(ValueError, match="budget"):
-            fixed_displacement_exponent(0.7, bpsk(), ratios)
-
-
-class TestBaselineCurve:
-    """Validate the labeled sweep container."""
-
-    def test_sweep_curve_builder(self):
-        """sweep_curve zips abscissas with error values."""
-        curve = sweep_curve("homodyne", [1.0, 2.0], [0.1, 0.01])
-        assert curve.label == "homodyne"
-        assert curve.points == ((1.0, 0.1), (2.0, 0.01))
-
-    def test_rejects_invalid_probability(self):
-        """Error probabilities must stay in [0, 1]."""
-        with pytest.raises(ValueError, match="out of range"):
-            BaselineCurve(label="bad", points=((1.0, 1.5),))
+            point_mass_exponent(0.7, bpsk(), ratios)

@@ -3,7 +3,13 @@ rename in pskexp would break traced benchmark runs, so check them here."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pskexp
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -26,3 +32,22 @@ def test_every_traced_name_resolves():
     ]
     assert targets
     assert missing == []
+
+
+def test_crosscheck_runs():
+    """bench/crosscheck.py runs against this pskexp and prints one JSON
+    document, so an API change that breaks it fails here first."""
+    crosscheck = TRACING.parent / "crosscheck.py"
+    src = str(Path(pskexp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, str(crosscheck), "--seed", "1", "--trials", "100"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert len(doc["cases"]) == 9

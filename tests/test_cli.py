@@ -137,6 +137,18 @@ class TestExponentCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["beta"] == 0.0
 
+    def test_rejects_csv_format(self, capsys):
+        """The exponent document is JSON-only."""
+        code = main(["exponent", "--r-sn", "0.01", "--format", "csv"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_rejects_zero_grid_k(self):
+        """--grid-k below 1 is a usage error, also on the binary path."""
+        with pytest.raises(SystemExit) as exc:
+            main(["exponent", "--r-sn", "0.01", "--grid-k", "0"])
+        assert exc.value.code == EXIT_USAGE
+
 
 @pytest.fixture(scope="module")
 def photon_sweep(tmp_path_factory):
@@ -186,6 +198,16 @@ class TestSweepPhoton:
 
     def test_rejects_json_format(self, capsys):
         """Sweeps are CSV-only."""
+        code = main(["sweep-photon", "--snr", "1e6", "--format", "json"])
+        assert code == EXIT_USAGE
+
+    def test_rejects_format_before_solving(self, monkeypatch):
+        """A wrong --format is refused before the binary solve runs."""
+
+        def solve(ratios):
+            raise AssertionError("optimize_binary ran")
+
+        monkeypatch.setattr("pskexp.cli.optimize_binary", solve)
         code = main(["sweep-photon", "--snr", "1e6", "--format", "json"])
         assert code == EXIT_USAGE
 
@@ -303,6 +325,18 @@ class TestSimulate:
             ["simulate", "--r-sn", "0.01", "--r-ce", "0.9", "--trials", "50"]
         )
         assert code == EXIT_USAGE
+
+    def test_rejects_csv_format(self, capsys):
+        """The simulation document is JSON-only."""
+        code = main(self.SMALL + ["--format", "csv"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    def test_rejects_zero_grid_k(self):
+        """--grid-k below 1 is a usage error at parse time."""
+        with pytest.raises(SystemExit) as exc:
+            main(self.SMALL + ["--grid-k", "0"])
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestVerify:

@@ -16,13 +16,16 @@ from pskexp.constellation import (
     SignalScale,
     bpsk,
     control_grid,
-    normalized_rate,
     normalized_rates,
-    physical_rate,
     uniform_psk,
 )
 
 RATIOS = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
+
+
+def normalized_rate(v, m, constellation, ratios):
+    """Normalized rate at one displacement, through ``normalized_rates``."""
+    return float(normalized_rates([v], m, constellation, ratios)[0])
 
 
 class TestOperatingRatios:
@@ -133,12 +136,6 @@ class TestSignalScale:
         with pytest.raises(ValueError, match="grid_k"):
             SignalScale(alpha_sq=2.0, slices=10, grid_k=0)
 
-    def test_alpha_and_dark_rate(self):
-        """alpha = sqrt(alpha_sq); total dark rate = alpha_sq * r_sn."""
-        scale = SignalScale(alpha_sq=4.0, slices=8, grid_k=3)
-        assert scale.alpha == pytest.approx(2.0, rel=1e-15)
-        assert scale.dark_rate(RATIOS) == pytest.approx(0.04, rel=1e-15)
-
 
 class TestNormalizedRate:
     """Validate the normalized Poisson mean map."""
@@ -163,12 +160,15 @@ class TestNormalizedRate:
             normalized_rate(1.0 + 1e-6, 0, bpsk(), RATIOS)
 
     def test_vectorized_matches_scalar(self):
-        """normalized_rates agrees with the scalar map pointwise."""
+        """normalized_rates agrees with the scalar formula pointwise."""
         con = uniform_psk(4)
         pts = np.array([0.0, 0.5j, -0.3 + 0.2j, 0.9])
         for m in range(4):
             got = normalized_rates(pts, m, con, RATIOS)
-            want = [normalized_rate(complex(v), m, con, RATIOS) for v in pts]
+            want = [
+                abs(complex(v) + cmath.exp(1j * con.phases[m])) ** 2 + RATIOS.r_sn
+                for v in pts
+            ]
             np.testing.assert_allclose(got, want, rtol=1e-14)
         with pytest.raises(ValueError, match="control radius"):
             normalized_rates(np.array([1.5]), 0, con, RATIOS)
@@ -183,25 +183,6 @@ class TestNormalizedRate:
         v = rho * cmath.exp(1j * theta)
         rate = normalized_rate(v, m, uniform_psk(4), RATIOS)
         assert RATIOS.r_sn - 1e-13 <= rate <= RATIOS.rate_upper_bound() + 1e-13
-
-
-class TestPhysicalRate:
-    """Validate the physical per-slice rate."""
-
-    def test_scaling(self):
-        """physical_rate = (alpha_sq / N) * normalized_rate(u / alpha)."""
-        scale = SignalScale(alpha_sq=4.0, slices=16, grid_k=3)
-        con = bpsk()
-        u = 1.2 + 0.4j
-        got = physical_rate(u, 1, con, scale, RATIOS)
-        want = (4.0 / 16) * normalized_rate(u / 2.0, 1, con, RATIOS)
-        assert got == pytest.approx(want, rel=1e-14)
-
-    def test_rejects_outside_physical_disk(self):
-        """|u| > alpha * r_ca raises."""
-        scale = SignalScale(alpha_sq=4.0, slices=16, grid_k=3)
-        with pytest.raises(ValueError, match="control radius"):
-            physical_rate(2.0 + 1e-6, 0, bpsk(), scale, RATIOS)
 
 
 class TestControlGrid:

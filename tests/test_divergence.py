@@ -7,19 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import chernoff_s_series, kl_poisson, poisson_log_pmf, tilted_rate
 from pskexp.divergence import (
     EQUAL_RATE_RTOL,
     ChernoffOptimum,
     RatePair,
     chernoff_s,
-    chernoff_s_series,
     chernoff_values,
     golden_section_max,
-    kl_poisson,
     max_chernoff,
-    poisson_log_pmf,
     s_star_ratio,
-    tilted_rate,
 )
 
 # Frozen oracle values, mpmath at 50 decimal digits.

@@ -325,6 +325,18 @@ class TestControlDistribution:
             with pytest.raises(ValueError, match="finite"):
                 ControlDistribution.from_arrays([0.1, 0.2], [weight, 1.0])
 
+    def test_from_arrays_rejects_negative_weight(self):
+        """A negative weight raises instead of being dropped as dust."""
+        with pytest.raises(ValueError, match="nonnegative"):
+            ControlDistribution.from_arrays([0.1, 0.2], [-0.5, 1.0])
+
+    def test_from_arrays_rejects_length_mismatch(self):
+        """Points and weights of different lengths raise instead of being
+        truncated to the shorter one."""
+        for points, weights in (([0.1, 0.2], [0.5]), ([0.1], [0.5, 0.5])):
+            with pytest.raises(ValueError):
+                ControlDistribution.from_arrays(points, weights)
+
     def test_from_arrays_rejects_all_dust(self):
         """An entirely sub-threshold weight vector is an error."""
         with pytest.raises(ValueError, match="vanished"):
