@@ -22,10 +22,10 @@ from .constellation import (
 from .divergence import (
     ChernoffOptimum,
     RatePair,
-    chernoff_s,
     chernoff_values,
     golden_section_max,
     max_chernoff,
+    max_chernoff_mixtures,
     s_star_ratio,
 )
 from .exponent import (
@@ -33,7 +33,6 @@ from .exponent import (
     ClaimReport,
     ControlDistribution,
     ExponentSolution,
-    PairValue,
     convexity_margin,
     exponent_of,
     optimize_binary,
@@ -64,12 +63,10 @@ __all__ = [
     "MonteCarloReport",
     "OpenLoopPolicy",
     "OperatingRatios",
-    "PairValue",
     "PskConstellation",
     "RatePair",
     "SignalScale",
     "bpsk",
-    "chernoff_s",
     "chernoff_values",
     "control_grid",
     "convexity_margin",
@@ -79,6 +76,7 @@ __all__ = [
     "helstrom_binary",
     "homodyne_binary",
     "max_chernoff",
+    "max_chernoff_mixtures",
     "monte_carlo",
     "normalized_rates",
     "optimize_binary",

@@ -45,6 +45,8 @@ def theorem_bound(
     """
     if beta < 0.0:
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
+    if not 0.0 <= n_s < math.inf:
+        raise ValueError(f"n_s must be finite and nonnegative, got {n_s!r}")
     if num_states < 2:
         raise ValueError(f"need at least two hypotheses, got {num_states!r}")
     if binary_prefactor and num_states != 2:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -103,12 +104,28 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
 def _add_grid_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--grid-k",
         type=_positive_int,
         default=20,
         help="control grid fineness (default 20)",
+    )
+
+
+def _add_alpha_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--alpha-sq",
+        type=_positive_float,
+        default=2.0,
+        help="mean photon number (default 2)",
     )
 
 
@@ -143,9 +160,7 @@ def build_parser() -> _Parser:
     )
     _add_ratio_flags(p_energy)
     _add_constellation_flags(p_energy)
-    p_energy.add_argument(
-        "--alpha-sq", type=float, default=2.0, help="mean photon number (default 2)"
-    )
+    _add_alpha_flag(p_energy)
     _add_output_flags(p_energy)
 
     p_sim = sub.add_parser(
@@ -153,9 +168,7 @@ def build_parser() -> _Parser:
     )
     _add_ratio_flags(p_sim)
     _add_constellation_flags(p_sim)
-    p_sim.add_argument(
-        "--alpha-sq", type=float, default=2.0, help="mean photon number (default 2)"
-    )
+    _add_alpha_flag(p_sim)
     _add_grid_flag(p_sim)
     p_sim.add_argument(
         "--slices", type=int, default=200, help="time slices N (default 200)"
@@ -461,6 +474,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         fixed = _FIXED_FORMAT.get(args.command)
         if fixed and (args.format or fixed) != fixed:
             raise ValueError(f"{args.command} emits {fixed.upper()} only")
+        if not fixed and args.format == "csv":
+            raise ValueError(f"{args.command} emits JSON or text")
         return _COMMANDS[args.command](args)
     except InfeasibleRatiosError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")

@@ -31,6 +31,10 @@ import numpy as np
 #: Absolute slack when checking membership in the closed control disk.
 DISK_TOL = 1e-12
 
+#: A phase within this many quarter turns of a multiple of pi/2 (a few
+#: rounding steps of 2*pi*m/M) takes the exact unit-circle point there.
+QUARTER_TOL = 1e-14
+
 
 class InfeasibleRatiosError(ValueError):
     """Operating ratios describe an empty or contradictory constraint set."""
@@ -105,7 +109,13 @@ class PskConstellation:
         return [(l, m) for l in range(M) for m in range(l + 1, M)]
 
     def state_point(self, m: int) -> complex:
-        """Unit-circle point exp(i*phi_m) of hypothesis m."""
+        """Unit-circle point exp(i*phi_m) of hypothesis m, exact at the
+        multiples of pi/2 (where ``cmath.exp`` leaves a 1e-16 residue, which
+        floors the nulled rate and splits ties between mirror states)."""
+        quarters = self.phases[m] / (math.pi / 2.0)
+        nearest = round(quarters)
+        if abs(quarters - nearest) <= QUARTER_TOL:
+            return (1 + 0j, 1j, -1 + 0j, complex(0.0, -1.0))[nearest % 4]
         return cmath.exp(1j * self.phases[m])
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,9 +52,10 @@ from .constellation import (
     normalized_rates,
 )
 from .divergence import (
-    EQUAL_RATE_RTOL,
+    ChernoffOptimum,
     chernoff_values,
-    golden_section_max,
+    golden_section_max,  # unused here; bench/tracing.py spans this binding
+    max_chernoff_mixtures,
 )
 
 #: Moment-constraint slack allowed on a ControlDistribution.
@@ -90,13 +91,6 @@ def minimize(*args, **kwargs):
     from scipy.optimize import minimize as solve
 
     return solve(*args, **kwargs)
-
-
-class PairValue(NamedTuple):
-    """Maximizing tilt and value of one hypothesis pair's mixture exponent."""
-
-    s_star: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -242,61 +236,25 @@ def pair_exponents(
     pairs: Sequence[tuple[int, int]],
     constellation: PskConstellation,
     ratios: OperatingRatios,
-) -> list[PairValue]:
+) -> list[ChernoffOptimum]:
     """Maximize s -> E_Q[C_s(Lambda_l(V), Lambda_m(V))] over s in [0, 1]
     for every hypothesis pair (l, m) in ``pairs``.
 
-    Each mixture is a weighted sum of functions strictly concave in ``s``
-    (strictly, unless every atom produces identical rates under both
-    hypotheses), so golden-section search is globally valid.  A degenerate
-    all-equal-rates pair returns (1/2, 0) by convention.  The other pairs
-    are searched in lockstep, one ``golden_section_max`` lane each: every
-    step makes one ``chernoff_values`` call on the ``(pairs, atoms)`` rate
-    arrays with a column of per-pair tilts and reduces each row with
-    ``np.dot``, so each pair gets bit for bit the value a search of its own
-    would give.  A single non-degenerate pair takes the scalar search over
-    1-D rates, the same arithmetic without the lane bookkeeping.  ``q`` is
+    One ``max_chernoff_mixtures`` call on the ``(pairs, atoms)`` rate arrays
+    solves all pairs; each pair's result is the one it gets alone, and a
+    pair whose rates agree at every atom returns (1/2, 0).  ``q`` is
     validated and each state's rates are computed once for all pairs.
     """
     q.validate_feasible(ratios)
-    points, weights = q.points, q.weights
     table = np.array(
         [
-            normalized_rates(points, m, constellation, ratios)
+            normalized_rates(q.points, m, constellation, ratios)
             for m in range(constellation.num_states)
         ]
     )
-    rates_l = table[[l for l, _ in pairs]]
-    rates_m = table[[m for _, m in pairs]]
-    degenerate = np.all(
-        np.abs(rates_l - rates_m) <= EQUAL_RATE_RTOL * np.maximum(rates_l, rates_m),
-        axis=1,
+    return max_chernoff_mixtures(
+        table[[l for l, _ in pairs]], table[[m for _, m in pairs]], q.weights
     )
-    result = [PairValue(s_star=0.5, value=0.0)] * len(pairs)
-    live = np.flatnonzero(~degenerate)
-    if live.size == 0:
-        return result
-    rates_l, rates_m = rates_l[live], rates_m[live]
-
-    def objective(s: list[float]) -> list[float]:
-        values = chernoff_values(rates_l, rates_m, np.array(s)[:, None])
-        return [float(np.dot(weights, row)) for row in values]
-
-    if live.size == 1:
-        # One pair (every binary solve): the scalar search over 1-D rates
-        # does the same arithmetic without the per-step lane bookkeeping.
-        (lone_l,), (lone_m,) = rates_l, rates_m
-        s_star, value = golden_section_max(
-            lambda s: float(np.dot(weights, chernoff_values(lone_l, lone_m, s))),
-            0.0,
-            1.0,
-        )
-        tilts, values = [s_star], [value]
-    else:
-        tilts, values = golden_section_max(objective, 0.0, 1.0, lanes=live.size)
-    for i, s_star, value in zip(live, tilts, values):
-        result[i] = PairValue(s_star=s_star, value=max(value, 0.0))
-    return result
 
 
 def pair_exponent(
@@ -304,7 +262,7 @@ def pair_exponent(
     pair: tuple[int, int],
     constellation: PskConstellation,
     ratios: OperatingRatios,
-) -> PairValue:
+) -> ChernoffOptimum:
     """One pair's mixture exponent: ``pair_exponents`` for a single pair."""
     return pair_exponents(q, [pair], constellation, ratios)[0]
 
@@ -346,11 +304,15 @@ def _upper_hull_value(
     peak = int(np.argmax(values))
     if energies[peak] <= budget:
         return float(values[peak]), [(peak, 1.0)]
+    # Heights in a power-of-two unit near the largest: exact, so normal
+    # heights compare bit for bit as before, while subnormal ones (tilts
+    # near 0) no longer underflow in the products.
+    heights = np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1])
     lo, hi = 0, peak
     for _ in range(len(energies)):
         # Height above the lo-hi line, scaled by energies[hi] - energies[lo].
-        cross = (energies[hi] - energies[lo]) * (values - values[lo]) - (
-            values[hi] - values[lo]
+        cross = (energies[hi] - energies[lo]) * (heights - heights[lo]) - (
+            heights[hi] - heights[lo]
         ) * (energies - energies[lo])
         k = int(np.argmax(cross))
         if cross[k] <= 0.0:

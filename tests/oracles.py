@@ -1,14 +1,16 @@
 """Independent oracles for the Chernoff closed form (not a test module).
 
-Series summation of the tilted Poisson product, the Poisson log-pmf it sums,
-the Poisson KL divergence and the geometric tilted rate.  None of them is on
-a path the CLI runs; the divergence and acceptance tests check the closed
-forms in ``pskexp.divergence`` against them.
+The textbook closed form of the divergence, series summation of the tilted
+Poisson product, the Poisson log-pmf it sums, the Poisson KL divergence and
+the geometric tilted rate.  None of them is on a path the CLI runs; the
+divergence and acceptance tests check the cancellation-free form and the
+tilt solver in ``pskexp.divergence`` against them.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 from pskexp.divergence import RatePair
 
@@ -28,6 +30,40 @@ def poisson_log_pmf(rate: float, count: int) -> float:
     if count < 0 or count != int(count):
         raise ValueError(f"count must be a nonnegative integer, got {count!r}")
     return count * math.log(rate) - rate - math.lgamma(count + 1)
+
+
+def chernoff_s(pair: RatePair, s: float) -> float:
+    """Chernoff divergence ``C_s`` in its textbook closed form.
+
+    Args:
+        pair: the two hypothesis rates.
+        s: tilt parameter in [0, 1].
+
+    Returns:
+        ``s*lambda0 + (1-s)*lambda1 - lambda0**s * lambda1**(1-s)``, which is
+        nonnegative and zero iff the rates coincide or s is an endpoint.  It
+        cancels between terms of the size of the rates, so it loses relative
+        accuracy as the rates merge; ``chernoff_values`` does not.
+    """
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must lie in [0, 1], got {s!r}")
+    l0, l1 = pair.lambda0, pair.lambda1
+    mixed = math.exp(s * math.log(l0) + (1.0 - s) * math.log(l1))
+    return s * l0 + (1.0 - s) * l1 - mixed
+
+
+def chernoff_s_decimal(pair: RatePair, s: float) -> float:
+    """The textbook closed form in 50-digit decimal arithmetic.
+
+    The binary rates and tilt convert to decimals exactly, so the result is
+    ``C_s`` of exactly these inputs, correctly rounded, however close the
+    rates are.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        l0, l1, t = Decimal(pair.lambda0), Decimal(pair.lambda1), Decimal(s)
+        mixed = (t * l0.ln() + (1 - t) * l1.ln()).exp()
+        return float(t * l0 + (1 - t) * l1 - mixed)
 
 
 def chernoff_s_series(pair: RatePair, s: float, tail_tol: float = 1e-16) -> float:

@@ -103,6 +103,12 @@ class TestTheoremBound:
         with pytest.raises(ValueError, match="hypotheses"):
             theorem_bound(beta=1.0, n_s=1.0, num_states=1)
 
+    @pytest.mark.parametrize("n_s", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_photons(self, n_s):
+        """A negative photon number would push the bound above 1/2."""
+        with pytest.raises(ValueError, match="n_s"):
+            theorem_bound(beta=1.0, n_s=n_s, num_states=2, binary_prefactor=True)
+
 
 def point_mass_exponent(v, constellation, ratios):
     """Exponent of the constant-displacement policy Q = delta_v."""

@@ -1,5 +1,6 @@
-"""The benchmark's tracer wraps pskexp names by module and attribute; a
-rename in pskexp would break traced benchmark runs, so check them here."""
+"""The benchmark's tracer wraps pskexp names by module and attribute, and
+its checks hold pskexp to frozen values; a rename or a numeric change in
+pskexp would break benchmark runs, so check both here."""
 
 import importlib
 import importlib.util
@@ -9,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pskexp
+from pskexp import OperatingRatios, optimize_binary, optimize_general, uniform_psk
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -20,6 +24,40 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_bench_module(name):
+    """Load bench/<name>.py by path under its own name, so that the bench
+    modules' imports of one another resolve."""
+    if name not in sys.modules:
+        path = TRACING.parent / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(8, 0.02, 0.85), (8, 0.05, 0.75), (16, 0.005, 0.85), (16, 0.02, 0.85)],
+    ids=lambda key: "psk{}-{}-{}".format(*key),
+)
+def test_frozen_mary_beta_holds(key):
+    """The M-ary exponents the benchmark froze at grid_k = 40 may only rise
+    (these four moved most under the last numeric change)."""
+    frozen = load_bench_module("workloads").FROZEN_MARY_BETA[key]
+    m, r_sn, r_ce = key
+    ratios = OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce)
+    beta = optimize_general(uniform_psk(m), ratios, grid_k=40).beta
+    assert beta >= frozen - 1e-9
+
+
+def test_frozen_paper_beta_holds():
+    """The paper point's exponent holds to 1e-9 of the benchmark's value."""
+    checks = load_bench_module("checks")
+    beta = optimize_binary(OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)).beta
+    assert beta == pytest.approx(checks.FROZEN_PAPER_BETA, abs=checks.FROZEN_TOL)
 
 
 def test_every_traced_name_resolves():

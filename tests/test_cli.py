@@ -224,6 +224,14 @@ class TestSweepPhoton:
 class TestSweepEnergy:
     """Validate the energy-budget sweep CSV."""
 
+    @pytest.mark.parametrize("alpha_sq", ["-1", "nan"])
+    def test_rejects_bad_alpha_sq(self, alpha_sq, capsys):
+        """--alpha-sq must be a positive finite photon number."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-energy", "--r-sn", "0.01", "--alpha-sq", alpha_sq])
+        assert exc.value.code == EXIT_USAGE
+        assert "--alpha-sq" in capsys.readouterr().err
+
     def test_header_and_shape(self, energy_sweep):
         """Exact header string and the full 21-point budget grid."""
         code, text = energy_sweep
@@ -296,6 +304,15 @@ class TestSimulate:
         assert doc["parameters"]["force_zero"] is False
         assert doc["mean_energy"] <= 0.9 + 1e-12
 
+    @pytest.mark.parametrize("alpha_sq", ["-1", "nan"])
+    def test_rejects_bad_alpha_sq(self, alpha_sq):
+        """--alpha-sq must be a positive finite photon number."""
+        argv = list(self.SMALL)
+        argv[argv.index("--alpha-sq") + 1] = alpha_sq
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+
     def test_byte_identical_reruns(self, tmp_path):
         """Identical config and seed give byte-identical documents."""
         a = tmp_path / "a.json"
@@ -352,6 +369,17 @@ class TestVerify:
         # The bookkeeping discrepancy note is part of the report.
         assert "2.1460" in text
         assert "2.1359" in text
+
+    def test_rejects_csv_format(self, monkeypatch, capsys):
+        """verify writes JSON or text; --format csv is refused before the
+        checks run."""
+
+        def checks(*args, **kwargs):
+            raise AssertionError("verify_claims ran")
+
+        monkeypatch.setattr("pskexp.cli.verify_claims", checks)
+        assert main(["verify", "--format", "csv"]) == EXIT_USAGE
+        assert "verify emits JSON or text" in capsys.readouterr().err
 
     def test_perturbed_json_fails_interior_mass_check(self, tmp_path):
         """An impossible expectation fails exactly the optimizer check."""

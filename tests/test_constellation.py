@@ -123,6 +123,13 @@ class TestPskConstellation:
         for m in range(con.num_states):
             assert abs(con.state_point(m)) == pytest.approx(1.0, abs=1e-15)
 
+    def test_quarter_turn_points_are_exact(self):
+        """Phases at multiples of pi/2 give exactly 1, i, -1 and -i."""
+        assert [bpsk().state_point(m) for m in range(2)] == [-1.0, 1.0]
+        assert [uniform_psk(4).state_point(m) for m in range(4)] == [1, 1j, -1, -1j]
+        assert uniform_psk(8).state_point(6) == -1j
+        assert uniform_psk(16).state_point(12) == -1j
+
 
 class TestSignalScale:
     """Validate the physical scale container."""
@@ -153,6 +160,16 @@ class TestNormalizedRate:
         """Displacing onto the opposite state leaves only the dark rate."""
         con = bpsk()
         assert normalized_rate(1.0, 0, con, RATIOS) == pytest.approx(0.01, abs=1e-13)
+
+    @given(log_r=st.floats(min_value=-300.0, max_value=0.0))
+    def test_nulled_rate_is_exactly_the_dark_rate(self, log_r):
+        """Displacing by v = +-1 or +-i onto the opposite state leaves
+        exactly r_sn, with no rounding residue of the state point on top."""
+        ratios = OperatingRatios(r_sn=10.0**log_r, r_ca=1.0, r_ce=1.0)
+        for con, nulling in ((bpsk(), [1, -1]), (uniform_psk(4), [-1, -1j, 1, 1j])):
+            for m, v in enumerate(nulling):
+                rate = normalized_rates(np.array([v]), m, con, ratios)[0]
+                assert rate == ratios.r_sn
 
     def test_rejects_outside_disk(self):
         """|v| > r_ca raises."""

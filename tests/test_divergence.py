@@ -7,15 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import chernoff_s_series, kl_poisson, poisson_log_pmf, tilted_rate
+from oracles import (
+    chernoff_s,
+    chernoff_s_decimal,
+    chernoff_s_series,
+    kl_poisson,
+    poisson_log_pmf,
+    tilted_rate,
+)
 from pskexp.divergence import (
     EQUAL_RATE_RTOL,
     ChernoffOptimum,
     RatePair,
-    chernoff_s,
     chernoff_values,
     golden_section_max,
     max_chernoff,
+    max_chernoff_mixtures,
     s_star_ratio,
 )
 
@@ -55,10 +62,13 @@ class TestRatePair:
             RatePair(1.0, math.nan)
 
     def test_degenerate_detection(self):
-        """Equal rates (up to relative rounding) are flagged degenerate."""
-        assert RatePair(5.0, 5.0).degenerate
-        assert RatePair(5.0, 5.0 * (1.0 + 0.5 * EQUAL_RATE_RTOL)).degenerate
-        assert not RatePair(5.0, 5.0001).degenerate
+        """Rates equal up to relative rounding get the (1/2, 0) convention;
+        rates just apart are solved."""
+        degenerate = ChernoffOptimum(s_star=0.5, value=0.0)
+        assert max_chernoff(RatePair(5.0, 5.0)) == degenerate
+        near = RatePair(5.0, 5.0 * (1.0 + 0.5 * EQUAL_RATE_RTOL))
+        assert max_chernoff(near) == degenerate
+        assert max_chernoff(RatePair(5.0, 5.0001)).value > 0.0
 
 
 class TestPoissonLogPmf:
@@ -93,7 +103,7 @@ class TestPoissonLogPmf:
 
 
 class TestChernoffS:
-    """Validate the closed-form divergence."""
+    """Validate the textbook closed form the package is checked against."""
 
     def test_endpoints_vanish(self):
         """C_0 = C_1 = 0 for any rate pair."""
@@ -170,6 +180,29 @@ class TestChernoffValues:
         got = chernoff_values(np.array([0.0]), np.array([0.0]), 0.5)
         assert got[0] == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("v", [1e-3, 1e-5, 1e-7])
+    def test_relative_accuracy_as_rates_merge(self, v):
+        """Near-equal BPSK rates keep 1e-8 relative accuracy, where the
+        textbook form's cancellation leaves about 1e-2 at v = 1e-7."""
+        pair = RatePair((1.0 - v) ** 2 + 0.01, (1.0 + v) ** 2 + 0.01)
+        for s in (0.1, 0.3, 0.5, 0.9):
+            want = chernoff_s_decimal(pair, s)
+            got = float(chernoff_values(pair.lambda0, pair.lambda1, s))
+            assert got == pytest.approx(want, rel=1e-8)
+
+    def test_extreme_ratio_does_not_overflow(self):
+        """A rate ratio beyond the float range still gives the limit
+        C_s(l0, l1) -> (1-s)*l1 as l0/l1 -> 0, in either order."""
+        for s in (0.1, 0.5, 0.9):
+            got = chernoff_values(np.array([5e-324, 4.0]), np.array([4.0, 5e-324]), s)
+            np.testing.assert_allclose(got, [(1.0 - s) * 4.0, s * 4.0], rtol=1e-12)
+
+    @given(l0=positive_rates, l1=positive_rates, s=interior_s)
+    def test_swapping_the_rates_mirrors_the_tilt(self, l0, l1, s):
+        """C_s(l0, l1) = C_{1-s}(l1, l0)."""
+        mirrored = chernoff_values(l1, l0, 1.0 - s)
+        assert chernoff_values(l0, l1, s) == pytest.approx(mirrored, rel=1e-12, abs=1e-15)
+
 
 class TestChernoffSeries:
     """Validate the independent series oracle."""
@@ -204,7 +237,7 @@ class TestChernoffSeries:
 
 
 class TestGoldenSection:
-    """Validate the concave maximizer, scalar and in lockstep lanes."""
+    """Validate the scalar concave maximizer."""
 
     def test_quadratic_peak(self):
         """Recovers the vertex of a concave parabola."""
@@ -216,54 +249,6 @@ class TestGoldenSection:
         """Handles maxima at a bracket endpoint."""
         x, _ = golden_section_max(lambda t: t, 0.0, 1.0)
         assert x == pytest.approx(1.0, abs=1e-9)
-
-    @given(
-        peaks=st.lists(
-            st.floats(min_value=-0.5, max_value=1.5), min_size=1, max_size=8
-        ),
-        max_iter=st.sampled_from([0, 3, 200]),
-    )
-    def test_lanes_match_separate_searches(self, peaks, max_iter):
-        """Lockstep lanes return bit for bit the separate scalar searches."""
-        lanes = golden_section_max(
-            lambda ts: [-((t - p) ** 2) for t, p in zip(ts, peaks)],
-            0.0,
-            1.0,
-            max_iter=max_iter,
-            lanes=len(peaks),
-        )
-        alone = [
-            golden_section_max(lambda t: -((t - p) ** 2), 0.0, 1.0, max_iter=max_iter)
-            for p in peaks
-        ]
-        assert lanes == ([x for x, _ in alone], [fx for _, fx in alone])
-
-    def test_lane_that_stops_early_keeps_its_result(self):
-        """At this tolerance rounding ends some lanes' brackets one step
-        before the others'; each lane still matches its own search, and the
-        lanes share one call per step."""
-        tol = 0.09016994374947428
-        peaks = [0.0, 0.5, 0.7, 1.0]
-        alone, evals = [], []
-        for p in peaks:
-            calls = []
-            alone.append(
-                golden_section_max(
-                    lambda t: calls.append(t) or -((t - p) ** 2), 0.0, 1.0, tol=tol
-                )
-            )
-            evals.append(len(calls))
-        assert len(set(evals)) == 2
-        batches = []
-        lanes = golden_section_max(
-            lambda ts: batches.append(ts) or [-((t - p) ** 2) for t, p in zip(ts, peaks)],
-            0.0,
-            1.0,
-            tol=tol,
-            lanes=len(peaks),
-        )
-        assert lanes == ([x for x, _ in alone], [fx for _, fx in alone])
-        assert len(batches) == max(evals)
 
 
 class TestMaxChernoff:
@@ -300,6 +285,99 @@ class TestMaxChernoff:
         opt = max_chernoff(pair)
         for s in (0.2, 0.5, 0.8):
             assert opt.value >= chernoff_s(pair, s) - 1e-12
+
+
+@st.composite
+def rate_rows(draw, max_rows=6):
+    """(lambda0, lambda1, weights): a (rows, atoms) pair of rate arrays,
+    rates log-uniform over 1e-300..50, some rows with equal rates, and
+    positive atom weights."""
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    atoms = draw(st.integers(min_value=1, max_value=8))
+    rate = st.floats(min_value=-300.0, max_value=math.log10(50.0)).map(
+        lambda e: 10.0**e
+    )
+    l0 = np.array(draw(st.lists(rate, min_size=rows * atoms, max_size=rows * atoms)))
+    l1 = np.array(draw(st.lists(rate, min_size=rows * atoms, max_size=rows * atoms)))
+    equal = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    l0, l1 = l0.reshape(rows, atoms), l1.reshape(rows, atoms)
+    l1[equal] = l0[equal]
+    weights = draw(
+        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=atoms, max_size=atoms)
+    )
+    return l0, l1, np.array(weights)
+
+
+@st.composite
+def bpsk_rows(draw):
+    """BPSK mixtures at real displacements v in [0, 1] (so that every atom
+    has lambda0 <= lambda1) and dark ratios down to 1e-300."""
+    r = 10.0 ** draw(st.floats(min_value=-300.0, max_value=0.0))
+    atoms = draw(st.integers(min_value=1, max_value=8))
+    v = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+                min_size=atoms,
+                max_size=atoms,
+            )
+        )
+    )
+    weights = draw(
+        st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=atoms, max_size=atoms)
+    )
+    return ((1.0 - v) ** 2 + r)[None], ((1.0 + v) ** 2 + r)[None], np.array(weights)
+
+
+class TestMaxChernoffMixtures:
+    """Validate the Newton tilt solver over rows of mixtures."""
+
+    @given(problem=bpsk_rows())
+    def test_left_half_when_lambda0_is_below_lambda1(self, problem):
+        """s* lies in (0, 1/2] whenever every atom has lambda0 <= lambda1."""
+        ((s_star, value),) = max_chernoff_mixtures(*problem)
+        assert 0.0 < s_star <= 0.5
+        assert value >= 0.0
+
+    @given(problem=rate_rows())
+    def test_swapping_the_rates_mirrors_the_tilt(self, problem):
+        """s*(l1, l0) = 1 - s*(l0, l1), and the values agree up to the
+        rounding of C_s at the scale of the rates."""
+        l0, l1, weights = problem
+        forward = max_chernoff_mixtures(l0, l1, weights)
+        backward = max_chernoff_mixtures(l1, l0, weights)
+        scales = np.maximum(l0, l1) @ weights
+        for (s, value), (s_swapped, value_swapped), scale in zip(
+            forward, backward, scales
+        ):
+            assert s_swapped == pytest.approx(1.0 - s, abs=1e-9)
+            assert value_swapped == pytest.approx(value, rel=1e-9, abs=1e-15 * scale)
+
+    @given(problem=rate_rows())
+    def test_batched_rows_equal_lone_rows(self, problem):
+        """Each row's result is bit for bit the one it gets alone."""
+        l0, l1, weights = problem
+        alone = [
+            max_chernoff_mixtures(l0[i : i + 1], l1[i : i + 1], weights)[0]
+            for i in range(len(l0))
+        ]
+        assert max_chernoff_mixtures(l0, l1, weights) == alone
+
+    @given(ratio=st.floats(min_value=1e-300, max_value=1.0 - 1e-9))
+    def test_point_mass_matches_the_ratio_form(self, ratio):
+        """A single atom's tilt is the closed form S(l0/l1)."""
+        assert max_chernoff(RatePair(ratio, 1.0)).s_star == pytest.approx(
+            s_star_ratio(ratio), abs=1e-10
+        )
+
+    def test_degenerate_rows_keep_the_convention(self):
+        """Rows with equal rates at every atom return (1/2, 0) next to a
+        live row."""
+        l0 = np.array([[1.0, 2.0], [1.0, 2.0]])
+        l1 = np.array([[1.0, 2.0], [1.5, 2.0]])
+        flat, live = max_chernoff_mixtures(l0, l1, [0.5, 0.5])
+        assert flat == ChernoffOptimum(s_star=0.5, value=0.0)
+        assert live.value > 0.0
 
 
 class TestSStarRatio:

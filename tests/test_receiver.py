@@ -36,6 +36,23 @@ RATIOS_09 = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
 # Frozen exact error (mpmath, 50 digits): (P0[y>=2] + P1[y<=1]) / 2.
 KENNEDY_EXACT_PE = 0.00158165491644611544
 
+# One 4-PSK slice at v = 0.5 (alpha_sq = 2, r_sn = 0.01): hypotheses 1 and 3
+# see the same rate |0.5 + i|**2 + r_sn, so every count they tie on goes to
+# 1 and hypothesis 3 is never decided.  Its p_e, recorded when the state
+# points at multiples of pi/2 were still inexact (which split that tie by
+# rounding, leaving p_e itself unaffected).
+QUATERNARY_TIE_PE = 0.49129674736193596
+
+
+def quaternary_tie_policy() -> OpenLoopPolicy:
+    """One-slice 4-PSK policy at v = 0.5, where hypotheses 1 and 3 tie."""
+    return OpenLoopPolicy(
+        displacements=(0.5 + 0j,),
+        scale=SignalScale(alpha_sq=2.0, slices=1, grid_k=1),
+        constellation=uniform_psk(4),
+        ratios=OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.25),
+    )
+
 
 def single_slice_policy(v: complex, alpha_sq: float = 2.0) -> OpenLoopPolicy:
     """One-slice BPSK policy at displacement ratio v with full budget."""
@@ -322,6 +339,11 @@ class TestMonteCarlo:
         want = math.sqrt(sum(p * (1.0 - p) / 5000 for p in rates)) / 2.0
         assert report.stderr == pytest.approx(want, rel=1e-12)
 
+    def test_exact_tie_goes_to_the_lowest_index(self):
+        """Hypotheses 1 and 3 tie exactly, so every trial of 3 is an error."""
+        report = monte_carlo(quaternary_tie_policy(), 2000, seed=1)
+        assert report.error_counts[3] == 2000
+
     def test_rejects_zero_trials(self):
         """At least one trial per hypothesis is required."""
         pol = uniform_policy(0.5, slices=2, r_ce=0.25)
@@ -373,6 +395,12 @@ class TestExactErrorSmall:
             ratios=RATIOS_09,
         )
         assert exact_error_small(pol).p_e == (num_states - 1) / num_states
+
+    def test_exact_tie_goes_to_the_lowest_index(self):
+        """Hypothesis 3 ties hypothesis 1 on every count and never wins."""
+        result = exact_error_small(quaternary_tie_policy())
+        assert result.per_hypothesis[3] == 1.0
+        assert result.p_e == pytest.approx(QUATERNARY_TIE_PE, abs=1e-15)
 
     def test_single_slice_closed_form(self):
         """The single-slice case reduces to two Poisson CDF terms."""
