@@ -12,10 +12,11 @@ which is the closed form of ``-log sum_y p0(y)**s * p1(y)**(1-s)`` for
 Poisson laws.  This module evaluates it without cancellation between the
 rates (``chernoff_values``) and maximizes mixtures of it over ``s`` with one
 safeguarded Newton solver (``max_chernoff_mixtures``; ``max_chernoff`` is its
-single-rate-pair case).  ``golden_section_max`` is a scalar search nothing in
-the package calls any more; the benchmark's tracer still binds it.  The
-textbook closed form and the independent series, KL and tilted-rate oracles
-the tests check this module against live in ``tests/oracles.py``.
+single-rate-pair case); ``s_star_ratio`` and ``s_star_log`` give a single
+pair's maximizer in closed form.  ``golden_section_max`` is a scalar search,
+used by the binary optimizer's single-atom polish.  The textbook closed form
+and the independent series, KL and tilted-rate oracles the tests check this
+module against live in ``tests/oracles.py``.
 
 Facts relied on elsewhere and tested:
 
@@ -246,7 +247,14 @@ def s_star_ratio(ratio: float) -> float:
     """
     if not 0.0 < ratio < 1.0 or not math.isfinite(ratio):
         raise ValueError(f"ratio must lie strictly inside (0, 1), got {ratio!r}")
-    x = math.log(ratio)
+    return s_star_log(math.log(ratio))
+
+
+def s_star_log(x: float) -> float:
+    """``s_star_ratio`` as a function of ``x = log R < 0``:
+    ``log(expm1(x)/x) / x``, with the same expansion near 0.  It takes
+    ``x = log(small) - log(big)`` where ``R`` itself would leave the normal
+    range."""
     if abs(x) < 1e-4:
         return 0.5 + x / 24.0 - x**3 / 2880.0
-    return math.log((ratio - 1.0) / x) / x
+    return math.log(math.expm1(x) / x) / x

@@ -17,7 +17,9 @@ moment at most ``r_ce``.  This module optimizes that objective:
   has at most two atoms; that inner problem is the upper concave envelope of
   the curve ``v**2 -> C_s(rates(v))`` evaluated at the energy budget, which
   is computed exactly on a grid through its Lagrangian dual (no hull is
-  built) and then polished continuously.
+  built) and then polished off the grid with the package's own parts:
+  zoomed envelopes for two atoms, a golden-section search of the closed-form
+  point-mass exponent for one.  It imports no scipy.
 
 * ``optimize_general`` handles any PSK constellation by coordinate ascent on
   a discretized control grid, alternating per-pair tilt maximization (all
@@ -52,10 +54,12 @@ from .constellation import (
     normalized_rates,
 )
 from .divergence import (
+    TINY,
     ChernoffOptimum,
     chernoff_values,
-    golden_section_max,  # unused here; bench/tracing.py spans this binding
+    golden_section_max,
     max_chernoff_mixtures,
+    s_star_log,
 )
 
 #: Moment-constraint slack allowed on a ControlDistribution.
@@ -69,6 +73,15 @@ TIE_TOL = 1e-10
 #: carry that much dust).
 DROP_TOL = 1e-12
 
+#: The two-atom polish of ``optimize_binary`` zooms onto ``2 * ZOOM_POINTS``
+#: cells around each atom, widening a window by ``ZOOM_WIDEN`` when an atom
+#: lands on its edge, until cells of at most ``ZOOM_TOL`` move neither atoms
+#: nor tilt by more than that, or after ``MAX_ZOOMS`` zooms.
+ZOOM_POINTS = 100
+ZOOM_WIDEN = 10.0
+ZOOM_TOL = 1e-12
+MAX_ZOOMS = 40
+
 #: Coordinate-ascent cap and stopping gain of ``optimize_general``.
 MAX_ITERATIONS = 50
 IMPROVEMENT_TOL = 1e-9
@@ -78,16 +91,17 @@ def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first call.
 
     Importing ``scipy.optimize`` takes most of a CLI process's start-up, and
-    commands that run no solver (Monte Carlo, the exact oracle) never need
-    it.
+    only M-ary solves (``optimize_general``) need it: binary solves, Monte
+    Carlo and the exact oracle never import it.
     """
     from scipy.optimize import linprog as solve
 
     return solve(*args, **kwargs)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call (see ``linprog``)."""
+def minimize(*args, **kwargs):  # unused here; bench/tracing.py spans this binding
+    """``scipy.optimize.minimize``, imported on first call (see ``linprog``).
+    Nothing in pskexp calls it: ``optimize_binary`` polishes without it."""
     from scipy.optimize import minimize as solve
 
     return solve(*args, **kwargs)
@@ -342,19 +356,34 @@ def optimize_binary(
     ``v**2 -> C_s(rates(v))`` at the budget, evaluated through the dual of
     the one-constraint linear program (``_upper_hull_value``), which finds
     the envelope edge over the budget in a few vectorized passes instead of
-    a full hull pass.  The best grid candidate is then polished by
-    continuous local refinement of (v1, v2, s), with the two-atom weight
-    pinned to the active energy constraint throughout, and the final value
-    re-maximized over ``s`` exactly.  Grid candidates are kept alongside
-    their polished versions; a polished candidate must win by more than the
-    tie tolerance to displace the exact grid solution.
+    a full hull pass.  The grid solution at the best tilt is then polished
+    off the grid with the package's own parts, no general-purpose optimizer:
+
+    * one atom: golden-section search (``golden_section_max``) of the
+      point-mass exponent, at its closed-form tilt (``s_star_log``), over
+      the grid cell around the best feasible grid point at the best tilt;
+      the budget's end point ``min(sqrt(r_ce), r_ca)`` is taken exactly
+      instead when it is at least as good;
+    * two atoms: the envelope is rerun on zoomed v-grids of
+      ``2 * ZOOM_POINTS`` cells spanning one cell of the previous grid on
+      either side of each atom, each zoom followed by the new atoms' exact
+      tilt, until atoms and tilt stop moving (``ZOOM_TOL``).  An atom at
+      the origin stays there, and atoms in neighbouring grid cells are
+      left to the end point they bracket.
+
+    The grid, single-atom and two-atom candidates are compared by their
+    exact exponent; a later one must win by more than ``TIE_TOL`` or tie
+    with a smaller second moment.  ``diagnostics`` names the winner
+    (``grid``, ``single-atom``, ``end-point`` or ``two-atom``) and counts
+    the zooms and the point-mass evaluations of the polish.
     """
     constellation = bpsk()
     pair = (0, 1)
     r, ca, ce = ratios.r_sn, ratios.r_ca, ratios.r_ce
 
-    def finish(q: ControlDistribution, diagnostics: dict) -> ExponentSolution:
-        pv = pair_exponent(q, pair, constellation, ratios)
+    def finish(
+        q: ControlDistribution, pv: ChernoffOptimum, diagnostics: dict
+    ) -> ExponentSolution:
         return ExponentSolution(
             beta=pv.value,
             q_star=q,
@@ -365,14 +394,16 @@ def optimize_binary(
         )
 
     if ce <= 0.0:
-        return finish(ControlDistribution.point_mass(0.0), {"budget": "zero"})
+        q = ControlDistribution.point_mass(0.0)
+        pv = pair_exponent(q, pair, constellation, ratios)
+        return finish(q, pv, {"budget": "zero"})
 
     num_cells = max(2, int(round(ca / resolution)))
     vgrid = np.linspace(0.0, ca, num_cells + 1)
+    cell = float(vgrid[1] - vgrid[0])
     rates0 = (vgrid - 1.0) ** 2 + r
     rates1 = (vgrid + 1.0) ** 2 + r
     energies = vgrid**2
-    v_single_max = min(math.sqrt(ce), ca)
 
     def hull_at(s: float) -> tuple[float, list[tuple[int, float]]]:
         return _upper_hull_value(energies, chernoff_values(rates0, rates1, s), ce)
@@ -389,81 +420,118 @@ def optimize_binary(
         window = (hi - lo) / 8.0
     _, support = hull_at(best_s)
 
-    def h_scalar(v: float, s: float) -> float:
-        return float(
-            chernoff_values(
-                np.array([(v - 1.0) ** 2 + r]), np.array([(v + 1.0) ** 2 + r]), s
-            )[0]
-        )
-
-    candidates: list[ControlDistribution] = []
-
     # Exact grid candidate from the hull support at the best tilt.
-    grid_points = [float(vgrid[i]) for i, _ in support]
-    grid_weights = [w for _, w in support]
-    candidates.append(ControlDistribution.from_arrays(grid_points, grid_weights))
+    candidates = [
+        (
+            "grid",
+            ControlDistribution.from_arrays(
+                [float(vgrid[i]) for i, _ in support], [w for _, w in support]
+            ),
+        )
+    ]
 
+    # Point masses: max_s C_s(rates(v)) at the closed-form tilt.  For v >= 0
+    # the rates are ordered, small <= big; at v = 0 the tilt is 1/2 and the
+    # value 0.
+    def point_tilt(v: float) -> tuple[float, float, float, float]:
+        """(tilt, small, big, log(small/big)) of a point mass at v."""
+        small, big = (v - 1.0) ** 2 + r, (v + 1.0) ** 2 + r
+        if small >= TINY * big:
+            x = math.log(small / big)
+        else:
+            x = math.log(small) - math.log(big)
+        return s_star_log(x), small, big, x
+
+    evaluations = 0
+
+    def point_value(v: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        t, small, big, x = point_tilt(v)
+        return t * (small - big) - big * math.expm1(t * x)
+
+    # Single-atom candidate: the point mass searched in the grid cell around
+    # the best feasible grid point at the best tilt, against the budget's end
+    # point.
     sqrt_ce = math.sqrt(ce)
-    if len(support) == 2 and sqrt_ce < ca - 1e-12:
-        # Polish the two-atom candidate; the weight stays pinned to the
-        # active energy constraint, so feasibility is structural.
-        def two_point_objective(x: np.ndarray) -> float:
-            v1, v2, s = x
-            if v2 - v1 < 1e-14:
-                return -h_scalar(v1, s)
-            w2 = (ce - v1**2) / (v2**2 - v1**2)
-            w2 = min(max(w2, 0.0), 1.0)
-            return -((1.0 - w2) * h_scalar(v1, s) + w2 * h_scalar(v2, s))
-
-        x0 = np.array(
-            [min(grid_points[0], sqrt_ce), max(grid_points[1], sqrt_ce), best_s]
-        )
-        res = minimize(
-            two_point_objective,
-            x0,
-            method="L-BFGS-B",
-            bounds=[(0.0, sqrt_ce), (sqrt_ce, ca), (0.0, 1.0)],
-        )
-        v1, v2, _ = res.x
-        if v2 - v1 > 1e-14:
-            w2 = min(max((ce - v1**2) / (v2**2 - v1**2), 0.0), 1.0)
-            if w2 <= 1e-12:
-                candidates.append(ControlDistribution.point_mass(v1))
-            elif w2 >= 1.0 - 1e-12:
-                candidates.append(ControlDistribution.point_mass(v2))
-            else:
-                candidates.append(
-                    ControlDistribution.from_arrays([v1, v2], [1.0 - w2, w2])
-                )
-
-    # Single-atom candidate: best unconstrained-in-the-budget point.
+    v_end = min(sqrt_ce, ca)
     feasible = energies <= ce * (1.0 + 1e-15)
     h_best = chernoff_values(rates0[feasible], rates1[feasible], best_s)
-    v_single = float(vgrid[feasible][int(np.argmax(h_best))])
-    candidates.append(ControlDistribution.point_mass(v_single))
-
-    res = minimize(
-        lambda x: -h_scalar(x[0], x[1]),
-        np.array([v_single, best_s]),
-        method="L-BFGS-B",
-        bounds=[(0.0, v_single_max), (0.0, 1.0)],
+    v_grid = float(vgrid[feasible][int(np.argmax(h_best))])
+    v_golden, value_golden = golden_section_max(
+        point_value, max(0.0, v_grid - cell), min(v_end, v_grid + cell)
     )
-    candidates.append(ControlDistribution.point_mass(res.x[0]))
+    if point_value(v_end) >= value_golden:
+        candidates.append(("end-point", ControlDistribution.point_mass(v_end)))
+    else:
+        candidates.append(("single-atom", ControlDistribution.point_mass(v_golden)))
 
-    best_q = None
-    best_beta = -math.inf
-    for q in candidates:
-        value = pair_exponent(q, pair, constellation, ratios).value
-        if value > best_beta + TIE_TOL or (
-            value > best_beta - TIE_TOL
-            and best_q is not None
+    # Two-atom candidate: zoomed envelopes alternating with the exact tilt.
+    # Atoms in neighbouring grid cells bracket sqrt(r_ce), whose point mass
+    # is the end-point candidate.  ``from_arrays`` drops an atom of weight
+    # at most 1e-12, so a dust atom leaves a point mass.
+    zooms = 0
+    spread = support[-1][0] - support[0][0]
+    if spread > 1 and sqrt_ce < ca - 1e-12:
+        offsets = np.arange(-ZOOM_POINTS, ZOOM_POINTS + 1) / ZOOM_POINTS
+        atoms = [float(vgrid[i]) for i, _ in support]
+        s, half = float(best_s), cell
+        while zooms < MAX_ZOOMS:
+            zooms += 1
+            # C_s grows like v**2 off the origin, so the envelope there is
+            # lost in rounding long before the zoom ends: 0 stays at 0.
+            windows = [v + half * offsets if v > 0.0 else [0.0] for v in atoms]
+            zgrid = np.unique(np.clip(np.concatenate(windows), 0.0, ca))
+            _, zsupport = _upper_hull_value(
+                zgrid**2,
+                chernoff_values((zgrid - 1.0) ** 2 + r, (zgrid + 1.0) ** 2 + r, s),
+                ce,
+            )
+            moved = [float(zgrid[i]) for i, _ in zsupport]
+            q = ControlDistribution.from_arrays(moved, [w for _, w in zsupport])
+            live = [v for v in moved if v > 0.0]
+            if len(live) == 1:
+                # The origin's rates agree, so it adds nothing to any C_s.
+                s_moved = point_tilt(live[0])[0]
+            else:
+                s_moved = pair_exponent(q, pair, constellation, ratios).s_star
+            step = (
+                max(abs(v - u) for v, u in zip(moved, atoms))
+                if len(moved) == len(atoms)
+                else math.inf
+            )
+            # Settled: this zoom's cells resolve ZOOM_TOL and nothing moved.
+            settled = max(half / ZOOM_POINTS, step, abs(s_moved - s)) <= ZOOM_TOL
+            # An atom left on its window's edge was cut short: widen the next
+            # window instead of narrowing it.
+            if step < half * (1.0 - 1e-9):
+                half /= ZOOM_POINTS
+            else:
+                half = min(cell, half * ZOOM_WIDEN)
+            atoms, s = moved, s_moved
+            if settled:
+                break
+        candidates.append(("two-atom", q))
+
+    best_q, best_pv, winner, best_beta = None, None, "", -math.inf
+    for name, q in candidates:
+        pv = pair_exponent(q, pair, constellation, ratios)
+        if pv.value > best_beta + TIE_TOL or (
+            pv.value > best_beta - TIE_TOL
             and q.second_moment() < best_q.second_moment() - 1e-12
         ):
-            best_q, best_beta = q, max(value, best_beta)
-    assert best_q is not None
+            best_q, best_pv, winner = q, pv, name
+            best_beta = max(pv.value, best_beta)
     return finish(
         best_q,
-        {"tilt_grid_best": float(best_s), "candidates": len(candidates)},
+        best_pv,
+        {
+            "tilt_grid_best": float(best_s),
+            "candidates": len(candidates),
+            "winner": winner,
+            "zooms": zooms,
+            "point_evaluations": evaluations,
+        },
     )
 
 

@@ -436,7 +436,8 @@ class TestStartup:
         assert run_probe(probe) == "False"
 
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        """scipy.optimize is imported when a solver first runs, not at start-up."""
+        """scipy.optimize is imported when an M-ary solve first runs, not at
+        start-up."""
         probe = "import sys, pskexp.cli; print('scipy.optimize' in sys.modules)"
         assert run_probe(probe) == "False"
 
@@ -454,28 +455,48 @@ class TestStartup:
         )
         assert run_probe(probe) == "False"
 
+    def test_binary_commands_leave_scipy_optimize_unloaded(self):
+        """The binary optimizer, the structural checks and the binary CLI
+        commands (paper-point simulate included) run no scipy solver."""
+        probe = (
+            "import contextlib, io, sys\n"
+            "from pskexp import OperatingRatios, optimize_binary\n"
+            "from pskexp.cli import main\n"
+            "from pskexp.exponent import verify_claims\n"
+            "optimize_binary(OperatingRatios(1e-4, 1.0, 0.3))\n"
+            "verify_claims(OperatingRatios(1e-6, 1.0, 0.9),\n"
+            "              OperatingRatios(1e-2, 1.0, 0.9))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['exponent', '--r-sn', '0.01', '--r-ca', '1', '--r-ce', '0.9'])\n"
+            "    main(['sweep-photon', '--snr', '100'])\n"
+            "    main(['simulate', '--r-sn', '0.01', '--r-ca', '1', '--r-ce', '0.9',\n"
+            "          '--alpha-sq', '2', '--slices', '200', '--trials', '200'])\n"
+            "print('scipy.optimize' in sys.modules)"
+        )
+        assert run_probe(probe) == "False"
+
     def test_solvers_are_called_through_the_exponent_module(self, monkeypatch):
-        """The optimizers look up linprog and minimize on pskexp.exponent at
-        call time, so a wrapper put there (as the benchmark tracer does) sees
-        every solve."""
+        """optimize_general looks up linprog on pskexp.exponent at call time,
+        so a wrapper put there (as the benchmark tracer does) sees every LP;
+        optimize_binary calls neither linprog nor minimize."""
         from pskexp import exponent
         from pskexp.constellation import OperatingRatios, uniform_psk
 
         calls = []
+        solver = exponent.linprog
 
-        def spy(name):
-            solver = getattr(exponent, name)
+        def spy(*args, **kwargs):
+            calls.append("linprog")
+            return solver(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return solver(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("linprog", "minimize"):
-            monkeypatch.setattr(exponent, name, spy(name))
+        monkeypatch.setattr(exponent, "linprog", spy)
+        monkeypatch.setattr(
+            exponent, "minimize", lambda *args, **kwargs: calls.append("minimize")
+        )
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
         exponent.optimize_general(uniform_psk(4), ratios, grid_k=4)
-        assert "linprog" in calls
+        assert set(calls) == {"linprog"}
+        calls.clear()
         exponent.optimize_binary(ratios)
-        assert "minimize" in calls
+        exponent.optimize_binary(OperatingRatios(r_sn=1e-4, r_ca=1.0, r_ce=0.3))
+        assert calls == []

@@ -23,6 +23,7 @@ from pskexp.divergence import (
     golden_section_max,
     max_chernoff,
     max_chernoff_mixtures,
+    s_star_log,
     s_star_ratio,
 )
 
@@ -411,6 +412,13 @@ class TestSStarRatio:
         for l0, l1 in [(0.01, 4.01), (0.5, 3.0), (1.0, 1.2), (0.0126334, 3.8073666)]:
             opt = max_chernoff(RatePair(l0, l1))
             assert s_star_ratio(l0 / l1) == pytest.approx(opt.s_star, abs=1e-6)
+
+    def test_log_form_matches_and_reaches_below_the_normal_range(self):
+        """s_star_log(log R) is S(R), and it still holds where R itself
+        would underflow (log R = -800: S = log(800)/800 to rounding)."""
+        for ratio in (0.5, 0.0033182, 0.9999999, 1e-300):
+            assert s_star_log(math.log(ratio)) == s_star_ratio(ratio)
+        assert s_star_log(-800.0) == pytest.approx(math.log(800.0) / 800.0, rel=1e-14)
 
     @given(ratio=st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
     def test_range_property(self, ratio: float):

@@ -61,6 +61,14 @@ PINNED_GENERAL = json.loads(
     (Path(__file__).with_name("pinned_general_solutions.json")).read_text()
 )
 
+#: ``optimize_binary`` betas recorded with the L-BFGS-B polish the in-package
+#: one replaced, on 64 seeded points (r_sn log-uniform in [1e-6, 0.1], r_ca
+#: in {1, 1.25}, r_ce uniform in [0.05, 1]) and verify's ten r_sn = 1e-6
+#: budgets.
+PINNED_BINARY = json.loads(
+    (Path(__file__).with_name("pinned_binary_betas.json")).read_text()
+)
+
 
 def bpsk_rates(v: float, r: float) -> RatePair:
     """Normalized BPSK rate pair at real displacement v and dark ratio r."""
@@ -630,6 +638,18 @@ class TestOptimizeBinary:
         sol = optimize_binary(RATIOS_LOW)
         assert sol.beta <= RATIOS_LOW.rate_upper_bound()
 
+    @pytest.mark.parametrize(
+        "r_sn, r_ce, winner",
+        [(0.01, 0.9, "end-point"), (1e-4, 0.3, "two-atom"), (1e-2, 1.0, "grid")],
+    )
+    def test_reports_which_candidate_won(self, r_sn, r_ce, winner):
+        """diagnostics name the winning candidate and count the polish's
+        zooms and point-mass evaluations."""
+        sol = optimize_binary(OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce))
+        assert sol.diagnostics["winner"] == winner
+        assert sol.diagnostics["point_evaluations"] > 0
+        assert (sol.diagnostics["zooms"] > 0) == (winner == "two-atom")
+
     @pytest.mark.slow
     def test_monotone_in_budgets(self):
         """beta is nondecreasing in r_ce and in r_ca."""
@@ -652,35 +672,46 @@ class TestOptimizeBinary:
         assert sol.beta == pytest.approx(HIGH_SNR_FULL_VALUE, abs=1e-8)
 
     @pytest.mark.parametrize(
+        "case", PINNED_BINARY, ids=[f"pin{i:02d}" for i in range(len(PINNED_BINARY))]
+    )
+    def test_beta_holds_its_pinned_floor(self, case):
+        """beta stays at or above each recorded beta, less 1e-9, and q_star
+        is feasible."""
+        ratios = OperatingRatios(case["r_sn"], case["r_ca"], case["r_ce"])
+        sol = optimize_binary(ratios)
+        assert sol.beta >= case["beta"] - 1e-9
+        sol.q_star.validate_feasible(ratios)
+
+    @pytest.mark.parametrize(
         "r_sn, r_ca, r_ce, beta, atoms",
         [
             (0.01, 1.0, 0.9, 1.982407222466247, ((0.9486832980505138 + 0j, 1.0),)),
             (
-                1e-6, 1.0, 0.9, 2.7187601930788747,
+                1e-6, 1.0, 0.9, 2.7187601930791665,
                 (
-                    (0j, 0.09994312374901237),
-                    (0.9999684035803483 + 0j, 0.9000568762509876),
+                    (0j, 0.09994312859390642),
+                    (0.999968406271701 + 0j, 0.9000568714060936),
                 ),
             ),
             (
-                1e-3, 1.25, 0.6, 1.5063153334606851,
+                1e-3, 1.25, 0.6, 1.5063153334606858,
                 (
-                    (0j, 0.3870227034456645),
-                    (0.9893579103148821 + 0j, 0.6129772965543355),
+                    (0j, 0.38702270586833254),
+                    (0.9893579122699999 + 0j, 0.6129772941316675),
                 ),
             ),
             (0.05, 1.25, 0.95, 1.7258776919357357, ((0.9746794344808963 + 0j, 1.0),)),
             (
-                1e-4, 1.0, 0.3, 0.8201024142035388,
+                1e-4, 1.0, 0.3, 0.8201024142047753,
                 (
-                    (0j, 0.6990308505790531),
-                    (0.9983886540033694 + 0j, 0.3009691494209469),
+                    (0j, 0.6990308068352576),
+                    (0.9983885814489158 + 0j, 0.30096919316474235),
                 ),
             ),
             (1e-2, 1.0, 1.0, 2.1459576982729676, ((1 + 0j, 1.0),)),
         ],
         # The names the pins were first recorded under, kept when a pin is
-        # re-derived (its beta moved in the last bits since).
+        # re-derived (its beta or atoms moved since).
         ids=[
             "0.01-1.0-0.9-1.9824072224662472-atoms0",
             "1e-06-1.0-0.9-2.7187601930788743-atoms1",
@@ -691,8 +722,8 @@ class TestOptimizeBinary:
         ],
     )
     def test_pinned_solutions(self, r_sn, r_ca, r_ce, beta, atoms):
-        """beta and q_star are exactly those recorded with the Newton tilt
-        solver (within 1e-14 of the golden-section ones before it)."""
+        """beta and q_star are exactly those recorded with the in-package
+        polish (zoomed envelopes and closed-form point masses)."""
         sol = optimize_binary(OperatingRatios(r_sn=r_sn, r_ca=r_ca, r_ce=r_ce))
         assert sol.beta == beta
         assert sol.q_star.atoms == atoms
