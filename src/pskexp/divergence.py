@@ -14,7 +14,7 @@ rates (``chernoff_values``) and maximizes mixtures of it over ``s`` with one
 safeguarded Newton solver (``max_chernoff_mixtures``; ``max_chernoff`` is its
 single-rate-pair case); ``s_star_ratio`` and ``s_star_log`` give a single
 pair's maximizer in closed form.  ``golden_section_max`` is a scalar search,
-used by the binary optimizer's single-atom polish.  The textbook closed form
+used by the binary optimizer's polish.  The textbook closed form
 and the independent series, KL and tilted-rate oracles the tests check this
 module against live in ``tests/oracles.py``.
 
@@ -47,7 +47,8 @@ import numpy as np
 #: divergence identically zero and the maximizer conventionally 1/2.
 EQUAL_RATE_RTOL = 1e-14
 
-#: Golden-section parameters for the concave search over s.
+#: ``golden_section_max`` stops once its bracket is this narrow, or after
+#: this many steps.
 GOLDEN_TOL = 1e-10
 GOLDEN_MAX_ITER = 200
 
@@ -208,22 +209,18 @@ def max_chernoff(pair: RatePair) -> ChernoffOptimum:
 
 
 def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = GOLDEN_TOL,
-    max_iter: int = GOLDEN_MAX_ITER,
+    f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float]:
     """Maximize a unimodal function of one float on [lo, hi] by golden-section
-    search, to ``tol`` in the argument or ``max_iter`` steps; returns
-    ``(x, f(x))`` at the located maximum."""
+    search, to ``GOLDEN_TOL`` in the argument or ``GOLDEN_MAX_ITER`` steps;
+    returns ``(x, f(x))`` at the located maximum."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
+    for _ in range(GOLDEN_MAX_ITER):
+        if b - a <= GOLDEN_TOL:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -250,11 +247,14 @@ def s_star_ratio(ratio: float) -> float:
     return s_star_log(math.log(ratio))
 
 
-def s_star_log(x: float) -> float:
-    """``s_star_ratio`` as a function of ``x = log R < 0``:
-    ``log(expm1(x)/x) / x``, with the same expansion near 0.  It takes
-    ``x = log(small) - log(big)`` where ``R`` itself would leave the normal
+def s_star_log(x: float | np.ndarray) -> float | np.ndarray:
+    """``s_star_ratio`` as a function of ``x = log R <= 0``, a float or an
+    array: ``log(expm1(x)/x) / x``, with the same expansion near 0 (x = 0,
+    equal rates, gives 1/2).  It takes ``x`` as ``_oriented`` gives it, as
+    ``log(small) - log(big)`` where ``R`` itself would leave the normal
     range."""
-    if abs(x) < 1e-4:
-        return 0.5 + x / 24.0 - x**3 / 2880.0
-    return math.log(math.expm1(x) / x) / x
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = np.log(np.expm1(x) / x) / x
+    s = np.where(np.abs(x) < 1e-4, 0.5 + x / 24.0 - x**3 / 2880.0, exact)
+    return float(s) if s.ndim == 0 else s

@@ -10,16 +10,15 @@ and the best open-loop exponent is the supremum of beta(Q) over all
 distributions Q supported on the control disk of radius ``r_ca`` with second
 moment at most ``r_ce``.  This module optimizes that objective:
 
-* ``optimize_binary`` solves the BPSK case essentially exactly.  By the
-  phase symmetry of the binary constellation the support can be restricted
-  to real displacements in [0, r_ca].  For each fixed tilt ``s`` the
-  objective is linear in Q under a single moment constraint, so an optimal Q
-  has at most two atoms; that inner problem is the upper concave envelope of
-  the curve ``v**2 -> C_s(rates(v))`` evaluated at the energy budget, which
-  is computed exactly on a grid through its Lagrangian dual (no hull is
-  built) and then polished off the grid with the package's own parts:
-  zoomed envelopes for two atoms, a golden-section search of the closed-form
-  point-mass exponent for one.  It imports no scipy.
+* ``optimize_binary`` solves the BPSK case exactly.  By the phase symmetry
+  of the binary constellation the support can be restricted to real
+  displacements in [0, r_ca].  With P(v) the point-mass exponent at v,
+  max_s E_Q[C_s] <= E_Q[P(V)] bounds every Q by the upper concave envelope
+  of ``v**2 -> P(v)`` at the energy budget, and the origin (whose rates
+  agree, so it adds nothing to any C_s) mixed with one point v attains
+  ``min(1, r_ce/v**2) * P(v)``.  The envelope is carried by the origin and
+  at most one other point, so one 1-D search over v solves the problem,
+  with the package's own parts.  It imports no scipy.
 
 * ``optimize_general`` handles any PSK constellation by coordinate ascent on
   a discretized control grid, alternating per-pair tilt maximization (all
@@ -54,8 +53,8 @@ from .constellation import (
     normalized_rates,
 )
 from .divergence import (
-    TINY,
     ChernoffOptimum,
+    _oriented,
     chernoff_values,
     golden_section_max,
     max_chernoff_mixtures,
@@ -65,22 +64,12 @@ from .divergence import (
 #: Moment-constraint slack allowed on a ControlDistribution.
 ENERGY_TOL = 1e-9
 
-#: Two candidate distributions within this beta gap are considered tied and
-#: resolved toward the smaller second moment.
-TIE_TOL = 1e-10
-
 #: Weights at or below this are dropped by ``from_arrays`` (LP solutions
 #: carry that much dust).
 DROP_TOL = 1e-12
 
-#: The two-atom polish of ``optimize_binary`` zooms onto ``2 * ZOOM_POINTS``
-#: cells around each atom, widening a window by ``ZOOM_WIDEN`` when an atom
-#: lands on its edge, until cells of at most ``ZOOM_TOL`` move neither atoms
-#: nor tilt by more than that, or after ``MAX_ZOOMS`` zooms.
-ZOOM_POINTS = 100
-ZOOM_WIDEN = 10.0
-ZOOM_TOL = 1e-12
-MAX_ZOOMS = 40
+#: Cell width of the v-grid ``optimize_binary`` searches before its polish.
+V_GRID_STEP = 1e-3
 
 #: Coordinate-ascent cap and stopping gain of ``optimize_general``.
 MAX_ITERATIONS = 50
@@ -293,97 +282,34 @@ def exponent_of(
     )
 
 
-def _upper_hull_value(
-    energies: np.ndarray, values: np.ndarray, budget: float
-) -> tuple[float, list[tuple[int, float]]]:
-    """Maximum of E_Q[values] over distributions on the grid with
-    E_Q[energies] <= budget.
+def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
+    """Exact BPSK exponent optimization by one 1-D search.
 
-    ``energies`` must be strictly increasing and start at or below the
-    budget.  The optimum is the upper concave envelope of the point set at
-    the budget (or at the first maximizer when the budget does not bind).
-    It is evaluated through the Lagrangian dual
-    ``min_{lam >= 0} max_i [values_i - lam * (energies_i - budget)]``
-    without building the envelope: a chord between a left atom (energy at
-    most the budget) and a right atom (energy above it) fixes ``lam``, and
-    the point highest above that chord replaces the atom on its side.  Each
-    replacement raises the chord at the budget, so the loop ends within
-    ``len(energies)`` steps, at the envelope edge over the budget.  Heights
-    along a line are monotone in the energy and ties go to the lowest
-    index, so a point of a collinear run is only ever picked at the run's
-    end: the atoms are the edge's extreme points, as in a hull that drops
-    collinear points.  Returns the value and the supporting atoms as
-    (grid index, weight) pairs.
-    """
-    peak = int(np.argmax(values))
-    if energies[peak] <= budget:
-        return float(values[peak]), [(peak, 1.0)]
-    # Heights in a power-of-two unit near the largest: exact, so normal
-    # heights compare bit for bit as before, while subnormal ones (tilts
-    # near 0) no longer underflow in the products.
-    heights = np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1])
-    lo, hi = 0, peak
-    for _ in range(len(energies)):
-        # Height above the lo-hi line, scaled by energies[hi] - energies[lo].
-        cross = (energies[hi] - energies[lo]) * (heights - heights[lo]) - (
-            heights[hi] - heights[lo]
-        ) * (energies - energies[lo])
-        k = int(np.argmax(cross))
-        if cross[k] <= 0.0:
-            break
-        if energies[k] <= budget:
-            lo = k
-        else:
-            hi = k
-    else:
-        raise RuntimeError("concave envelope search did not converge")
-    if energies[lo] == budget:
-        return float(values[lo]), [(lo, 1.0)]
-    frac = (budget - energies[lo]) / (energies[hi] - energies[lo])
-    value = float(values[lo] + frac * (values[hi] - values[lo]))
-    return value, [(lo, 1.0 - frac), (hi, float(frac))]
+    Real displacements v in [0, r_ca] suffice (the binary phase symmetry
+    makes this lossless).  Let P(v) = max_s C_s((v-1)**2 + r_sn, (v+1)**2 +
+    r_sn) be the point-mass exponent, at its closed-form tilt
+    (``s_star_log``).  Since max_s E_Q[C_s] <= E_Q[P(V)] for every Q, the
+    optimum is at most the upper concave envelope of e -> P(sqrt(e)) at
+    ``r_ce``.  The origin's two rates agree, so it adds 0 to every C_s, and a
+    Q of weight w = min(1, r_ce/v**2) on v and the rest on the origin attains
+    w*P(v) exactly.  The envelope is carried by the origin and at most one
+    other point, so the optimum is the maximum over v of
 
+        f(v) = min(1, r_ce/v**2) * P(v).
 
-def optimize_binary(
-    ratios: OperatingRatios, resolution: float = 1e-3
-) -> ExponentSolution:
-    """Essentially exact BPSK exponent optimization.
-
-    Searches real displacements v in [0, r_ca] (the binary phase symmetry
-    makes this lossless).  Outer loop: grid over the tilt ``s`` with
-    iterative refinement around the best value.  Inner problem at fixed
-    ``s``: exact two-atom optimum from the upper concave envelope of
-    ``v**2 -> C_s(rates(v))`` at the budget, evaluated through the dual of
-    the one-constraint linear program (``_upper_hull_value``), which finds
-    the envelope edge over the budget in a few vectorized passes instead of
-    a full hull pass.  The grid solution at the best tilt is then polished
-    off the grid with the package's own parts, no general-purpose optimizer:
-
-    * one atom: golden-section search (``golden_section_max``) of the
-      point-mass exponent, at its closed-form tilt (``s_star_log``), over
-      the grid cell around the best feasible grid point at the best tilt;
-      the budget's end point ``min(sqrt(r_ce), r_ca)`` is taken exactly
-      instead when it is at least as good;
-    * two atoms: the envelope is rerun on zoomed v-grids of
-      ``2 * ZOOM_POINTS`` cells spanning one cell of the previous grid on
-      either side of each atom, each zoom followed by the new atoms' exact
-      tilt, until atoms and tilt stop moving (``ZOOM_TOL``).  An atom at
-      the origin stays there, and atoms in neighbouring grid cells are
-      left to the end point they bracket.
-
-    The grid, single-atom and two-atom candidates are compared by their
-    exact exponent; a later one must win by more than ``TIE_TOL`` or tie
-    with a smaller second moment.  ``diagnostics`` names the winner
-    (``grid``, ``single-atom``, ``end-point`` or ``two-atom``) and counts
-    the zooms and the point-mass evaluations of the polish.
+    f is evaluated on a v-grid of cells ``V_GRID_STEP`` wide, its best grid
+    point is polished by ``golden_section_max`` over the cells on either
+    side, and the kink ``sqrt(r_ce)`` and the disk edge ``r_ca`` are then
+    taken exactly whenever either is at least as good.  ``diagnostics``
+    name the winner (``interior``, ``end-point`` or ``disk-edge``) and count
+    the scalar evaluations of f (``point_evaluations``).
     """
     constellation = bpsk()
     pair = (0, 1)
     r, ca, ce = ratios.r_sn, ratios.r_ca, ratios.r_ce
 
-    def finish(
-        q: ControlDistribution, pv: ChernoffOptimum, diagnostics: dict
-    ) -> ExponentSolution:
+    def finish(q: ControlDistribution, diagnostics: dict) -> ExponentSolution:
+        pv = pair_exponent(q, pair, constellation, ratios)
         return ExponentSolution(
             beta=pv.value,
             q_star=q,
@@ -394,145 +320,39 @@ def optimize_binary(
         )
 
     if ce <= 0.0:
-        q = ControlDistribution.point_mass(0.0)
-        pv = pair_exponent(q, pair, constellation, ratios)
-        return finish(q, pv, {"budget": "zero"})
+        return finish(ControlDistribution.point_mass(0.0), {"budget": "zero"})
 
-    num_cells = max(2, int(round(ca / resolution)))
-    vgrid = np.linspace(0.0, ca, num_cells + 1)
-    cell = float(vgrid[1] - vgrid[0])
-    rates0 = (vgrid - 1.0) ** 2 + r
-    rates1 = (vgrid + 1.0) ** 2 + r
-    energies = vgrid**2
-
-    def hull_at(s: float) -> tuple[float, list[tuple[int, float]]]:
-        return _upper_hull_value(energies, chernoff_values(rates0, rates1, s), ce)
-
-    # Outer tilt search: coarse grid, then shrinking windows around the best.
-    s_grid = np.linspace(0.0, 1.0, 65)
-    best_s = max(s_grid, key=lambda s: hull_at(s)[0])
-    window = s_grid[1] - s_grid[0]
-    while window > 1e-8:
-        lo = max(0.0, best_s - window)
-        hi = min(1.0, best_s + window)
-        local = np.linspace(lo, hi, 17)
-        best_s = max(local, key=lambda s: hull_at(s)[0])
-        window = (hi - lo) / 8.0
-    _, support = hull_at(best_s)
-
-    # Exact grid candidate from the hull support at the best tilt.
-    candidates = [
-        (
-            "grid",
-            ControlDistribution.from_arrays(
-                [float(vgrid[i]) for i, _ in support], [w for _, w in support]
-            ),
-        )
-    ]
-
-    # Point masses: max_s C_s(rates(v)) at the closed-form tilt.  For v >= 0
-    # the rates are ordered, small <= big; at v = 0 the tilt is 1/2 and the
-    # value 0.
-    def point_tilt(v: float) -> tuple[float, float, float, float]:
-        """(tilt, small, big, log(small/big)) of a point mass at v."""
-        small, big = (v - 1.0) ** 2 + r, (v + 1.0) ** 2 + r
-        if small >= TINY * big:
-            x = math.log(small / big)
-        else:
-            x = math.log(small) - math.log(big)
-        return s_star_log(x), small, big, x
+    def objective(v):
+        """f(v), for a float or an array; v >= 0 orders the rates."""
+        rates0, rates1 = (v - 1.0) ** 2 + r, (v + 1.0) ** 2 + r
+        tilt = s_star_log(_oriented(rates0, rates1)[2])
+        return ce / np.maximum(v * v, ce) * chernoff_values(rates0, rates1, tilt)
 
     evaluations = 0
 
-    def point_value(v: float) -> float:
+    def evaluate(v: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        t, small, big, x = point_tilt(v)
-        return t * (small - big) - big * math.expm1(t * x)
+        return float(objective(v))
 
-    # Single-atom candidate: the point mass searched in the grid cell around
-    # the best feasible grid point at the best tilt, against the budget's end
-    # point.
+    vgrid = np.linspace(0.0, ca, max(2, int(round(ca / V_GRID_STEP))) + 1)
+    k = int(np.argmax(objective(vgrid)))
+    lo, hi = vgrid[max(k - 1, 0)], vgrid[min(k + 1, len(vgrid) - 1)]
+    v, value = golden_section_max(evaluate, float(lo), float(hi))
+    winner = "interior"
     sqrt_ce = math.sqrt(ce)
-    v_end = min(sqrt_ce, ca)
-    feasible = energies <= ce * (1.0 + 1e-15)
-    h_best = chernoff_values(rates0[feasible], rates1[feasible], best_s)
-    v_grid = float(vgrid[feasible][int(np.argmax(h_best))])
-    v_golden, value_golden = golden_section_max(
-        point_value, max(0.0, v_grid - cell), min(v_end, v_grid + cell)
-    )
-    if point_value(v_end) >= value_golden:
-        candidates.append(("end-point", ControlDistribution.point_mass(v_end)))
+    for name, end in (("end-point", min(sqrt_ce, ca)), ("disk-edge", ca)):
+        end_value = evaluate(end)
+        if end_value >= value:
+            v, value, winner = end, end_value, name
+    # Built directly: ``from_arrays`` would drop an atom v of weight under
+    # DROP_TOL, which carries the whole exponent at budgets below it.
+    w = ce / (v * v) if v > sqrt_ce else 1.0
+    if w >= 1.0:
+        q = ControlDistribution.point_mass(v)
     else:
-        candidates.append(("single-atom", ControlDistribution.point_mass(v_golden)))
-
-    # Two-atom candidate: zoomed envelopes alternating with the exact tilt.
-    # Atoms in neighbouring grid cells bracket sqrt(r_ce), whose point mass
-    # is the end-point candidate.  ``from_arrays`` drops an atom of weight
-    # at most 1e-12, so a dust atom leaves a point mass.
-    zooms = 0
-    spread = support[-1][0] - support[0][0]
-    if spread > 1 and sqrt_ce < ca - 1e-12:
-        offsets = np.arange(-ZOOM_POINTS, ZOOM_POINTS + 1) / ZOOM_POINTS
-        atoms = [float(vgrid[i]) for i, _ in support]
-        s, half = float(best_s), cell
-        while zooms < MAX_ZOOMS:
-            zooms += 1
-            # C_s grows like v**2 off the origin, so the envelope there is
-            # lost in rounding long before the zoom ends: 0 stays at 0.
-            windows = [v + half * offsets if v > 0.0 else [0.0] for v in atoms]
-            zgrid = np.unique(np.clip(np.concatenate(windows), 0.0, ca))
-            _, zsupport = _upper_hull_value(
-                zgrid**2,
-                chernoff_values((zgrid - 1.0) ** 2 + r, (zgrid + 1.0) ** 2 + r, s),
-                ce,
-            )
-            moved = [float(zgrid[i]) for i, _ in zsupport]
-            q = ControlDistribution.from_arrays(moved, [w for _, w in zsupport])
-            live = [v for v in moved if v > 0.0]
-            if len(live) == 1:
-                # The origin's rates agree, so it adds nothing to any C_s.
-                s_moved = point_tilt(live[0])[0]
-            else:
-                s_moved = pair_exponent(q, pair, constellation, ratios).s_star
-            step = (
-                max(abs(v - u) for v, u in zip(moved, atoms))
-                if len(moved) == len(atoms)
-                else math.inf
-            )
-            # Settled: this zoom's cells resolve ZOOM_TOL and nothing moved.
-            settled = max(half / ZOOM_POINTS, step, abs(s_moved - s)) <= ZOOM_TOL
-            # An atom left on its window's edge was cut short: widen the next
-            # window instead of narrowing it.
-            if step < half * (1.0 - 1e-9):
-                half /= ZOOM_POINTS
-            else:
-                half = min(cell, half * ZOOM_WIDEN)
-            atoms, s = moved, s_moved
-            if settled:
-                break
-        candidates.append(("two-atom", q))
-
-    best_q, best_pv, winner, best_beta = None, None, "", -math.inf
-    for name, q in candidates:
-        pv = pair_exponent(q, pair, constellation, ratios)
-        if pv.value > best_beta + TIE_TOL or (
-            pv.value > best_beta - TIE_TOL
-            and q.second_moment() < best_q.second_moment() - 1e-12
-        ):
-            best_q, best_pv, winner = q, pv, name
-            best_beta = max(pv.value, best_beta)
-    return finish(
-        best_q,
-        best_pv,
-        {
-            "tilt_grid_best": float(best_s),
-            "candidates": len(candidates),
-            "winner": winner,
-            "zooms": zooms,
-            "point_evaluations": evaluations,
-        },
-    )
+        q = ControlDistribution(atoms=((0j, 1.0 - w), (complex(v), w)))
+    return finish(q, {"winner": winner, "point_evaluations": evaluations})
 
 
 def _within_budget(q: ControlDistribution, budget: float) -> ControlDistribution:

@@ -68,6 +68,14 @@ class TestExitCodes:
         code = main(["exponent", "--r-sn", "0.01", "--phases", "0,abc"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["sweep-photon", "sweep-energy"])
+    @pytest.mark.parametrize("flag", [["--psk", "4"], ["--phases", "0,3.14"]])
+    def test_sweeps_take_no_constellation_flag(self, command, flag):
+        """The sweeps are BPSK-only and accept no --psk or --phases."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--r-sn", "0.01"] + flag)
+        assert exc.value.code == EXIT_USAGE
+
     def test_infeasible_budget_is_exit_two(self, capsys):
         """r_ce > r_ca**2 is a constraint conflict, exit 2."""
         code = main(["exponent", "--r-sn", "0.01", "--r-ca", "0.5", "--r-ce", "0.5"])
@@ -94,12 +102,12 @@ class TestExponentCommand:
         )
         assert code == EXIT_OK
         doc = json.loads(text)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert doc["command"] == "exponent"
         assert doc["beta"] >= 1.9812
         assert doc["certified"] is True
         assert doc["method"] == "binary-exact-grid"
-        assert doc["wall_time_s"] > 0.0
+        assert "wall_time_s" not in doc
         for atom in doc["q_star"]:
             assert set(atom) == {"re", "im", "weight"}
         total_weight = sum(a["weight"] for a in doc["q_star"])
@@ -107,6 +115,15 @@ class TestExponentCommand:
         (pair_doc,) = doc["per_pair"]
         assert pair_doc["pair"] == [0, 1]
         assert 0.0 < pair_doc["s_star"] <= 0.5
+
+    def test_byte_identical_reruns(self, tmp_path):
+        """The same configuration produces byte-identical documents."""
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        argv = ["exponent"] + COUNTEREXAMPLE_ARGS
+        assert main(argv + ["--out", str(a)]) == EXIT_OK
+        assert main(argv + ["--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
 
     def test_zero_budget_gives_zero_beta(self, tmp_path):
         """r_ce = 0 forces the passive policy."""
@@ -294,7 +311,7 @@ class TestSimulate:
         code, text = run_to_file(tmp_path, "sim.json", self.SMALL)
         assert code == EXIT_OK
         doc = json.loads(text)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert doc["command"] == "simulate"
         assert doc["bound_satisfied"] is True
         assert 0.0 <= doc["p_e"] <= 1.0
@@ -390,7 +407,7 @@ class TestVerify:
         )
         assert code == EXIT_VERIFY_FAILED
         doc = json.loads(text)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert doc["all_passed"] is False
         by_name = {c["name"]: c["passed"] for c in doc["checks"]}
         assert by_name["interior-mass-beats-time-sharing"] is False

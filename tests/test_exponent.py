@@ -23,6 +23,7 @@ from pskexp.divergence import (
     ChernoffOptimum,
     RatePair,
     chernoff_values,
+    max_chernoff_mixtures,
     s_star_ratio,
 )
 from pskexp.exponent import (
@@ -35,7 +36,6 @@ from pskexp.exponent import (
     optimize_general,
     pair_exponent,
     pair_exponents,
-    _upper_hull_value,
     verify_claims,
 )
 
@@ -136,167 +136,6 @@ def mixtures(draw):
         st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=n, max_size=n)
     )
     return ControlDistribution.from_arrays(points, weights)
-
-
-def reference_upper_hull_value(energies, values, budget):
-    """Envelope value at the budget from an explicit monotone-chain hull.
-
-    Oracle for ``_upper_hull_value``: builds the whole upper hull (popping
-    collinear points, so edges end at the extreme points of a run), then
-    reads the edge over the budget, or the first peak when the budget does
-    not bind.
-    """
-    # Heights in a power-of-two unit (exact), so that subnormal values do
-    # not underflow in the cross products.
-    heights = np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1])
-    hull = []
-    for i in range(len(energies)):
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (energies[a] - energies[o]) * (heights[i] - heights[o]) - (
-                heights[a] - heights[o]
-            ) * (energies[i] - energies[o])
-            if cross >= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    hull_e = energies[hull]
-    hull_v = values[hull]
-    peak = int(np.argmax(hull_v))
-    target = min(budget, float(hull_e[peak]))
-    seg = int(np.searchsorted(hull_e, target, side="right")) - 1
-    if seg >= len(hull) - 1 or hull_e[seg] == target:
-        return float(hull_v[seg]), [(hull[seg], 1.0)]
-    frac = (target - hull_e[seg]) / (hull_e[seg + 1] - hull_e[seg])
-    value = float(hull_v[seg] + frac * (hull_v[seg + 1] - hull_v[seg]))
-    return value, [(hull[seg], 1.0 - frac), (hull[seg + 1], float(frac))]
-
-
-@st.composite
-def envelope_problems(draw, integer=False):
-    """(energies, values, budget): strictly increasing energies, any values,
-    and a budget at or above the first energy, often exactly on a grid
-    energy or past the last one."""
-    n = draw(st.integers(min_value=2, max_value=40))
-    if integer:
-        # Small integers keep every cross product exact, so collinear runs
-        # and ties are exact too.
-        e0 = draw(st.integers(min_value=0, max_value=3))
-        steps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
-        values = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
-    else:
-        e0 = draw(st.floats(min_value=0.0, max_value=1.0))
-        steps = draw(
-            st.lists(
-                st.floats(min_value=1e-3, max_value=2.0),
-                min_size=n - 1,
-                max_size=n - 1,
-            )
-        )
-        values = draw(
-            st.lists(
-                st.floats(min_value=-10.0, max_value=10.0),
-                min_size=n,
-                max_size=n,
-            )
-        )
-    energies = np.cumsum(np.array([e0, *steps], dtype=float))
-    budget = draw(
-        st.one_of(
-            st.sampled_from([float(e) for e in energies]),
-            st.floats(
-                min_value=float(energies[0]), max_value=float(energies[-1]) + 1.0
-            ),
-        )
-    )
-    return energies, np.array(values, dtype=float), budget
-
-
-class TestUpperHullValue:
-    """The dual envelope evaluation returns exactly the hull oracle's answer."""
-
-    @staticmethod
-    def check(energies, values, budget):
-        energies = np.asarray(energies, dtype=float)
-        values = np.asarray(values, dtype=float)
-        got = _upper_hull_value(energies, values, budget)
-        assert got == reference_upper_hull_value(energies, values, budget)
-        return got
-
-    @given(envelope_problems())
-    def test_matches_oracle_on_random_curves(self, problem):
-        self.check(*problem)
-
-    @given(envelope_problems(integer=True))
-    def test_matches_oracle_on_integer_curves(self, problem):
-        """Integer curves: exact collinear runs, ties and grid-energy budgets."""
-        self.check(*problem)
-
-    @given(
-        n=st.integers(min_value=2, max_value=60),
-        bend=st.floats(min_value=0.1, max_value=0.9),
-        noise=st.lists(
-            st.floats(min_value=-0.05, max_value=0.05), min_size=60, max_size=60
-        ),
-        budget=st.floats(min_value=0.0, max_value=1.2),
-    )
-    def test_matches_oracle_on_convex_then_concave(self, n, bend, noise, budget):
-        """A sigmoid in the energy, convex below ``bend`` and concave above."""
-        energies = np.linspace(0.0, 1.0, n)
-        values = np.tanh(6.0 * (energies - bend)) + np.array(noise[:n])
-        self.check(energies, values, budget)
-
-    @given(
-        log_r=st.floats(min_value=-6.0, max_value=-0.5),
-        s=st.floats(min_value=0.0, max_value=1.0),
-        r_ce=st.floats(min_value=0.01, max_value=1.0),
-        cells=st.integers(min_value=2, max_value=400),
-    )
-    def test_matches_oracle_on_bpsk_chernoff_curves(self, log_r, s, r_ce, cells):
-        """The curves ``optimize_binary`` feeds it: C_s along v**2 in [0, 1]."""
-        v = np.linspace(0.0, 1.0, cells + 1)
-        r = 10.0**log_r
-        values = chernoff_values((v - 1.0) ** 2 + r, (v + 1.0) ** 2 + r, s)
-        self.check(v**2, values, r_ce)
-
-    def test_collinear_run_takes_its_extreme_points(self):
-        """Points 0..3 lie on one line: the edge runs from 0 to 3."""
-        value, support = self.check([0, 1, 2, 3, 4], [0, 1, 2, 3, 3], 1.5)
-        assert value == 1.5
-        assert support == [(0, 0.5), (3, 0.5)]
-
-    def test_collinear_run_with_budget_on_an_inner_point(self):
-        """A budget on a grid point inside a collinear run still mixes the ends."""
-        _, support = self.check([0, 1, 2, 3, 4], [0, 1, 2, 3, 3], 2.0)
-        assert [i for i, _ in support] == [0, 3]
-
-    def test_tied_maxima_take_the_first(self):
-        value, support = self.check([0, 1, 2, 3], [0, 2, 2, 0], 3.0)
-        assert (value, support) == (2.0, [(1, 1.0)])
-
-    def test_tied_maxima_with_binding_budget(self):
-        value, support = self.check([0, 1, 2, 3], [0, 2, 2, 1], 0.25)
-        assert (value, support) == (0.5, [(0, 0.75), (1, 0.25)])
-
-    def test_budget_exactly_at_a_grid_energy(self):
-        """A budget on a hull vertex gives that single atom."""
-        value, support = self.check([0, 1, 4, 9], [0, 3, 5, 6], 1.0)
-        assert (value, support) == (3.0, [(1, 1.0)])
-
-    @pytest.mark.parametrize("budget", [2.0, 2.5, 10.0])
-    def test_budget_at_or_above_the_peak_energy(self, budget):
-        value, support = self.check([0, 1, 2, 3], [0, 1, 4, 1], budget)
-        assert (value, support) == (4.0, [(2, 1.0)])
-
-    def test_all_equal_values(self):
-        value, support = self.check([0, 1, 2, 3], [0.7] * 4, 1.5)
-        assert (value, support) == (0.7, [(0, 1.0)])
-
-    @pytest.mark.parametrize("budget", [0.0, 0.3, 1.0, 2.0])
-    def test_two_point_grid(self, budget):
-        self.check([0.0, 1.0], [0.0, 2.0], budget)
-        self.check([0.0, 1.0], [2.0, 0.0], budget)
 
 
 class TestControlDistribution:
@@ -640,15 +479,54 @@ class TestOptimizeBinary:
 
     @pytest.mark.parametrize(
         "r_sn, r_ce, winner",
-        [(0.01, 0.9, "end-point"), (1e-4, 0.3, "two-atom"), (1e-2, 1.0, "grid")],
+        [(0.01, 0.9, "end-point"), (1e-4, 0.3, "interior"), (1e-2, 1.0, "disk-edge")],
     )
     def test_reports_which_candidate_won(self, r_sn, r_ce, winner):
-        """diagnostics name the winning candidate and count the polish's
-        zooms and point-mass evaluations."""
+        """diagnostics name the winning point (the golden search's, the kink
+        sqrt(r_ce) or the disk edge r_ca) and count the evaluations of f."""
         sol = optimize_binary(OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce))
         assert sol.diagnostics["winner"] == winner
-        assert sol.diagnostics["point_evaluations"] > 0
-        assert (sol.diagnostics["zooms"] > 0) == (winner == "two-atom")
+        assert sol.diagnostics["point_evaluations"] > 2
+
+    def test_tiny_budget_keeps_its_atom(self):
+        """At r_ce = 1e-15 the optimum puts weight ~1e-15 on one point, and
+        beta is r_ce times the best chord slope from the origin, as at any
+        budget below that point's energy, not 0."""
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=1e-15)
+        sol = optimize_binary(ratios)
+        sol.q_star.validate_feasible(ratios)
+        assert len(sol.q_star.atoms) == 2
+        larger = optimize_binary(OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=1e-3))
+        assert sol.beta == pytest.approx(larger.beta * 1e-12, rel=1e-9)
+
+    def test_beats_every_mixture_of_two_nonorigin_atoms(self):
+        """Brute-force oracle for the origin-plus-one-atom bound: on 40
+        seeded points, beta is at least the exponent of every budget-binding
+        mixture of two nonzero atoms on a 120-point grid, each at its own
+        optimal tilt.  C_s is homogeneous in the rates, so each mixture's
+        weights are folded into its rates and one ``max_chernoff_mixtures``
+        call solves them all."""
+        rng = np.random.default_rng(20261018)
+        for _ in range(40):
+            r = 10.0 ** rng.uniform(-9.0, math.log10(30.0))
+            ca = rng.uniform(0.2, 2.0)
+            ce = rng.uniform(0.0, ca * ca)
+            sol = optimize_binary(OperatingRatios(r_sn=r, r_ca=ca, r_ce=ce))
+            v = np.linspace(ca / 120.0, ca, 120)
+            lo, hi = np.meshgrid(v[v * v <= ce], v[v * v > ce], indexing="ij")
+            lo, hi = lo.ravel(), hi.ravel()
+            if lo.size == 0:
+                continue
+            w_hi = (ce - lo**2) / (hi**2 - lo**2)
+            atoms = np.stack([lo, hi], axis=1)
+            weights = np.stack([1.0 - w_hi, w_hi], axis=1)
+            mixtures = max_chernoff_mixtures(
+                weights * ((atoms - 1.0) ** 2 + r),
+                weights * ((atoms + 1.0) ** 2 + r),
+                np.ones(2),
+            )
+            best = max(m.value for m in mixtures)
+            assert sol.beta >= best - 1e-12, (r, ca, ce, sol.beta - best)
 
     @pytest.mark.slow
     def test_monotone_in_budgets(self):
@@ -661,7 +539,7 @@ class TestOptimizeBinary:
                 ratios = OperatingRatios(
                     r_sn=0.01, r_ca=float(ca), r_ce=float(min(ce, ca * ca))
                 )
-                values[i, j] = optimize_binary(ratios, resolution=4e-3).beta
+                values[i, j] = optimize_binary(ratios).beta
         assert np.all(np.diff(values, axis=1) >= -1e-9)
         assert np.all(np.diff(values, axis=0) >= -1e-9)
 
@@ -687,25 +565,25 @@ class TestOptimizeBinary:
         [
             (0.01, 1.0, 0.9, 1.982407222466247, ((0.9486832980505138 + 0j, 1.0),)),
             (
-                1e-6, 1.0, 0.9, 2.7187601930791665,
+                1e-6, 1.0, 0.9, 2.718760193079166,
                 (
-                    (0j, 0.09994312859390642),
-                    (0.999968406271701 + 0j, 0.9000568714060936),
+                    (0j, 0.09994312847953879),
+                    (0.9999684062081695 + 0j, 0.9000568715204612),
                 ),
             ),
             (
                 1e-3, 1.25, 0.6, 1.5063153334606858,
                 (
-                    (0j, 0.38702270586833254),
-                    (0.9893579122699999 + 0j, 0.6129772941316675),
+                    (0j, 0.3870227058456326),
+                    (0.9893579122516809 + 0j, 0.6129772941543674),
                 ),
             ),
             (0.05, 1.25, 0.95, 1.7258776919357357, ((0.9746794344808963 + 0j, 1.0),)),
             (
-                1e-4, 1.0, 0.3, 0.8201024142047753,
+                1e-4, 1.0, 0.3, 0.8201024142047754,
                 (
-                    (0j, 0.6990308068352576),
-                    (0.9983885814489158 + 0j, 0.30096919316474235),
+                    (0j, 0.6990308071629479),
+                    (0.9983885819924303 + 0j, 0.30096919283705215),
                 ),
             ),
             (1e-2, 1.0, 1.0, 2.1459576982729676, ((1 + 0j, 1.0),)),
@@ -722,8 +600,8 @@ class TestOptimizeBinary:
         ],
     )
     def test_pinned_solutions(self, r_sn, r_ca, r_ce, beta, atoms):
-        """beta and q_star are exactly those recorded with the in-package
-        polish (zoomed envelopes and closed-form point masses)."""
+        """beta and q_star are exactly those recorded with the 1-D search
+        over the origin-plus-one-atom bound."""
         sol = optimize_binary(OperatingRatios(r_sn=r_sn, r_ca=r_ca, r_ce=r_ce))
         assert sol.beta == beta
         assert sol.q_star.atoms == atoms
