@@ -87,13 +87,20 @@ def _oriented(lambda0: np.ndarray, lambda1: np.ndarray):
     log(small/big) <= 0`` and whether ``lambda0`` is the larger.
     ``C_s(lambda0, lambda1)`` equals ``C_t(small, big)`` with ``t = 1 - s``
     where ``flip`` and ``t = s`` elsewhere, so no exponential of a positive
-    ``x`` can overflow."""
+    ``x`` can overflow.
+
+    Where the rates are within a factor 2, ``x`` is
+    ``log1p((small - big)/big)``: the difference is exact there, so ``x``
+    keeps its relative accuracy as the rates merge, where ``log(small/big)``
+    would carry an absolute error of about eps.  Elsewhere ``x`` is
+    ``log(small/big)``, whose relative error is already below 2 eps there,
+    and ``log(small) - log(big)`` where the ratio leaves the normal range."""
     flip = lambda0 > lambda1
     small = np.where(flip, lambda1, lambda0)
     big = np.where(flip, lambda0, lambda1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = small / big
-        x = np.log(ratio)
+        x = np.where(ratio > 0.5, np.log1p((small - big) / big), np.log(ratio))
         # Below the normal range the ratio loses digits or underflows.
         if ratio.min() < TINY:
             x = np.where(ratio < TINY, np.log(small) - np.log(big), x)
@@ -108,9 +115,11 @@ def chernoff_values(
     Computed as ``big*(t*expm1(x) - expm1(t*x))`` on the oriented rates of
     ``_oriented``, with ``big*expm1(x)`` taken as ``small - big``.  The
     textbook form subtracts terms of the size of the rates, so its relative
-    error grows like eps/x**2 as the rates merge; here only terms of order
-    ``x`` cancel and it grows like eps/|x| (under 1e-9 against up to 1e-2
-    at BPSK v = 1e-7).
+    error grows like eps/x**2 as the rates merge.  Here terms of order
+    ``x`` cancel, and with ``x`` accurate to a few eps relative (see
+    ``_oriented``) the error grows like eps/|x|: under 2e-7 relative at
+    BPSK v = 1e-9 on the given rates, where ``x = log(small/big)``, off by
+    eps absolute, gave the wrong sign.  Values are never negative.
     ``s`` is a tilt or an array of tilts broadcasting against the
     rates, such as a ``(rows, 1)`` column giving each row of ``(rows, n)``
     rate arrays its own tilt.  Zero rates are admitted with the continuous
@@ -127,7 +136,7 @@ def chernoff_values(
     if undefined.any():
         # 0*log(0) is taken as 0: a zero rate at t = 0, or two zero rates.
         values = np.where(undefined & (np.minimum(l0, l1) == 0.0), 0.0, values)
-    return values
+    return np.maximum(values, 0.0)
 
 
 def _expm1_minus_x(x: np.ndarray) -> np.ndarray:

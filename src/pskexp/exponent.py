@@ -18,14 +18,15 @@ moment at most ``r_ce``.  This module optimizes that objective:
   agree, so it adds nothing to any C_s) mixed with one point v attains
   ``min(1, r_ce/v**2) * P(v)``.  The envelope is carried by the origin and
   at most one other point, so one 1-D search over v solves the problem,
-  with the package's own parts.  It imports no scipy.
+  with the package's own parts.
 
 * ``optimize_general`` handles any PSK constellation by coordinate ascent on
   a discretized control grid, alternating per-pair tilt maximization (all
   pairs at once, ``pair_exponents``) with a linear program over the
-  distribution.  Every iterate is feasible, so the result is always a
-  certified achievability lower bound, but for more than two hypotheses no
-  global optimality is claimed.
+  distribution, solved by the package's revised simplex (``linprog``).
+  Every iterate is feasible, so the result is always a certified
+  achievability lower bound, but for more than two hypotheses no global
+  optimality is claimed.
 
 * ``convexity_margin`` and ``verify_claims`` check the structural facts
   behind the optimizer: convexity of the pairwise divergence in the control
@@ -60,6 +61,7 @@ from .divergence import (
     max_chernoff_mixtures,
     s_star_log,
 )
+from .simplex import linprog
 
 #: Moment-constraint slack allowed on a ControlDistribution.
 ENERGY_TOL = 1e-9
@@ -76,21 +78,9 @@ MAX_ITERATIONS = 50
 IMPROVEMENT_TOL = 1e-9
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first call.
-
-    Importing ``scipy.optimize`` takes most of a CLI process's start-up, and
-    only M-ary solves (``optimize_general``) need it: binary solves, Monte
-    Carlo and the exact oracle never import it.
-    """
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
-
-
 def minimize(*args, **kwargs):  # unused here; bench/tracing.py spans this binding
-    """``scipy.optimize.minimize``, imported on first call (see ``linprog``).
-    Nothing in pskexp calls it: ``optimize_binary`` polishes without it."""
+    """``scipy.optimize.minimize``, imported on first call.  Nothing in
+    pskexp calls it: ``optimize_binary`` polishes without it."""
     from scipy.optimize import minimize as solve
 
     return solve(*args, **kwargs)
@@ -358,9 +348,9 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
 def _within_budget(q: ControlDistribution, budget: float) -> ControlDistribution:
     """Mix ``q`` with the origin atom just enough to meet the energy budget.
 
-    LP solutions can exceed the budget by more than ``ENERGY_TOL`` (HiGHS
-    iterates were seen ~3e-8 over); weight ``(m - budget) / m`` on the
-    origin brings a second moment ``m`` down to the budget, up to rounding.
+    An LP solution can exceed the budget by rounding (by a few 1e-15 on
+    the benchmark's points); weight ``(m - budget) / m`` on the origin
+    brings a second moment ``m`` down to the budget, up to rounding.
     """
     m = q.second_moment()
     if m <= budget:
@@ -382,23 +372,31 @@ def optimize_general(
     Alternates (a) fixing each pair's tilt at its current maximizer, found
     for all pairs in one ``pair_exponents`` call, with (b) a linear program
     maximizing the worst pair's fixed-tilt objective over distributions on
-    the control grid under the energy constraint.  The LP goes to HiGHS
-    with presolve off: on the benchmark's M-ary points it returned the same
-    solutions as with presolve, in less time.
+    the control grid under the energy constraint, solved by ``linprog``
+    (looked up on this module at call time, so a wrapper put there sees
+    every LP).  The simplex breaks ties by the lowest grid index, so among
+    symmetry-equivalent optima ``q_star`` is the one that rule reaches, the
+    same on every run and for any number of BLAS threads.
     Every iterate is feasible (an LP solution over the budget is mixed with
     the origin, see ``_within_budget``) and the true objective is
     non-decreasing along the iteration, so the best iterate is a certified
     achievability bound.
     Not guaranteed globally optimal for more than two hypotheses.
+    ``diagnostics`` holds the iteration count, the convergence flag and, per
+    LP, its pivots (``lp_pivots``) and basis refactorizations
+    (``lp_refactorizations``).
     """
     grid = control_grid(grid_k, ratios)
     pairs = constellation.pairs()
-    n = len(grid)
     grid_energy = np.abs(grid) ** 2
-    rate_table = [
-        normalized_rates(grid, m, constellation, ratios)
-        for m in range(constellation.num_states)
-    ]
+    rate_table = np.array(
+        [
+            normalized_rates(grid, m, constellation, ratios)
+            for m in range(constellation.num_states)
+        ]
+    )
+    lefts = [l for l, _ in pairs]
+    rights = [m for _, m in pairs]
 
     feasible = grid_energy <= ratios.r_ce + DISK_TOL
     q = ControlDistribution.from_arrays(
@@ -411,29 +409,20 @@ def optimize_general(
     beta_prev = best_beta
     converged = False
     iterations = 0
+    pivots: list[int] = []
+    refactorizations: list[int] = []
 
     for iterations in range(1, MAX_ITERATIONS + 1):
         # LP over (Q, t): maximize t with E_Q[C_{s_pair}] >= t per pair.
-        rows = []
-        for (l, m), pv in zip(pairs, per_pair):
-            coeffs = chernoff_values(rate_table[l], rate_table[m], pv.s_star)
-            rows.append(np.concatenate([-coeffs, [1.0]]))
-        rows.append(np.concatenate([grid_energy, [0.0]]))
-        a_ub = np.vstack(rows)
-        b_ub = np.concatenate([np.zeros(len(pairs)), [ratios.r_ce]])
-        a_eq = np.concatenate([np.ones(n), [0.0]]).reshape(1, -1)
-        cost = np.zeros(n + 1)
-        cost[-1] = -1.0
-        bounds = [(0.0, 1.0)] * n + [(0.0, ratios.rate_upper_bound())]
-        lp = linprog(
-            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds,
-            method="highs", options={"presolve": False},
-        )
+        tilts = np.array([[pv.s_star] for pv in per_pair])
+        coeffs = chernoff_values(rate_table[lefts], rate_table[rights], tilts)
+        lp = linprog(coeffs, grid_energy, ratios.r_ce)
         if not lp.success:
             raise RuntimeError(f"control LP failed: {lp.message}")
+        pivots.append(lp.nit)
+        refactorizations.append(lp.refactorizations)
         q = _within_budget(
-            ControlDistribution.from_arrays(grid, np.maximum(lp.x[:n], 0.0)),
-            ratios.r_ce,
+            ControlDistribution.from_arrays(grid, lp.x), ratios.r_ce
         )
         per_pair = pair_exponents(q, pairs, constellation, ratios)
         beta = min(pv.value for pv in per_pair)
@@ -452,7 +441,12 @@ def optimize_general(
         ),
         method="general-coordinate-ascent",
         certified=True,
-        diagnostics={"iterations": iterations, "converged": converged},
+        diagnostics={
+            "iterations": iterations,
+            "converged": converged,
+            "lp_pivots": pivots,
+            "lp_refactorizations": refactorizations,
+        },
     )
 
 

@@ -1,16 +1,21 @@
-"""Independent oracles for the Chernoff closed form (not a test module).
+"""Independent oracles for the Chernoff closed form and the control LP
+(not a test module).
 
 The textbook closed form of the divergence, series summation of the tilted
 Poisson product, the Poisson log-pmf it sums, the Poisson KL divergence and
 the geometric tilted rate.  None of them is on a path the CLI runs; the
 divergence and acceptance tests check the cancellation-free form and the
-tilt solver in ``pskexp.divergence`` against them.
+tilt solver in ``pskexp.divergence`` against them.  ``highs_control_lp``
+solves ``pskexp.exponent.linprog``'s LP with scipy's HiGHS, for the tests
+of the in-package simplex.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+
+import numpy as np
 
 from pskexp.divergence import RatePair
 
@@ -117,3 +122,43 @@ def tilted_rate(pair: RatePair, s: float) -> float:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s!r}")
     return math.exp(s * math.log(pair.lambda0) + (1.0 - s) * math.log(pair.lambda1))
+
+
+def highs_control_lp(coeffs, energy, budget: float) -> float:
+    """HiGHS's optimum of max t over q >= 0 with ``coeffs @ q >= t`` row by
+    row, ``energy @ q <= budget`` and ``sum(q) = 1``.
+
+    The interior-point solver with crossover, at feasibility tolerances of
+    1e-10, agrees with exact optima to about 1e-14 relative on the control
+    LPs; HiGHS's simplex at its default 1e-7 tolerances was seen 3e-10 off.
+    Where the interior-point solver ends with an unknown status (some 16-PSK
+    LPs), its dual simplex at the same tolerances is used.
+    """
+    from scipy.optimize import linprog
+
+    rows, n = coeffs.shape
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    tolerances = {
+        "primal_feasibility_tolerance": 1e-10,
+        "dual_feasibility_tolerance": 1e-10,
+    }
+    for method, options in (
+        ("highs-ipm", {**tolerances, "ipm_optimality_tolerance": 1e-12}),
+        ("highs-ds", tolerances),
+    ):
+        result = linprog(
+            cost,
+            A_ub=np.vstack(
+                [np.hstack([-coeffs, np.ones((rows, 1))]), np.append(energy, 0.0)]
+            ),
+            b_ub=np.append(np.zeros(rows), budget),
+            A_eq=np.append(np.ones(n), 0.0)[None, :],
+            b_eq=[1.0],
+            bounds=[(0.0, None)] * n + [(None, None)],
+            method=method,
+            options=options,
+        )
+        if result.status == 0:
+            return -result.fun
+    raise RuntimeError(f"HiGHS failed: {result.message}")

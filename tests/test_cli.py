@@ -125,6 +125,15 @@ class TestExponentCommand:
         assert main(argv + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_byte_identical_reruns_of_the_general_path(self, tmp_path):
+        """The M-ary path, through the in-package LP, is as deterministic."""
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        argv = ["exponent", "--psk", "8", "--grid-k", "20"] + COUNTEREXAMPLE_ARGS
+        assert main(argv + ["--out", str(a)]) == EXIT_OK
+        assert main(argv + ["--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
     def test_zero_budget_gives_zero_beta(self, tmp_path):
         """r_ce = 0 forces the passive policy."""
         code, text = run_to_file(
@@ -453,9 +462,23 @@ class TestStartup:
         assert run_probe(probe) == "False"
 
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        """scipy.optimize is imported when an M-ary solve first runs, not at
-        start-up."""
+        """The CLI does not import scipy.optimize at start-up (no command
+        imports it since the control LP is solved in-package)."""
         probe = "import sys, pskexp.cli; print('scipy.optimize' in sys.modules)"
+        assert run_probe(probe) == "False"
+
+    def test_mary_commands_leave_scipy_unloaded(self):
+        """M-ary exponent and simulate commands import no part of scipy."""
+        probe = (
+            "import contextlib, io, sys\n"
+            "from pskexp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['exponent', '--psk', '8', '--grid-k', '10', '--r-sn', '0.01',\n"
+            "          '--r-ce', '0.9'])\n"
+            "    main(['simulate', '--psk', '4', '--r-sn', '0.01', '--r-ce', '0.9',\n"
+            "          '--slices', '10', '--trials', '200'])\n"
+            "print('scipy' in sys.modules)"
+        )
         assert run_probe(probe) == "False"
 
     def test_crosscheck_path_leaves_scipy_optimize_unloaded(self):

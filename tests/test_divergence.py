@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -190,6 +191,34 @@ class TestChernoffValues:
             want = chernoff_s_decimal(pair, s)
             got = float(chernoff_values(pair.lambda0, pair.lambda1, s))
             assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("v", [1e-7, 1e-9, 1e-10])
+    def test_near_equal_bpsk_rates_match_mpmath(self, v):
+        """At BPSK v down to 1e-10, C_s of the given float rates matches
+        mpmath to about eps/|x|, x = log(small/big) ~ -4v, and is never
+        negative; log(small/big) itself, off by ~eps, gave -6.8e-18 for the
+        true 1.98e-18 at v = 1e-9 and 4.5e-18 for 1.98e-20 at v = 1e-10."""
+        mp.mp.dps = 50
+        l0, l1 = (1.0 - v) ** 2 + 0.01, (1.0 + v) ** 2 + 0.01
+        for s in (0.1, 0.3, 0.5, 0.7, 0.9):
+            a, b, t = mp.mpf(l0), mp.mpf(l1), mp.mpf(s)
+            want = float(t * a + (1 - t) * b - a**t * b ** (1 - t))
+            got = float(chernoff_values(l0, l1, s))
+            assert got >= 0.0
+            assert got == pytest.approx(want, rel=4e-16 / v)
+
+    @given(
+        rate=st.floats(min_value=1e-3, max_value=50.0),
+        ulps=st.integers(min_value=0, max_value=64),
+        s=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_never_negative_for_rates_ulps_apart(self, rate, ulps, s):
+        """Rates a few ulps apart, in either order, give C_s >= 0."""
+        other = rate
+        for _ in range(ulps):
+            other = np.nextafter(other, np.inf)
+        assert chernoff_values(rate, other, s) >= 0.0
+        assert chernoff_values(other, rate, s) >= 0.0
 
     def test_extreme_ratio_does_not_overflow(self):
         """A rate ratio beyond the float range still gives the limit

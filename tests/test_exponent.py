@@ -4,12 +4,14 @@ import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import chernoff_s
+from oracles import chernoff_s, highs_control_lp
+from pskexp import exponent, simplex
 from pskexp.constellation import (
     OperatingRatios,
     bpsk,
@@ -38,6 +40,7 @@ from pskexp.exponent import (
     pair_exponents,
     verify_claims,
 )
+from pskexp.simplex import MAX_PIVOTS, linprog
 
 BPSK = bpsk()
 RATIOS_LOW = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
@@ -499,6 +502,35 @@ class TestOptimizeBinary:
         larger = optimize_binary(OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=1e-3))
         assert sol.beta == pytest.approx(larger.beta * 1e-12, rel=1e-9)
 
+    @pytest.mark.parametrize("r_ce", [1e-20, 1e-22])
+    def test_vanishing_budget_matches_mpmath(self, r_ce):
+        """Below every grid point's energy, beta = r_ce * max_v P(v)/v**2
+        with P the point-mass exponent; mpmath's golden search over v at 40
+        digits gives 2.2058675543e-20 at r_ce = 1e-20, where the kink
+        candidate P(sqrt(r_ce)), computed from a log ratio off by eps,
+        reported 4.5e-18."""
+        mp.mp.dps = 40
+        r = mp.mpf("0.01")
+
+        def slope(v):
+            lam0, lam1 = (1 - v) ** 2 + r, (1 + v) ** 2 + r
+            x = mp.log(lam0 / lam1)
+            s = mp.log(mp.expm1(x) / x) / x
+            return (s * lam0 + (1 - s) * lam1 - lam0**s * lam1 ** (1 - s)) / v**2
+
+        lo, hi = mp.mpf("0.5"), mp.mpf(1)
+        invphi = (mp.sqrt(5) - 1) / 2
+        for _ in range(120):
+            c, d = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+            if slope(c) >= slope(d):
+                hi = d
+            else:
+                lo = c
+        want = float(r_ce * slope((lo + hi) / 2))
+        sol = optimize_binary(OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=r_ce))
+        assert sol.beta == pytest.approx(want, rel=1e-9)
+        assert sol.diagnostics["winner"] == "interior"
+
     def test_beats_every_mixture_of_two_nonorigin_atoms(self):
         """Brute-force oracle for the origin-plus-one-atom bound: on 40
         seeded points, beta is at least the exponent of every budget-binding
@@ -640,7 +672,8 @@ class TestOptimizeGeneral:
         "m, r_sn, r_ce", [(16, 0.001, 0.5), (8, 0.001, 0.6), (16, 0.01, 0.7)]
     )
     def test_lp_overshoot_is_pulled_back_into_budget(self, m, r_sn, r_ce):
-        """LP solutions a few 1e-8 over the budget are mixed with the origin."""
+        """Points where HiGHS's LP solutions were a few 1e-8 over the budget
+        stay feasible: any overshoot is mixed with the origin."""
         ratios = OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce)
         sol = optimize_general(uniform_psk(m), ratios, grid_k=40)
         sol.q_star.validate_feasible(ratios)
@@ -667,10 +700,123 @@ class TestOptimizeGeneral:
         )
 
     def test_reports_convergence_diagnostics(self):
-        """Iteration count and convergence flag are exposed."""
+        """Iteration count, convergence flag and each LP's pivots and
+        refactorizations of the basis inverse are exposed."""
         sol = optimize_general(BPSK, RATIOS_LOW, grid_k=10)
-        assert sol.diagnostics["iterations"] >= 1
+        iterations = sol.diagnostics["iterations"]
+        assert iterations >= 1
         assert isinstance(sol.diagnostics["converged"], bool)
+        assert len(sol.diagnostics["lp_pivots"]) == iterations
+        assert len(sol.diagnostics["lp_refactorizations"]) == iterations
+        assert all(n >= 1 for n in sol.diagnostics["lp_refactorizations"])
+
+
+#: Operating points (M, r_sn, r_ce, grid_k) whose control LPs the simplex is
+#: checked on: the three pinned cases; two-column cycling (8, 0.05, 0.95),
+#: restarts that gained nothing (8, 0.01, 0.95), a basic weight left at
+#: -9e-11 (8, 0.005, 0.9) and a Bland interval that gains nothing
+#: (16, 0.001, 0.5), all at grid_k = 40.
+LP_CASES = [(c["m"], c["r_sn"], c["r_ce"], c["grid_k"]) for c in PINNED_GENERAL] + [
+    (8, 0.05, 0.95, 40),
+    (8, 0.01, 0.95, 40),
+    (8, 0.005, 0.9, 40),
+    (16, 0.001, 0.5, 40),
+]
+
+
+@pytest.fixture(scope="module")
+def captured_lps():
+    """Every control LP ``optimize_general`` solves on ``LP_CASES``, as
+    ``((coeffs, energy, budget), HiGHS's optimum)``."""
+    lps = []
+
+    def capture(coeffs, energy, budget):
+        lps.append((coeffs, energy, budget))
+        return linprog(coeffs, energy, budget)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exponent, "linprog", capture)
+        for m, r_sn, r_ce, grid_k in LP_CASES:
+            optimize_general(
+                uniform_psk(m), OperatingRatios(r_sn, 1.0, r_ce), grid_k=grid_k
+            )
+    return [(lp, highs_control_lp(*lp)) for lp in lps]
+
+
+def random_control_lp(rng, rows, n):
+    """A control LP with random coefficients and energies, the origin
+    (zero coefficients and energy) in column 0."""
+    coeffs = rng.uniform(0.0, 2.0, (rows, n))
+    energy = rng.uniform(0.0, 1.0, n)
+    coeffs[:, 0] = 0.0
+    energy[0] = 0.0
+    return coeffs, energy, float(rng.uniform(0.05, 0.9))
+
+
+class TestControlLP:
+    """Validate the in-package simplex against HiGHS."""
+
+    def assert_matches_highs(self, coeffs, energy, budget, t_highs=None):
+        res = linprog(coeffs, energy, budget)
+        assert res.success, res.message
+        if t_highs is None:
+            t_highs = highs_control_lp(coeffs, energy, budget)
+        t = np.min(coeffs @ res.x)
+        assert t == pytest.approx(t_highs, rel=1e-12, abs=1e-300)
+        assert np.all(res.x >= 0.0)
+        assert abs(res.x.sum() - 1.0) <= 1e-12
+        assert energy @ res.x <= budget + 1e-12
+        return res
+
+    def test_captured_lps_match_highs(self, captured_lps):
+        """Every LP of the pinned and frozen cases reaches HiGHS's optimum
+        with weights that are feasible to 1e-12."""
+        assert len(captured_lps) >= 3 * len(LP_CASES)
+        messages = {
+            self.assert_matches_highs(*lp, t_highs).message
+            for lp, t_highs in captured_lps
+        }
+        assert "stalled: a refactorization interval gained nothing" in messages
+
+    def test_stall_rules_end_solves_without_a_pricing_tolerance(
+        self, captured_lps, monkeypatch
+    ):
+        """With no pricing tolerance, rounding keeps pricing columns in, and
+        only the stall rules end the solves, still at HiGHS's optimum."""
+        monkeypatch.setattr(simplex, "PRICE_TOL", 0.0)
+        messages = {
+            self.assert_matches_highs(*lp, t_highs).message
+            for lp, t_highs in captured_lps
+        }
+        assert "stalled: no gain between restarts" in messages
+
+    @pytest.mark.parametrize("rows, n", [(3, 40), (10, 200), (28, 400)])
+    def test_random_lps_match_highs(self, rows, n):
+        """Seeded random LPs of the same form reach HiGHS's optimum."""
+        rng = np.random.default_rng(1000 * rows + n)
+        for _ in range(5):
+            self.assert_matches_highs(*random_control_lp(rng, rows, n))
+
+    def test_duplicated_and_near_collinear_columns_terminate(self, captured_lps):
+        """Exact copies of an LP's optimal columns, and copies made worse by
+        1e-12 relative, leave the optimum unchanged and end well under the
+        pivot cap."""
+        (coeffs, energy, budget), _ = captured_lps[-1]
+        support = np.flatnonzero(linprog(coeffs, energy, budget).x)
+        res = self.assert_matches_highs(
+            np.hstack([coeffs, coeffs[:, support], coeffs[:, support] * (1 - 1e-12)]),
+            np.concatenate([energy, energy[support], energy[support] * (1 + 1e-12)]),
+            budget,
+        )
+        assert res.nit < MAX_PIVOTS // 20
+
+    def test_zero_budget_keeps_the_origin(self):
+        """With no energy only the origin is feasible; it keeps all the
+        weight."""
+        coeffs, energy, _ = random_control_lp(np.random.default_rng(7), 6, 50)
+        res = linprog(coeffs, energy, 0.0)
+        assert res.success
+        assert res.x[0] == 1.0
 
 
 class TestConvexityMargin:
