@@ -162,16 +162,19 @@ class SignalScale:
 
 def normalized_rates(
     points: np.ndarray,
-    m: int,
     constellation: PskConstellation,
     ratios: OperatingRatios,
 ) -> np.ndarray:
-    """Normalized Poisson means |v + exp(i*phi_m)|**2 + r_sn of hypothesis m
-    over an array of displacement ratios, each in the disk |v| <= r_ca."""
+    """Normalized Poisson means |v + exp(i*phi_m)|**2 + r_sn as an (M, n)
+    table: row m is hypothesis m over the n displacement ratios ``points``,
+    each in the disk |v| <= r_ca."""
     pts = np.asarray(points, dtype=complex)
     if np.any(np.abs(pts) > ratios.r_ca + DISK_TOL):
         raise ValueError("a grid point exceeds the control radius")
-    return np.abs(pts + constellation.state_point(m)) ** 2 + ratios.r_sn
+    states = np.array(
+        [constellation.state_point(m) for m in range(constellation.num_states)]
+    )
+    return np.abs(pts + states[:, None]) ** 2 + ratios.r_sn
 
 
 def control_grid(grid_k: int, ratios: OperatingRatios) -> np.ndarray:

@@ -21,12 +21,13 @@ moment at most ``r_ce``.  This module optimizes that objective:
   with the package's own parts.
 
 * ``optimize_general`` handles any PSK constellation by coordinate ascent on
-  a discretized control grid, alternating per-pair tilt maximization (all
-  pairs at once, ``pair_exponents``) with a linear program over the
-  distribution, solved by the package's revised simplex (``linprog``).
-  Every iterate is feasible, so the result is always a certified
-  achievability lower bound, but for more than two hypotheses no global
-  optimality is claimed.
+  a discretized control grid, held as the grid's rate table and a weight
+  vector over the grid: per-pair tilt maximization (all pairs at once, one
+  ``max_chernoff_mixtures`` call) alternates with a linear program over the
+  weights, solved by the package's revised simplex (``linprog``).  Every
+  iterate is feasible, so the result is always a certified achievability
+  lower bound, but for more than two hypotheses no global optimality is
+  claimed.
 
 * ``convexity_margin`` and ``verify_claims`` check the structural facts
   behind the optimizer: convexity of the pairwise divergence in the control
@@ -239,12 +240,7 @@ def pair_exponents(
     validated and each state's rates are computed once for all pairs.
     """
     q.validate_feasible(ratios)
-    table = np.array(
-        [
-            normalized_rates(q.points, m, constellation, ratios)
-            for m in range(constellation.num_states)
-        ]
-    )
+    table = normalized_rates(q.points, constellation, ratios)
     return max_chernoff_mixtures(
         table[[l for l, _ in pairs]], table[[m for _, m in pairs]], q.weights
     )
@@ -345,23 +341,6 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
     return finish(q, {"winner": winner, "point_evaluations": evaluations})
 
 
-def _within_budget(q: ControlDistribution, budget: float) -> ControlDistribution:
-    """Mix ``q`` with the origin atom just enough to meet the energy budget.
-
-    An LP solution can exceed the budget by rounding (by a few 1e-15 on
-    the benchmark's points); weight ``(m - budget) / m`` on the origin
-    brings a second moment ``m`` down to the budget, up to rounding.
-    """
-    m = q.second_moment()
-    if m <= budget:
-        return q
-    w0 = (m - budget) / m
-    return ControlDistribution.from_arrays(
-        np.concatenate([[0.0], q.points]),
-        np.concatenate([[w0], (1.0 - w0) * q.weights]),
-    )
-
-
 def optimize_general(
     constellation: PskConstellation,
     ratios: OperatingRatios,
@@ -369,17 +348,22 @@ def optimize_general(
 ) -> ExponentSolution:
     """Coordinate-ascent lower bound for any PSK constellation.
 
-    Alternates (a) fixing each pair's tilt at its current maximizer, found
-    for all pairs in one ``pair_exponents`` call, with (b) a linear program
-    maximizing the worst pair's fixed-tilt objective over distributions on
-    the control grid under the energy constraint, solved by ``linprog``
-    (looked up on this module at call time, so a wrapper put there sees
-    every LP).  The simplex breaks ties by the lowest grid index, so among
+    Runs on the control grid's (M, grid) rate table and a weight vector x
+    over the grid, starting uniform on the grid points within the energy
+    budget.  Alternates (a) fixing each pair's tilt at its current
+    maximizer, found for all pairs in one ``max_chernoff_mixtures`` call on
+    the table's columns with weight above ``DROP_TOL``, with (b) a linear
+    program maximizing the worst pair's fixed-tilt objective over grid
+    weights under the energy constraint, solved by ``linprog`` (looked up on
+    this module at call time, so a wrapper put there sees every LP).  An LP
+    solution over the budget (by rounding, a few 1e-15 on the benchmark's
+    points) is mixed with the origin, grid point 0, just enough to meet it.
+    The simplex breaks ties by the lowest grid index, so among
     symmetry-equivalent optima ``q_star`` is the one that rule reaches, the
     same on every run and for any number of BLAS threads.
-    Every iterate is feasible (an LP solution over the budget is mixed with
-    the origin, see ``_within_budget``) and the true objective is
-    non-decreasing along the iteration, so the best iterate is a certified
+    Every iterate is feasible and the true objective is non-decreasing along
+    the iteration; the best iterate's weights become ``q_star``, and its
+    ``pair_exponents`` give ``per_pair`` and ``beta``, a certified
     achievability bound.
     Not guaranteed globally optimal for more than two hypotheses.
     ``diagnostics`` holds the iteration count, the convergence flag and, per
@@ -388,25 +372,22 @@ def optimize_general(
     """
     grid = control_grid(grid_k, ratios)
     pairs = constellation.pairs()
-    grid_energy = np.abs(grid) ** 2
-    rate_table = np.array(
-        [
-            normalized_rates(grid, m, constellation, ratios)
-            for m in range(constellation.num_states)
-        ]
-    )
     lefts = [l for l, _ in pairs]
     rights = [m for _, m in pairs]
+    grid_energy = np.abs(grid) ** 2
+    rate_table = normalized_rates(grid, constellation, ratios)
+
+    def tilt_step(x: np.ndarray) -> tuple[list[ChernoffOptimum], float]:
+        support = x > DROP_TOL
+        rates = rate_table[:, support]
+        per_pair = max_chernoff_mixtures(rates[lefts], rates[rights], x[support])
+        return per_pair, min(pv.value for pv in per_pair)
 
     feasible = grid_energy <= ratios.r_ce + DISK_TOL
-    q = ControlDistribution.from_arrays(
-        grid[feasible], np.full(int(np.count_nonzero(feasible)), 1.0)
-    )
-
-    per_pair = pair_exponents(q, pairs, constellation, ratios)
-    best_q, best_per_pair = q, per_pair
-    best_beta = min(pv.value for pv in per_pair)
-    beta_prev = best_beta
+    x = feasible / np.count_nonzero(feasible)
+    per_pair, beta = tilt_step(x)
+    best_x, best_beta = x, beta
+    beta_prev = beta
     converged = False
     iterations = 0
     pivots: list[int] = []
@@ -421,23 +402,27 @@ def optimize_general(
             raise RuntimeError(f"control LP failed: {lp.message}")
         pivots.append(lp.nit)
         refactorizations.append(lp.refactorizations)
-        q = _within_budget(
-            ControlDistribution.from_arrays(grid, lp.x), ratios.r_ce
-        )
-        per_pair = pair_exponents(q, pairs, constellation, ratios)
-        beta = min(pv.value for pv in per_pair)
+        x = lp.x
+        energy = grid_energy @ x
+        if energy > ratios.r_ce:
+            w0 = (energy - ratios.r_ce) / energy
+            x = (1.0 - w0) * x
+            x[0] += w0
+        per_pair, beta = tilt_step(x)
         if beta > best_beta:
-            best_q, best_beta, best_per_pair = q, beta, per_pair
+            best_x, best_beta = x, beta
         if beta - beta_prev < IMPROVEMENT_TOL:
             converged = True
             break
         beta_prev = beta
 
+    q_star = ControlDistribution.from_arrays(grid, best_x)
+    per_pair = pair_exponents(q_star, pairs, constellation, ratios)
     return ExponentSolution(
-        beta=best_beta,
-        q_star=best_q,
+        beta=min(pv.value for pv in per_pair),
+        q_star=q_star,
         per_pair=tuple(
-            (pair, pv.s_star, pv.value) for pair, pv in zip(pairs, best_per_pair)
+            (pair, pv.s_star, pv.value) for pair, pv in zip(pairs, per_pair)
         ),
         method="general-coordinate-ascent",
         certified=True,
@@ -538,7 +523,7 @@ def verify_claims(
 
     Failed checks are reported, never raised.
     """
-    from .divergence import RatePair, max_chernoff, s_star_ratio
+    from .divergence import RatePair, max_chernoff
 
     checks: list[ClaimCheck] = []
     notes: list[str] = []
@@ -563,7 +548,7 @@ def verify_claims(
 
     # (2) optimal tilt range (0, 1/2]; degenerate distributions excluded.
     ratio_grid = np.linspace(1e-6, 1.0 - 1e-6, 2001)
-    tilt_values = np.array([s_star_ratio(x) for x in ratio_grid])
+    tilt_values = s_star_log(np.log(ratio_grid))
     constellation = bpsk()
     pair_tilts = []
     for v in np.linspace(0.05, 1.0, 20):

@@ -199,20 +199,13 @@ def _group_policy(
     rate count_g * rate.  The ML statistic only sees group totals, so this
     aggregation is distribution-exact.
     """
-    num_states = policy.constellation.num_states
     unique_points, inverse = np.unique(
         np.array(policy.displacements, dtype=complex), return_inverse=True
     )
     multiplicity = np.bincount(inverse, minlength=len(unique_points))
     per_slice = policy.scale.alpha_sq / policy.scale.slices
-    group_rates = np.stack(
-        [
-            per_slice
-            * normalized_rates(
-                unique_points, m, policy.constellation, policy.ratios
-            )
-            for m in range(num_states)
-        ]
+    group_rates = per_slice * normalized_rates(
+        unique_points, policy.constellation, policy.ratios
     )
     totals = group_rates @ multiplicity
     return group_rates, multiplicity, totals

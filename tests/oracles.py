@@ -6,7 +6,8 @@ Poisson product, the Poisson log-pmf it sums, the Poisson KL divergence and
 the geometric tilted rate.  None of them is on a path the CLI runs; the
 divergence and acceptance tests check the cancellation-free form and the
 tilt solver in ``pskexp.divergence`` against them.  ``highs_control_lp``
-solves ``pskexp.exponent.linprog``'s LP with scipy's HiGHS, for the tests
+solves ``pskexp.exponent.linprog``'s LP with scipy's HiGHS, and
+``certified_control_lp`` finds its exact optimum in mpmath, for the tests
 of the in-package simplex.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 
+import mpmath as mp
 import numpy as np
 
 from pskexp.divergence import RatePair
@@ -129,10 +131,11 @@ def highs_control_lp(coeffs, energy, budget: float) -> float:
     row, ``energy @ q <= budget`` and ``sum(q) = 1``.
 
     The interior-point solver with crossover, at feasibility tolerances of
-    1e-10, agrees with exact optima to about 1e-14 relative on the control
-    LPs; HiGHS's simplex at its default 1e-7 tolerances was seen 3e-10 off.
-    Where the interior-point solver ends with an unknown status (some 16-PSK
-    LPs), its dual simplex at the same tolerances is used.
+    1e-10, overstates some control LPs' optima by up to ~2e-12 relative
+    (``certified_control_lp`` gives the exact ones); HiGHS's simplex at its
+    default 1e-7 tolerances was seen 3e-10 off.  Where the interior-point
+    solver ends with an unknown status (some 16-PSK LPs), its dual simplex
+    at the same tolerances is used.
     """
     from scipy.optimize import linprog
 
@@ -162,3 +165,177 @@ def highs_control_lp(coeffs, energy, budget: float) -> float:
         if result.status == 0:
             return -result.fun
     raise RuntimeError(f"HiGHS failed: {result.message}")
+
+
+#: A float product ``w @ a[:, j]`` is trusted for its sign only when it is
+#: farther than ``SCREEN * (1 + |w| @ |a[:, j]|)`` from zero (its rounding
+#: error is below ~1e-14 times that sum); nearer, it is re-evaluated in
+#: mpmath.
+SCREEN = 1e-11
+
+#: Working precision of ``certified_control_lp``; values within 1e-25 of
+#: zero count as zero.  Its bases have condition numbers up to ~1e17.
+EXACT_DIGITS = 40
+
+#: Pivots ``certified_control_lp`` may take from its start (at most 48 on
+#: the control LPs of the tests).
+MAX_EXACT_PIVOTS = 500
+
+
+class _ExactBasis:
+    """A basis of ``certified_control_lp``'s equality form, LU-factorized in
+    mpmath.  Slack columns are unit vectors, so only the block of the other
+    basic columns on the rows without a basic slack is factorized."""
+
+    def __init__(self, basis, first_slack, exact):
+        m = len(basis)
+        self.basis, self.exact = basis, exact
+        self.slack = {p: j - first_slack for p, j in enumerate(basis) if j >= first_slack}
+        self.others = [p for p in range(m) if p not in self.slack]
+        self.rows = sorted(set(range(m)) - set(self.slack.values()))
+        lu = [[exact(i, basis[p]) for p in self.others] for i in self.rows]
+        k = len(lu)
+        perm = list(range(k))
+        for c in range(k):
+            p = max(range(c, k), key=lambda i: abs(lu[i][c]))
+            lu[c], lu[p] = lu[p], lu[c]
+            perm[c], perm[p] = perm[p], perm[c]
+            for i in range(c + 1, k):
+                f = lu[i][c] = lu[i][c] / lu[c][c]
+                if f:
+                    for j in range(c + 1, k):
+                        lu[i][j] -= f * lu[c][j]
+        self.lu, self.perm = lu, perm
+
+    def solve(self, rhs: dict) -> dict:
+        """B u = rhs, given by row as a dict; u by basis position."""
+        lu, k = self.lu, len(self.lu)
+        x = [rhs.get(self.rows[p], 0) for p in self.perm]
+        for i in range(k):
+            x[i] -= mp.fdot(lu[i][:i], x[:i])
+        for i in reversed(range(k)):
+            x[i] = (x[i] - mp.fdot(lu[i][i + 1 :], x[i + 1 :])) / lu[i][i]
+        u = dict(zip(self.others, x))
+        for p, i in self.slack.items():
+            u[p] = rhs.get(i, 0) - mp.fdot(
+                [self.exact(i, self.basis[q]) for q in self.others], x
+            )
+        return u
+
+    def solve_t(self, rhs: list) -> dict:
+        """B^T w = rhs, given by basis position; w by row as a dict."""
+        lu, k = self.lu, len(self.lu)
+        w = {i: rhs[p] for p, i in self.slack.items() if rhs[p]}
+        v = [
+            rhs[q] - mp.fsum(self.exact(i, self.basis[q]) * wi for i, wi in w.items())
+            for q in self.others
+        ]
+        for i in range(k):
+            v[i] = (v[i] - mp.fdot([lu[j][i] for j in range(i)], v[:i])) / lu[i][i]
+        for i in reversed(range(k)):
+            v[i] -= mp.fdot([lu[j][i] for j in range(i + 1, k)], v[i + 1 :])
+        w.update((self.rows[p], v[i]) for i, p in enumerate(self.perm) if v[i])
+        return w
+
+
+def certified_control_lp(coeffs, energy, budget: float, basis) -> float:
+    """Exact optimum of ``highs_control_lp``'s LP on its float data, with a
+    basis that is primal and dual feasible in ``EXACT_DIGITS``-digit
+    arithmetic.
+
+    The LP is put in ``pskexp.simplex.linprog``'s equality form (grid
+    weights, then t, then a slack per pair row and the energy row), and
+    ``basis`` (indices into it, normally the basis a solve ended on) is the
+    start.  Each step re-solves the basis in mpmath: a basic variable below
+    zero leaves by a dual simplex pivot, else the lowest-index column with a
+    positive reduced cost enters by a primal one (Bland's rule), until there
+    is neither; the t of that basis is the optimum, to far below float
+    precision.  A start the float solve left a little infeasible (basic
+    weights near -1e-12) or not dual feasible (a stalled solve) only costs
+    pivots; one that needs more than ``MAX_EXACT_PIVOTS`` raises.  Signs are
+    read from a float pass and re-evaluated exactly where it is within its
+    rounding margin (``SCREEN``) of zero.
+    """
+    rows, n = coeffs.shape
+    m = rows + 2
+    a = np.zeros((m, n + 2 + rows))
+    a[:rows, :n] = -coeffs
+    a[:rows, n] = 1.0
+    a[rows, :n] = energy
+    a[-1, :n] = 1.0
+    a[:-1, n + 1 :] = np.eye(rows + 1)
+    cost = np.zeros(a.shape[1])
+    cost[n] = 1.0
+    basis = [int(j) for j in basis]
+    cache: dict = {}
+
+    def exact(i, j):
+        if (i, j) not in cache:
+            cache[i, j] = mp.mpf(float(a[i, j]))
+        return cache[i, j]
+
+    def dot(w, j):
+        return mp.fsum(wi * exact(i, j) for i, wi in w.items())
+
+    magnitudes = np.abs(a)
+
+    def screened(w):
+        """Float ``w @ a`` and the margin within which its signs are not
+        trusted."""
+        f = np.zeros(m)
+        f[list(w)] = [float(v) for v in w.values()]
+        return f @ a, SCREEN * (1.0 + np.abs(f) @ magnitudes)
+
+    with mp.workdps(EXACT_DIGITS):
+        tol = mp.mpf(10) ** (15 - EXACT_DIGITS)
+        b = {rows: mp.mpf(float(budget)), rows + 1: mp.mpf(1)}
+        for _ in range(MAX_EXACT_PIVOTS + 1):
+            factor = _ExactBasis(basis, n + 1, exact)
+            z = factor.solve(b)
+            y = factor.solve_t([mp.mpf(cost[j]) for j in basis])
+            nonbasic = np.ones(a.shape[1], bool)
+            nonbasic[basis] = False
+            priced, margin = screened(y)
+            reduced = cost - priced
+            negative = [p for p in range(m) if z[p] < -tol]
+            if negative:
+                p = min(negative, key=lambda p: basis[p])
+                w = factor.solve_t([mp.mpf(q == p) for q in range(m)])
+                alpha, alpha_margin = screened(w)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(alpha < -alpha_margin, reduced / alpha, np.inf)
+                # The float ratios only shortlist; the exact ones choose.
+                near = nonbasic & (
+                    (ratio <= ratio[nonbasic].min() + SCREEN)
+                    | (np.abs(alpha) <= alpha_margin)
+                )
+                best = None
+                for j in np.flatnonzero(near):
+                    alpha_j = dot(w, j)
+                    if alpha_j < -tol:
+                        r = (cost[j] - dot(y, j)) / alpha_j
+                        if best is None or r < best[0]:
+                            best = (r, int(j))
+                if best is None:
+                    raise RuntimeError("infeasible LP")
+                basis[p] = best[1]
+                continue
+            entering = next(
+                (
+                    int(j)
+                    for j in np.flatnonzero(nonbasic & (reduced > -margin))
+                    if reduced[j] > margin[j] or cost[j] - dot(y, j) > tol
+                ),
+                None,
+            )
+            if entering is None:
+                return float(z[basis.index(n)]) if n in basis else 0.0
+            u = factor.solve(
+                {i: exact(i, entering) for i in np.flatnonzero(a[:, entering]).tolist()}
+            )
+            leaving = [p for p in range(m) if u[p] > tol]
+            if not leaving:
+                raise RuntimeError("unbounded LP")
+            p = min(leaving, key=lambda p: (z[p] / u[p], basis[p]))
+            basis[p] = entering
+    raise RuntimeError(f"no certified basis within {MAX_EXACT_PIVOTS} pivots")

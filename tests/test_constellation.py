@@ -25,7 +25,7 @@ RATIOS = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
 
 def normalized_rate(v, m, constellation, ratios):
     """Normalized rate at one displacement, through ``normalized_rates``."""
-    return float(normalized_rates([v], m, constellation, ratios)[0])
+    return float(normalized_rates([v], constellation, ratios)[m, 0])
 
 
 class TestOperatingRatios:
@@ -168,7 +168,7 @@ class TestNormalizedRate:
         ratios = OperatingRatios(r_sn=10.0**log_r, r_ca=1.0, r_ce=1.0)
         for con, nulling in ((bpsk(), [1, -1]), (uniform_psk(4), [-1, -1j, 1, 1j])):
             for m, v in enumerate(nulling):
-                rate = normalized_rates(np.array([v]), m, con, ratios)[0]
+                rate = normalized_rates(np.array([v]), con, ratios)[m, 0]
                 assert rate == ratios.r_sn
 
     def test_rejects_outside_disk(self):
@@ -177,18 +177,20 @@ class TestNormalizedRate:
             normalized_rate(1.0 + 1e-6, 0, bpsk(), RATIOS)
 
     def test_vectorized_matches_scalar(self):
-        """normalized_rates agrees with the scalar formula pointwise."""
+        """normalized_rates agrees with the scalar formula pointwise, one row
+        per hypothesis."""
         con = uniform_psk(4)
         pts = np.array([0.0, 0.5j, -0.3 + 0.2j, 0.9])
-        for m in range(4):
-            got = normalized_rates(pts, m, con, RATIOS)
+        table = normalized_rates(pts, con, RATIOS)
+        assert table.shape == (4, len(pts))
+        for m, got in enumerate(table):
             want = [
                 abs(complex(v) + cmath.exp(1j * con.phases[m])) ** 2 + RATIOS.r_sn
                 for v in pts
             ]
             np.testing.assert_allclose(got, want, rtol=1e-14)
         with pytest.raises(ValueError, match="control radius"):
-            normalized_rates(np.array([1.5]), 0, con, RATIOS)
+            normalized_rates(np.array([1.5]), con, RATIOS)
 
     @given(
         rho=st.floats(min_value=0.0, max_value=1.0),

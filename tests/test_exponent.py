@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import chernoff_s, highs_control_lp
+from oracles import certified_control_lp, chernoff_s, highs_control_lp
 from pskexp import exponent, simplex
 from pskexp.constellation import (
     OperatingRatios,
     bpsk,
+    control_grid,
     normalized_rates,
     uniform_psk,
 )
@@ -72,6 +73,14 @@ PINNED_BINARY = json.loads(
     (Path(__file__).with_name("pinned_binary_betas.json")).read_text()
 )
 
+#: The one control LP of the ``LP_CASES`` solves that ended on the
+#: refactorization-interval stall rule when it was recorded: the second LP
+#: of (16, 0.001, 0.5, grid_k 40), by its 120 pair tilts (it rebuilds bit
+#: for bit through ``control_lp``).
+PINNED_STALL_LP = json.loads(
+    (Path(__file__).with_name("pinned_stall_lp_tilts.json")).read_text()
+)
+
 
 def bpsk_rates(v: float, r: float) -> RatePair:
     """Normalized BPSK rate pair at real displacement v and dark ratio r."""
@@ -109,8 +118,8 @@ def reference_pair_exponent(q, pair, constellation, ratios):
     """
     q.validate_feasible(ratios)
     l, m = pair
-    rates_l = normalized_rates(q.points, l, constellation, ratios)
-    rates_m = normalized_rates(q.points, m, constellation, ratios)
+    table = normalized_rates(q.points, constellation, ratios)
+    rates_l, rates_m = table[l], table[m]
     scale = np.maximum(rates_l, rates_m)
     if np.all(np.abs(rates_l - rates_m) <= EQUAL_RATE_RTOL * scale):
         return ChernoffOptimum(s_star=0.5, value=0.0)
@@ -714,8 +723,9 @@ class TestOptimizeGeneral:
 #: Operating points (M, r_sn, r_ce, grid_k) whose control LPs the simplex is
 #: checked on: the three pinned cases; two-column cycling (8, 0.05, 0.95),
 #: restarts that gained nothing (8, 0.01, 0.95), a basic weight left at
-#: -9e-11 (8, 0.005, 0.9) and a Bland interval that gains nothing
-#: (16, 0.001, 0.5), all at grid_k = 40.
+#: -9e-11 (8, 0.005, 0.9) and a Bland interval that gained nothing
+#: (16, 0.001, 0.5; that LP is also pinned by its tilts, ``PINNED_STALL_LP``),
+#: all at grid_k = 40.
 LP_CASES = [(c["m"], c["r_sn"], c["r_ce"], c["grid_k"]) for c in PINNED_GENERAL] + [
     (8, 0.05, 0.95, 40),
     (8, 0.01, 0.95, 40),
@@ -724,15 +734,48 @@ LP_CASES = [(c["m"], c["r_sn"], c["r_ce"], c["grid_k"]) for c in PINNED_GENERAL]
 ]
 
 
+def control_lp(m, r_sn, r_ce, grid_k, tilts):
+    """``optimize_general``'s control LP at the given pair tilts:
+    ``(coeffs, energy, budget)``."""
+    ratios = OperatingRatios(r_sn, 1.0, r_ce)
+    con = uniform_psk(m)
+    grid = control_grid(grid_k, ratios)
+    table = normalized_rates(grid, con, ratios)
+    pairs = con.pairs()
+    coeffs = chernoff_values(
+        table[[l for l, _ in pairs]],
+        table[[k for _, k in pairs]],
+        np.asarray(tilts)[:, None],
+    )
+    return coeffs, np.abs(grid) ** 2, r_ce
+
+
+def solve_with_basis(coeffs, energy, budget):
+    """``linprog``'s result and the basis it ended on: a solve that succeeds
+    ends on the basis of its last refactorization."""
+    bases = []
+    inverse = simplex._basis_inverse
+
+    def record(a, basis, first_slack):
+        bases.append(basis.copy())
+        return inverse(a, basis, first_slack)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_basis_inverse", record)
+        res = linprog(coeffs, energy, budget)
+    return res, bases[-1]
+
+
 @pytest.fixture(scope="module")
 def captured_lps():
     """Every control LP ``optimize_general`` solves on ``LP_CASES``, as
-    ``((coeffs, energy, budget), HiGHS's optimum)``."""
+    ``((coeffs, energy, budget), certified optimum, HiGHS's optimum)``."""
     lps = []
 
     def capture(coeffs, energy, budget):
-        lps.append((coeffs, energy, budget))
-        return linprog(coeffs, energy, budget)
+        res, basis = solve_with_basis(coeffs, energy, budget)
+        lps.append(((coeffs, energy, budget), basis))
+        return res
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exponent, "linprog", capture)
@@ -740,7 +783,10 @@ def captured_lps():
             optimize_general(
                 uniform_psk(m), OperatingRatios(r_sn, 1.0, r_ce), grid_k=grid_k
             )
-    return [(lp, highs_control_lp(*lp)) for lp in lps]
+    return [
+        (lp, certified_control_lp(*lp, basis), highs_control_lp(*lp))
+        for lp, basis in lps
+    ]
 
 
 def random_control_lp(rng, rows, n):
@@ -754,56 +800,87 @@ def random_control_lp(rng, rows, n):
 
 
 class TestControlLP:
-    """Validate the in-package simplex against HiGHS."""
+    """Validate the in-package simplex against exact optima and HiGHS."""
 
-    def assert_matches_highs(self, coeffs, energy, budget, t_highs=None):
+    def assert_reaches_optimum(self, coeffs, energy, budget, t_ref=None):
+        """The solve reaches ``t_ref`` (HiGHS's optimum if not given) to
+        1e-12 relative, with weights feasible to 1e-12."""
         res = linprog(coeffs, energy, budget)
         assert res.success, res.message
-        if t_highs is None:
-            t_highs = highs_control_lp(coeffs, energy, budget)
+        if t_ref is None:
+            t_ref = highs_control_lp(coeffs, energy, budget)
         t = np.min(coeffs @ res.x)
-        assert t == pytest.approx(t_highs, rel=1e-12, abs=1e-300)
+        assert t == pytest.approx(t_ref, rel=1e-12, abs=1e-300)
         assert np.all(res.x >= 0.0)
         assert abs(res.x.sum() - 1.0) <= 1e-12
         assert energy @ res.x <= budget + 1e-12
         return res
 
     def test_captured_lps_match_highs(self, captured_lps):
-        """Every LP of the pinned and frozen cases reaches HiGHS's optimum
-        with weights that are feasible to 1e-12."""
+        """Every LP of the pinned and frozen cases reaches its certified
+        optimum with weights that are feasible to 1e-12; HiGHS's optimum,
+        an independent check on the certificate, agrees to 1e-9."""
         assert len(captured_lps) >= 3 * len(LP_CASES)
-        messages = {
-            self.assert_matches_highs(*lp, t_highs).message
-            for lp, t_highs in captured_lps
-        }
-        assert "stalled: a refactorization interval gained nothing" in messages
+        for lp, t_exact, t_highs in captured_lps:
+            self.assert_reaches_optimum(*lp, t_exact)
+            assert t_highs == pytest.approx(t_exact, rel=1e-9)
 
     def test_stall_rules_end_solves_without_a_pricing_tolerance(
         self, captured_lps, monkeypatch
     ):
         """With no pricing tolerance, rounding keeps pricing columns in, and
-        only the stall rules end the solves, still at HiGHS's optimum."""
+        only the stall rules end the solves, still at the certified optimum."""
         monkeypatch.setattr(simplex, "PRICE_TOL", 0.0)
         messages = {
-            self.assert_matches_highs(*lp, t_highs).message
-            for lp, t_highs in captured_lps
+            self.assert_reaches_optimum(*lp, t_exact).message
+            for lp, t_exact, _ in captured_lps
         }
         assert "stalled: no gain between restarts" in messages
+
+    def test_pinned_lp_ends_on_the_interval_stall_rule(self):
+        """The recorded LP whose Bland pivots gain nothing over a whole
+        refactorization interval still ends on that rule, at its certified
+        optimum."""
+        case = PINNED_STALL_LP
+        lp = control_lp(
+            case["m"], case["r_sn"], case["r_ce"], case["grid_k"], case["tilts"]
+        )
+        res, basis = solve_with_basis(*lp)
+        assert res.message == "stalled: a refactorization interval gained nothing"
+        self.assert_reaches_optimum(*lp, certified_control_lp(*lp, basis))
+
+    def test_weights_reach_the_optimum_of_an_ill_conditioned_basis(self):
+        """On a final basis of condition ~2e8, weights taken from the basis
+        inverse alone fell 5.2e-10 short of the optimum (4-PSK, r_sn 0.01,
+        r_ce 0.9, grid_k 20, at these tilts); refined, they reach it."""
+        tilts = [
+            0.4194110757985967,
+            0.500001708380284,
+            0.41941107580010234,
+            0.5805898787532716,
+            0.5000000000043271,
+            0.41941012124823424,
+        ]
+        lp = control_lp(4, 0.01, 0.9, 20, tilts)
+        res, basis = solve_with_basis(*lp)
+        t_exact = certified_control_lp(*lp, basis)
+        assert t_exact == pytest.approx(0.49326912376424168, rel=1e-15)
+        self.assert_reaches_optimum(*lp, t_exact)
 
     @pytest.mark.parametrize("rows, n", [(3, 40), (10, 200), (28, 400)])
     def test_random_lps_match_highs(self, rows, n):
         """Seeded random LPs of the same form reach HiGHS's optimum."""
         rng = np.random.default_rng(1000 * rows + n)
         for _ in range(5):
-            self.assert_matches_highs(*random_control_lp(rng, rows, n))
+            self.assert_reaches_optimum(*random_control_lp(rng, rows, n))
 
     def test_duplicated_and_near_collinear_columns_terminate(self, captured_lps):
         """Exact copies of an LP's optimal columns, and copies made worse by
         1e-12 relative, leave the optimum unchanged and end well under the
         pivot cap."""
-        (coeffs, energy, budget), _ = captured_lps[-1]
+        (coeffs, energy, budget), _, _ = captured_lps[-1]
         support = np.flatnonzero(linprog(coeffs, energy, budget).x)
-        res = self.assert_matches_highs(
+        res = self.assert_reaches_optimum(
             np.hstack([coeffs, coeffs[:, support], coeffs[:, support] * (1 - 1e-12)]),
             np.concatenate([energy, energy[support], energy[support] * (1 + 1e-12)]),
             budget,

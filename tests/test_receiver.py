@@ -68,8 +68,8 @@ def slice_rates(policy: OpenLoopPolicy, m: int) -> np.ndarray:
     per_slice = policy.scale.alpha_sq / policy.scale.slices
     points = np.array(policy.displacements, dtype=complex)
     return per_slice * normalized_rates(
-        points, m, policy.constellation, policy.ratios
-    )
+        points, policy.constellation, policy.ratios
+    )[m]
 
 
 def ml_decisions(policy: OpenLoopPolicy, counts) -> list[int]:
@@ -168,9 +168,7 @@ class TestOpenLoopPolicy:
         a group's total is its multiplicity times that."""
         pol = uniform_policy(0.5, slices=4, r_ce=0.25)
         group_rates, multiplicity, totals = _group_policy(pol)
-        want = (2.0 / 4) * np.array(
-            [normalized_rates([0.5], m, BPSK, pol.ratios) for m in range(2)]
-        )
+        want = (2.0 / 4) * normalized_rates([0.5], BPSK, pol.ratios)
         np.testing.assert_allclose(group_rates, want, rtol=1e-14)
         assert multiplicity.tolist() == [4]
         np.testing.assert_allclose(totals, 4 * want[:, 0], rtol=1e-14)
