@@ -10,10 +10,14 @@ divergence
 
 which is the closed form of ``-log sum_y p0(y)**s * p1(y)**(1-s)`` for
 Poisson laws.  This module evaluates it without cancellation between the
-rates (``chernoff_values``) and maximizes mixtures of it over ``s`` with one
-safeguarded Newton solver (``max_chernoff_mixtures``; ``max_chernoff`` is its
+rates (``chernoff_values``; ``pair_chernoff_values`` over the pairs of a
+rate table) and maximizes mixtures of it over ``s`` with one safeguarded
+Newton solver (``max_chernoff_mixtures``; ``max_chernoff`` is its
 single-rate-pair case); ``s_star_ratio`` and ``s_star_log`` give a single
-pair's maximizer in closed form.  ``golden_section_max`` is a scalar search,
+pair's maximizer in closed form.  The two pair kernels take a table of
+rates and the indices of each pair's two rows, and walk the pairs in row
+blocks of at most ``BLOCK_ELEMENTS`` elements, so their working set does not
+grow with the number of pairs.  ``golden_section_max`` is a scalar search,
 used by the binary optimizer's polish.  The textbook closed form
 and the independent series, KL and tilted-rate oracles the tests check this
 module against live in ``tests/oracles.py``.
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +63,12 @@ TINY = np.finfo(float).tiny
 #: this much, or after this many steps.
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 100
+
+#: Elements of a (pairs, n) rate array the pair kernels hold at once: longer
+#: tables are walked in blocks of ``BLOCK_ELEMENTS // n`` pair rows (at
+#: least one).  Every row is computed on its own, so the block size changes
+#: no result, only the size of the temporaries.
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -122,14 +132,17 @@ def chernoff_values(
     eps absolute, gave the wrong sign.  Values are never negative.
     ``s`` is a tilt or an array of tilts broadcasting against the
     rates, such as a ``(rows, 1)`` column giving each row of ``(rows, n)``
-    rate arrays its own tilt.  Zero rates are admitted with the continuous
-    convention ``C_s(0, lambda1) = (1-s)*lambda1`` for s in (0, 1], and
-    ``C_0(0, lambda1) = C_s(0, 0) = 0``.
+    rate arrays its own tilt.  It may instead be a function of the oriented
+    log-ratio ``x`` that gives the tilt ``t`` of ``C_t(small, big)``
+    directly: ``chernoff_values(lambda0, lambda1, s_star_log)`` is each
+    pair's maximum over the tilt, with the rates oriented once.  Zero rates
+    are admitted with the continuous convention ``C_s(0, lambda1) =
+    (1-s)*lambda1`` for s in (0, 1], and ``C_0(0, lambda1) = C_s(0, 0) = 0``.
     """
     l0 = np.asarray(lambda0, dtype=float)
     l1 = np.asarray(lambda1, dtype=float)
     small, big, x, flip = _oriented(l0, l1)
-    t = np.where(flip, 1.0 - s, s)
+    t = s(x) if callable(s) else np.where(flip, 1.0 - s, s)
     with np.errstate(invalid="ignore"):
         values = t * (small - big) - big * np.expm1(t * x)
     undefined = np.isnan(values)
@@ -137,6 +150,37 @@ def chernoff_values(
         # 0*log(0) is taken as 0: a zero rate at t = 0, or two zero rates.
         values = np.where(undefined & (np.minimum(l0, l1) == 0.0), 0.0, values)
     return np.maximum(values, 0.0)
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices covering ``rows`` rows of ``width`` elements, each
+    of at most ``BLOCK_ELEMENTS`` elements (at least one row)."""
+    step = max(1, BLOCK_ELEMENTS // max(width, 1))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def pair_chernoff_values(
+    table: np.ndarray, lefts: Sequence[int], rights: Sequence[int], tilts: np.ndarray
+) -> np.ndarray:
+    """``C_s`` of every pair of rows of a ``(states, n)`` rate table, such as
+    ``normalized_rates`` gives: row p of the ``(pairs, n)`` result is
+    ``chernoff_values(table[lefts[p]], table[rights[p]], tilts[p])``.
+
+    Bit for bit equal to ``chernoff_values(table[lefts], table[rights],
+    tilts[:, None])``, but computed in row blocks of at most
+    ``BLOCK_ELEMENTS`` elements, so the result is the only array as large as
+    the pair set.
+    """
+    table = np.asarray(table, dtype=float)
+    lefts = np.asarray(lefts, dtype=int)
+    rights = np.asarray(rights, dtype=int)
+    tilts = np.asarray(tilts, dtype=float)
+    values = np.empty((len(lefts), table.shape[1]))
+    for rows in _row_blocks(len(lefts), table.shape[1]):
+        values[rows] = chernoff_values(
+            table[lefts[rows]], table[rights[rows]], tilts[rows, None]
+        )
+    return values
 
 
 def _expm1_minus_x(x: np.ndarray) -> np.ndarray:
@@ -150,31 +194,51 @@ def _expm1_minus_x(x: np.ndarray) -> np.ndarray:
 
 
 def max_chernoff_mixtures(
-    lambda0: np.ndarray, lambda1: np.ndarray, weights: np.ndarray
+    table: np.ndarray,
+    lefts: Sequence[int],
+    rights: Sequence[int],
+    weights: np.ndarray,
 ) -> list[ChernoffOptimum]:
-    """Maximize ``F_p(s) = sum_a weights[a] * C_s(lambda0[p, a], lambda1[p, a])``
-    over s in [0, 1] for every row ``p`` of the ``(rows, atoms)`` rate arrays.
+    """Maximize ``F_p(s) = sum_a weights[a] * C_s(table[lefts[p], a],
+    table[rights[p], a])`` over s in [0, 1] for every pair p of rows of a
+    ``(states, atoms)`` rate table, such as ``normalized_rates`` gives.
 
     ``F_p`` is a weighted sum of functions strictly concave in ``s`` (unless
-    every atom of the row has equal rates), so its maximizer is the root of
+    every atom of the pair has equal rates), so its maximizer is the root of
     ``F_p'(s) = sum_a w*lambda1*(expm1(x) - x*exp(s*x))``, ``x =
-    log(lambda0/lambda1)``, at which ``F_p'' = -sum_a w*lambda1*x**2*exp(s*x)
-    < 0``; both are taken on the oriented rates of ``_oriented``, and
-    ``expm1(x) - x`` by ``_expm1_minus_x``, so ``F_p'`` keeps its relative
-    accuracy as the rates merge.  ``F_p'(0) > 0 > F_p'(1)``, and
-    ``F_p'(1/2) <= 0`` when every atom has ``lambda0 <= lambda1`` (``>= 0``
-    when every atom has ``lambda0 >= lambda1``), so each row starts at 1/2
-    with that bracket; a Newton step that leaves the bracket, which every
-    step shrinks on the sign of ``F_p'``, is replaced by bisection.  Each row
-    stops on its own step (``NEWTON_TOL``), so its result does not depend on
-    the other rows.  A row whose rates agree atom by atom to within
-    ``EQUAL_RATE_RTOL`` has ``F_p = 0`` and returns (1/2, 0) by convention.
-    Rates must be positive.  Values are ``weights``-dot-products of
-    ``chernoff_values`` rows at the tilts, clamped at 0.
+    log(lambda0/lambda1)`` with ``lambda0``, ``lambda1`` the pair's two rows,
+    at which ``F_p'' = -sum_a w*lambda1*x**2*exp(s*x) < 0``; both are taken
+    on the oriented rates of ``_oriented``, and ``expm1(x) - x`` by
+    ``_expm1_minus_x``, so ``F_p'`` keeps its relative accuracy as the rates
+    merge.  ``F_p'(0) > 0 > F_p'(1)``, and ``F_p'(1/2) <= 0`` when every atom
+    has ``lambda0 <= lambda1`` (``>= 0`` when every atom has ``lambda0 >=
+    lambda1``), so each pair starts at 1/2 with that bracket; a Newton step
+    that leaves the bracket, which every step shrinks on the sign of
+    ``F_p'``, is replaced by bisection.  Each pair stops on its own step
+    (``NEWTON_TOL``), so its result does not depend on the other pairs: the
+    pairs are solved in row blocks of at most ``BLOCK_ELEMENTS`` elements,
+    and inputs that fit one block are solved in one pass.  A pair whose
+    rates agree atom by atom to within ``EQUAL_RATE_RTOL`` has ``F_p = 0``
+    and returns (1/2, 0) by convention.  Rates must be positive.  Values are
+    ``weights``-dot-products of ``chernoff_values`` rows at the tilts,
+    clamped at 0.
     """
-    l0 = np.asarray(lambda0, dtype=float)
-    l1 = np.asarray(lambda1, dtype=float)
+    table = np.asarray(table, dtype=float)
+    lefts = np.asarray(lefts, dtype=int)
+    rights = np.asarray(rights, dtype=int)
     w = np.asarray(weights, dtype=float)
+    return [
+        optimum
+        for rows in _row_blocks(len(lefts), table.shape[1])
+        for optimum in _max_mixture_rows(table[lefts[rows]], table[rights[rows]], w)
+    ]
+
+
+def _max_mixture_rows(
+    l0: np.ndarray, l1: np.ndarray, w: np.ndarray
+) -> list[ChernoffOptimum]:
+    """``max_chernoff_mixtures`` on ``(rows, atoms)`` arrays of the pairs'
+    left and right rates, all rows at once."""
     _, big, x, flip = _oriented(l0, l1)
     live = ~np.all(np.abs(l0 - l1) <= EQUAL_RATE_RTOL * big, axis=1)
     # Per row: F' = fixed - sum(slope * expm1(t*x)), F'' = -sum(curve * exp(t*x)).
@@ -213,7 +277,9 @@ def max_chernoff(pair: RatePair) -> ChernoffOptimum:
     """Maximize the Chernoff divergence of one rate pair over the tilt ``s``:
     the point-mass case of ``max_chernoff_mixtures``.  For equal rates the
     divergence is identically zero and ``s_star = 1/2`` by convention."""
-    (optimum,) = max_chernoff_mixtures([[pair.lambda0]], [[pair.lambda1]], [1.0])
+    (optimum,) = max_chernoff_mixtures(
+        [[pair.lambda0], [pair.lambda1]], [0], [1], [1.0]
+    )
     return optimum
 
 

@@ -56,10 +56,10 @@ from .constellation import (
 )
 from .divergence import (
     ChernoffOptimum,
-    _oriented,
     chernoff_values,
     golden_section_max,
     max_chernoff_mixtures,
+    pair_chernoff_values,
     s_star_log,
 )
 from .simplex import linprog
@@ -234,15 +234,16 @@ def pair_exponents(
     """Maximize s -> E_Q[C_s(Lambda_l(V), Lambda_m(V))] over s in [0, 1]
     for every hypothesis pair (l, m) in ``pairs``.
 
-    One ``max_chernoff_mixtures`` call on the ``(pairs, atoms)`` rate arrays
-    solves all pairs; each pair's result is the one it gets alone, and a
-    pair whose rates agree at every atom returns (1/2, 0).  ``q`` is
-    validated and each state's rates are computed once for all pairs.
+    One ``max_chernoff_mixtures`` call on the ``(states, atoms)`` rate table
+    of ``q``'s atoms solves all pairs; each pair's result is the one it gets
+    alone, and a pair whose rates agree at every atom returns (1/2, 0).
+    ``q`` is validated and each state's rates are computed once for all
+    pairs.
     """
     q.validate_feasible(ratios)
     table = normalized_rates(q.points, constellation, ratios)
     return max_chernoff_mixtures(
-        table[[l for l, _ in pairs]], table[[m for _, m in pairs]], q.weights
+        table, [l for l, _ in pairs], [m for _, m in pairs], q.weights
     )
 
 
@@ -309,10 +310,10 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
         return finish(ControlDistribution.point_mass(0.0), {"budget": "zero"})
 
     def objective(v):
-        """f(v), for a float or an array; v >= 0 orders the rates."""
+        """f(v), for a float or an array: each rate pair's value at its
+        closed-form tilt."""
         rates0, rates1 = (v - 1.0) ** 2 + r, (v + 1.0) ** 2 + r
-        tilt = s_star_log(_oriented(rates0, rates1)[2])
-        return ce / np.maximum(v * v, ce) * chernoff_values(rates0, rates1, tilt)
+        return ce / np.maximum(v * v, ce) * chernoff_values(rates0, rates1, s_star_log)
 
     evaluations = 0
 
@@ -355,7 +356,10 @@ def optimize_general(
     the table's columns with weight above ``DROP_TOL``, with (b) a linear
     program maximizing the worst pair's fixed-tilt objective over grid
     weights under the energy constraint, solved by ``linprog`` (looked up on
-    this module at call time, so a wrapper put there sees every LP).  An LP
+    this module at call time, so a wrapper put there sees every LP).  Both
+    take the table and the pairs' row indices, and walk the pairs in
+    bounded row blocks, so no (pairs, grid) array is built but the LP's
+    coefficients.  An LP
     solution over the budget (by rounding, a few 1e-15 on the benchmark's
     points) is mixed with the origin, grid point 0, just enough to meet it.
     The simplex breaks ties by the lowest grid index, so among
@@ -379,8 +383,9 @@ def optimize_general(
 
     def tilt_step(x: np.ndarray) -> tuple[list[ChernoffOptimum], float]:
         support = x > DROP_TOL
-        rates = rate_table[:, support]
-        per_pair = max_chernoff_mixtures(rates[lefts], rates[rights], x[support])
+        per_pair = max_chernoff_mixtures(
+            rate_table[:, support], lefts, rights, x[support]
+        )
         return per_pair, min(pv.value for pv in per_pair)
 
     feasible = grid_energy <= ratios.r_ce + DISK_TOL
@@ -395,8 +400,8 @@ def optimize_general(
 
     for iterations in range(1, MAX_ITERATIONS + 1):
         # LP over (Q, t): maximize t with E_Q[C_{s_pair}] >= t per pair.
-        tilts = np.array([[pv.s_star] for pv in per_pair])
-        coeffs = chernoff_values(rate_table[lefts], rate_table[rights], tilts)
+        tilts = np.array([pv.s_star for pv in per_pair])
+        coeffs = pair_chernoff_values(rate_table, lefts, rights, tilts)
         lp = linprog(coeffs, grid_energy, ratios.r_ce)
         if not lp.success:
             raise RuntimeError(f"control LP failed: {lp.message}")

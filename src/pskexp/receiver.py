@@ -19,7 +19,9 @@ Simulation splits each hypothesis's trials into blocks of MC_BLOCK_TRIALS
 trials and draws block b from its own Philox counter-based stream keyed by
 (seed, hypothesis, b) (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11).  The block is the unit of work, so results are bit-for-bit
-reproducible no matter how blocks are scheduled.
+reproducible no matter how blocks are scheduled.  A block is drawn and scored
+in sub-blocks of rows, taken in order from its stream, which keeps the
+working set small without changing a single count.
 
 The exact oracle enumerates a truncated box of group totals and reports the
 neglected tail mass; its cost grows with the number of distinct
@@ -42,6 +44,7 @@ from .constellation import (
     SignalScale,
     normalized_rates,
 )
+from .divergence import BLOCK_ELEMENTS
 from .exponent import ControlDistribution
 
 #: Mean-energy slack allowed on a realized policy (matches the peak slack).
@@ -181,7 +184,8 @@ def _block_generator(seed: int, m: int, block: int) -> np.random.Generator:
     """Counter-based stream for one (hypothesis, block) cell.
 
     Rows of a block are drawn in C order, so a short final block is a
-    prefix of the full block the same key gives.
+    prefix of the full block the same key gives, and drawing a block in
+    consecutive sub-blocks of rows gives the rows one draw would.
     """
     key = np.array(
         [seed & 0xFFFFFFFFFFFFFFFF, ((m + 1) << 48) | block], dtype=np.uint64
@@ -238,10 +242,13 @@ def monte_carlo(
     t // MC_BLOCK_TRIALS, whose counts come from the counter-based stream
     keyed by (seed, m, block) alone.  The report is therefore a function of
     (policy, trials, seed) only, reproducible bit-for-bit across reruns and
-    independent of the order in which blocks run.  Each block's integer
-    slab is scored one group column at a time, so no float copy of the slab
-    is made.  stderr is the binomial standard error of the uniform-prior
-    average.
+    independent of the order in which blocks run.  Each block is drawn and
+    scored in consecutive sub-blocks of rows from its stream, about
+    ``BLOCK_ELEMENTS`` counts and scores at a time; the stream gives the
+    same rows in any split, so the sub-block size changes no count.  Each
+    sub-block's integer slab is scored one group column at a time, so no
+    float copy of the slab is made.  stderr is the binomial standard error
+    of the uniform-prior average.
     """
     if trials_per_hypothesis < 1:
         raise ValueError("at least one trial per hypothesis required")
@@ -249,6 +256,7 @@ def monte_carlo(
     num_states = policy.constellation.num_states
     log_rates = np.log(group_rates)  # (M, G)
     num_groups = log_rates.shape[1]
+    sub_rows = max(1, BLOCK_ELEMENTS // (num_groups + num_states))
     error_counts = []
     for m in range(num_states):
         trial_rates = group_rates[m] * multiplicity
@@ -257,12 +265,14 @@ def monte_carlo(
             range(0, trials_per_hypothesis, MC_BLOCK_TRIALS)
         ):
             rows = min(MC_BLOCK_TRIALS, trials_per_hypothesis - start)
-            slab = _block_generator(seed, m, block).poisson(
-                trial_rates, size=(rows, num_groups)
-            )
-            columns = [slab[:, g : g + 1] for g in range(num_groups)]
-            decisions = _ml_decisions(columns, log_rates, totals)
-            errors += int(np.count_nonzero(decisions != m))
+            stream = _block_generator(seed, m, block)
+            for done in range(0, rows, sub_rows):
+                slab = stream.poisson(
+                    trial_rates, size=(min(sub_rows, rows - done), num_groups)
+                )
+                columns = [slab[:, g : g + 1] for g in range(num_groups)]
+                decisions = _ml_decisions(columns, log_rates, totals)
+                errors += int(np.count_nonzero(decisions != m))
         error_counts.append(errors)
     rates_hat = np.array(error_counts) / trials_per_hypothesis
     p_e = float(np.mean(rates_hat))

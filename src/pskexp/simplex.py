@@ -67,14 +67,18 @@ def _basis_inverse(a: np.ndarray, basis: np.ndarray, first_slack: int) -> np.nda
     Ordering the basic slacks' rows S first and the other basic columns K
     last makes the basis block triangular, [[I, P], [0, Q]] with Q the rows
     R without a basic slack; its inverse is [[I, -P Q^-1], [0, Q^-1]], so
-    only Q, usually far smaller than the basis, is inverted.
+    only Q, usually far smaller than the basis, is inverted.  R is found
+    with a boolean mask, in increasing order; ``np.setdiff1d`` would give
+    the same rows but imports ``numpy.ma`` on its first call.
     """
     m = len(basis)
     is_slack = basis >= first_slack
     slacks = np.flatnonzero(is_slack)
     others = np.flatnonzero(~is_slack)
     rows_s = basis[slacks] - first_slack
-    rows_r = np.setdiff1d(np.arange(m), rows_s)
+    free = np.ones(m, dtype=bool)
+    free[rows_s] = False
+    rows_r = np.flatnonzero(free)
     q_inverse = _gauss_jordan_inverse(a[np.ix_(rows_r, basis[others])])
     p = a[np.ix_(rows_s, basis[others])]
     inverse = np.zeros((m, m))

@@ -8,12 +8,14 @@ divergence and acceptance tests check the cancellation-free form and the
 tilt solver in ``pskexp.divergence`` against them.  ``highs_control_lp``
 solves ``pskexp.exponent.linprog``'s LP with scipy's HiGHS, and
 ``certified_control_lp`` finds its exact optimum in mpmath, for the tests
-of the in-package simplex.
+of the in-package simplex.  ``peak_traced_bytes`` measures a call's peak
+allocation, for the tests that bound a kernel's working set.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import mpmath as mp
@@ -339,3 +341,19 @@ def certified_control_lp(coeffs, energy, budget: float, basis) -> float:
             p = min(leaving, key=lambda p: (z[p] / u[p], basis[p]))
             basis[p] = entering
     raise RuntimeError(f"no certified basis within {MAX_EXACT_PIVOTS} pivots")
+
+
+def peak_traced_bytes(call) -> int:
+    """Peak bytes allocated through Python and numpy while ``call()`` runs,
+    above what was allocated when it started (``tracemalloc``)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

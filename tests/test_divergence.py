@@ -16,6 +16,7 @@ from oracles import (
     poisson_log_pmf,
     tilted_rate,
 )
+from pskexp import divergence
 from pskexp.divergence import (
     EQUAL_RATE_RTOL,
     ChernoffOptimum,
@@ -24,6 +25,7 @@ from pskexp.divergence import (
     golden_section_max,
     max_chernoff,
     max_chernoff_mixtures,
+    pair_chernoff_values,
     s_star_log,
     s_star_ratio,
 )
@@ -233,6 +235,16 @@ class TestChernoffValues:
         mirrored = chernoff_values(l1, l0, 1.0 - s)
         assert chernoff_values(l0, l1, s) == pytest.approx(mirrored, rel=1e-12, abs=1e-15)
 
+    def test_closed_form_tilt_function_gives_each_maximum(self):
+        """With ``s_star_log`` as the tilt, each value is the pair's maximum
+        over the tilt, the same in either order of the rates."""
+        l0 = np.array([0.01, 4.01, 3.0, 2.0, 1e-300])
+        l1 = np.array([4.01, 0.01, 3.0000001, 2.0, 1.0])
+        got = chernoff_values(l0, l1, s_star_log)
+        assert got.tobytes() == chernoff_values(l1, l0, s_star_log).tobytes()
+        for value, a, b in zip(got, l0, l1):
+            assert value == pytest.approx(max_chernoff(RatePair(a, b)).value, rel=1e-12)
+
 
 class TestChernoffSeries:
     """Validate the independent series oracle."""
@@ -359,13 +371,71 @@ def bpsk_rows(draw):
     return ((1.0 - v) ** 2 + r)[None], ((1.0 + v) ** 2 + r)[None], np.array(weights)
 
 
+def solve_rows(l0, l1, weights):
+    """``max_chernoff_mixtures`` on (rows, atoms) arrays of left and right
+    rates: row p of ``l0`` is paired with row p of ``l1`` in one table."""
+    rows = len(l0)
+    table = np.concatenate([np.asarray(l0, dtype=float), np.asarray(l1, dtype=float)])
+    return max_chernoff_mixtures(table, range(rows), range(rows, 2 * rows), weights)
+
+
+def blocked_table():
+    """``(table, lefts, rights)``: a (10, 1500) rate table and its 90 ordered
+    pairs, so both orientations of every pair, several row blocks apart.
+    Rows 0 and 1 are equal; row 2 (1e-6 everywhere) lies so far below row 3
+    (1 everywhere) that the first Newton step of their pair leaves the
+    bracket; the other rows are random, with atoms of either orientation."""
+    rng = np.random.default_rng(1310)
+    table = rng.lognormal(0.0, 2.0, size=(10, 1500))
+    table[1] = table[0]
+    table[2], table[3] = 1e-6, 1.0
+    pairs = [(i, j) for i in range(10) for j in range(10) if i != j]
+    return table, [i for i, _ in pairs], [j for _, j in pairs]
+
+
+class TestPairKernelBlocks:
+    """The pair kernels walk a rate table in row blocks, bit for bit equal
+    to one pass over all pairs."""
+
+    def test_pairs_span_several_blocks_and_one_bisects(self):
+        """The table needs several blocks, and pair (2, 3)'s first Newton
+        step from 1/2 falls outside its bracket [0, 1/2]."""
+        table, lefts, _ = blocked_table()
+        assert len(divergence._row_blocks(len(lefts), table.shape[1])) > 2
+        l0, l1 = 1e-6, 1.0
+        x = math.log(l0 / l1)
+        d1 = l0 - l1 - math.sqrt(l0 * l1) * x
+        d2 = -math.sqrt(l0 * l1) * x * x
+        assert not 0.0 < 0.5 - d1 / d2 < 0.5
+
+    @pytest.mark.parametrize("budget", [1, divergence.BLOCK_ELEMENTS, 1 << 40])
+    def test_chernoff_table_equals_one_pass(self, monkeypatch, budget):
+        table, lefts, rights = blocked_table()
+        tilts = np.linspace(0.0, 1.0, len(lefts))
+        want = chernoff_values(table[lefts], table[rights], tilts[:, None])
+        monkeypatch.setattr(divergence, "BLOCK_ELEMENTS", budget)
+        got = pair_chernoff_values(table, lefts, rights, tilts)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("budget", [1, divergence.BLOCK_ELEMENTS])
+    def test_mixture_tilts_equal_one_pass(self, monkeypatch, budget):
+        table, lefts, rights = blocked_table()
+        weights = np.random.default_rng(7).uniform(0.1, 1.0, table.shape[1])
+        monkeypatch.setattr(divergence, "BLOCK_ELEMENTS", 1 << 40)
+        want = max_chernoff_mixtures(table, lefts, rights, weights)
+        monkeypatch.setattr(divergence, "BLOCK_ELEMENTS", budget)
+        got = max_chernoff_mixtures(table, lefts, rights, weights)
+        assert got == want
+        assert got[0] == got[9] == ChernoffOptimum(s_star=0.5, value=0.0)
+
+
 class TestMaxChernoffMixtures:
     """Validate the Newton tilt solver over rows of mixtures."""
 
     @given(problem=bpsk_rows())
     def test_left_half_when_lambda0_is_below_lambda1(self, problem):
         """s* lies in (0, 1/2] whenever every atom has lambda0 <= lambda1."""
-        ((s_star, value),) = max_chernoff_mixtures(*problem)
+        ((s_star, value),) = solve_rows(*problem)
         assert 0.0 < s_star <= 0.5
         assert value >= 0.0
 
@@ -374,8 +444,8 @@ class TestMaxChernoffMixtures:
         """s*(l1, l0) = 1 - s*(l0, l1), and the values agree up to the
         rounding of C_s at the scale of the rates."""
         l0, l1, weights = problem
-        forward = max_chernoff_mixtures(l0, l1, weights)
-        backward = max_chernoff_mixtures(l1, l0, weights)
+        forward = solve_rows(l0, l1, weights)
+        backward = solve_rows(l1, l0, weights)
         scales = np.maximum(l0, l1) @ weights
         for (s, value), (s_swapped, value_swapped), scale in zip(
             forward, backward, scales
@@ -388,10 +458,10 @@ class TestMaxChernoffMixtures:
         """Each row's result is bit for bit the one it gets alone."""
         l0, l1, weights = problem
         alone = [
-            max_chernoff_mixtures(l0[i : i + 1], l1[i : i + 1], weights)[0]
+            solve_rows(l0[i : i + 1], l1[i : i + 1], weights)[0]
             for i in range(len(l0))
         ]
-        assert max_chernoff_mixtures(l0, l1, weights) == alone
+        assert solve_rows(l0, l1, weights) == alone
 
     @given(ratio=st.floats(min_value=1e-300, max_value=1.0 - 1e-9))
     def test_point_mass_matches_the_ratio_form(self, ratio):
@@ -405,7 +475,7 @@ class TestMaxChernoffMixtures:
         live row."""
         l0 = np.array([[1.0, 2.0], [1.0, 2.0]])
         l1 = np.array([[1.0, 2.0], [1.5, 2.0]])
-        flat, live = max_chernoff_mixtures(l0, l1, [0.5, 0.5])
+        flat, live = solve_rows(l0, l1, [0.5, 0.5])
         assert flat == ChernoffOptimum(s_star=0.5, value=0.0)
         assert live.value > 0.0
 

@@ -7,10 +7,10 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import certified_control_lp, chernoff_s, highs_control_lp
+from oracles import certified_control_lp, chernoff_s, highs_control_lp, peak_traced_bytes
 from pskexp import exponent, simplex
 from pskexp.constellation import (
     OperatingRatios,
@@ -361,6 +361,9 @@ class TestPairExponent:
 class TestPairExponents:
     """The batched solve over all pairs equals the one-pair solves."""
 
+    # The golden-search reference alone can exceed hypothesis's default
+    # 200 ms deadline on a loaded machine.
+    @settings(deadline=None)
     @given(
         q=mixtures(),
         m=st.sampled_from([2, 3, 4, 8]),
@@ -561,11 +564,11 @@ class TestOptimizeBinary:
             w_hi = (ce - lo**2) / (hi**2 - lo**2)
             atoms = np.stack([lo, hi], axis=1)
             weights = np.stack([1.0 - w_hi, w_hi], axis=1)
-            mixtures = max_chernoff_mixtures(
-                weights * ((atoms - 1.0) ** 2 + r),
-                weights * ((atoms + 1.0) ** 2 + r),
-                np.ones(2),
+            table = np.concatenate(
+                [weights * ((atoms - 1.0) ** 2 + r), weights * ((atoms + 1.0) ** 2 + r)]
             )
+            n = len(atoms)
+            mixtures = max_chernoff_mixtures(table, range(n), range(n, 2 * n), np.ones(2))
             best = max(m.value for m in mixtures)
             assert sol.beta >= best - 1e-12, (r, ca, ce, sol.beta - best)
 
@@ -670,6 +673,17 @@ class TestOptimizeGeneral:
         assert sol.beta >= baseline - 1e-9
         sol.q_star.validate_feasible(ratios)
         assert exponent_of(sol.q_star, con, ratios) == pytest.approx(sol.beta, abs=1e-9)
+
+    def test_sixteen_psk_working_set(self):
+        """The 16-PSK solve at K = 40, 120 pairs by 1601 grid points, peaks
+        below 8 MiB of allocations (21 MiB with (pairs, grid) temporaries):
+        its pair kernels walk the rate table in row blocks, so the LP's
+        coefficients are the only array that spans every pair."""
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
+        peak = peak_traced_bytes(
+            lambda: optimize_general(uniform_psk(16), ratios, grid_k=40)
+        )
+        assert peak <= 8 * 2**20
 
     def test_zero_budget_quaternary(self):
         """r_ce = 0 pins the policy at the origin with zero exponent."""

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import peak_traced_bytes
+from pskexp import receiver
 from pskexp.constellation import (
     OperatingRatios,
     SignalScale,
@@ -16,11 +18,12 @@ from pskexp.constellation import (
     normalized_rates,
     uniform_psk,
 )
-from pskexp.exponent import ControlDistribution, exponent_of
+from pskexp.exponent import ControlDistribution, exponent_of, optimize_general
 from pskexp.receiver import (
     MC_BLOCK_TRIALS,
     MonteCarloReport,
     OpenLoopPolicy,
+    _block_generator,
     _group_policy,
     _ml_decisions,
     exact_error_small,
@@ -52,6 +55,14 @@ def quaternary_tie_policy() -> OpenLoopPolicy:
         constellation=uniform_psk(4),
         ratios=OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.25),
     )
+
+
+def realized_quaternary_policy() -> OpenLoopPolicy:
+    """The 50-slice 4-PSK policy ``simulate --psk 4`` realizes at r_sn =
+    0.01, r_ce = 0.9: six displacement groups."""
+    con = uniform_psk(4)
+    q = optimize_general(con, RATIOS_09, grid_k=20).q_star
+    return realize_policy(q, SignalScale(alpha_sq=2.0, slices=50, grid_k=20), con, RATIOS_09)
 
 
 def single_slice_policy(v: complex, alpha_sq: float = 2.0) -> OpenLoopPolicy:
@@ -321,6 +332,42 @@ class TestMonteCarlo:
             b = monte_carlo(pol, trials_per_hypothesis=trials + 1, seed=9)
             steps = np.subtract(b.error_counts, a.error_counts)
             assert np.all((steps == 0) | (steps == 1))
+
+    @pytest.mark.parametrize("groups", [1, 3, 7])
+    @pytest.mark.parametrize("seed, m, block", [(0, 0, 0), (13001, 3, 1), (2**63, 15, 7)])
+    def test_sub_block_draws_equal_one_block_draw(self, seed, m, block, groups):
+        """Drawing a block in consecutive sub-blocks of rows from its stream
+        gives the rows one draw of the whole block gives."""
+        rates = np.linspace(0.05, 6.0, groups)
+        whole = _block_generator(seed, m, block).poisson(
+            rates, size=(MC_BLOCK_TRIALS, groups)
+        )
+        stream = _block_generator(seed, m, block)
+        parts = [
+            stream.poisson(rates, size=(min(3000, MC_BLOCK_TRIALS - done), groups))
+            for done in range(0, MC_BLOCK_TRIALS, 3000)
+        ]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_sub_block_size_changes_no_count(self, monkeypatch):
+        """Across a block edge, the report is the same for sub-blocks of a
+        few hundred rows, the default size and whole blocks."""
+        pol = realized_quaternary_policy()
+        trials = MC_BLOCK_TRIALS + 3000
+        reports = []
+        for budget in (5000, receiver.BLOCK_ELEMENTS, 1 << 40):
+            monkeypatch.setattr(receiver, "BLOCK_ELEMENTS", budget)
+            reports.append(monte_carlo(pol, trials_per_hypothesis=trials, seed=13))
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_quaternary_working_set(self):
+        """20000 trials of a realized 4-PSK policy peak below 1 MiB of
+        allocations (2.4 MiB when whole blocks are drawn at once).  A first
+        small run takes numpy.random's one-time set-up out of the count."""
+        pol = realized_quaternary_policy()
+        monte_carlo(pol, trials_per_hypothesis=100, seed=1)
+        peak = peak_traced_bytes(lambda: monte_carlo(pol, 20_000, seed=5))
+        assert peak <= 2**20
 
     def test_agrees_with_exact_oracle(self):
         """Monte Carlo matches exhaustive enumeration within 3 stderr."""
