@@ -26,7 +26,6 @@ from .divergence import (
     golden_section_max,
     max_chernoff,
     max_chernoff_mixtures,
-    s_star_ratio,
 )
 from .exponent import (
     ClaimCheck,
@@ -84,7 +83,6 @@ __all__ = [
     "pair_exponent",
     "pair_exponents",
     "realize_policy",
-    "s_star_ratio",
     "theorem_bound",
     "uniform_psk",
     "verify_claims",

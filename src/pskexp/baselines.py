@@ -10,8 +10,8 @@ Two dark-count-free baselines are adopted in their standard closed forms
   at unit variance in the measured quadrature convention used here.
 
 ``theorem_bound`` converts an exponent into an error-probability bound
-prefactor * exp(-n_s * beta), with the union-bound prefactor M-1 in general
-and the exact likelihood-ratio prefactor 1/2 available for binary.
+prefactor * exp(-n_s * beta), with the exact likelihood-ratio prefactor 1/2
+for binary and the union-bound prefactor M-1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,15 +33,12 @@ def homodyne_binary(n_s: float) -> float:
     return 0.5 * math.erfc(math.sqrt(2.0 * n_s))
 
 
-def theorem_bound(
-    beta: float, n_s: float, num_states: int, binary_prefactor: bool = False
-) -> float:
+def theorem_bound(beta: float, n_s: float, num_states: int) -> float:
     """Error bound prefactor * exp(-n_s * beta), capped at 1.
 
-    The generic prefactor is num_states - 1 (union bound over wrong
-    hypotheses).  For binary discrimination the exact likelihood-ratio
-    argument gives prefactor 1/2; requesting it for num_states != 2 is an
-    error rather than a silent fallback.
+    For two hypotheses the exact likelihood-ratio argument gives prefactor
+    1/2; for more, the prefactor is num_states - 1 (union bound over wrong
+    hypotheses).
     """
     if beta < 0.0:
         raise ValueError(f"beta must be nonnegative, got {beta!r}")
@@ -49,7 +46,5 @@ def theorem_bound(
         raise ValueError(f"n_s must be finite and nonnegative, got {n_s!r}")
     if num_states < 2:
         raise ValueError(f"need at least two hypotheses, got {num_states!r}")
-    if binary_prefactor and num_states != 2:
-        raise ValueError("the 1/2 prefactor is only valid for two hypotheses")
-    prefactor = 0.5 if binary_prefactor else float(num_states - 1)
+    prefactor = 0.5 if num_states == 2 else float(num_states - 1)
     return min(1.0, prefactor * math.exp(-n_s * beta))

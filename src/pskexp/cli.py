@@ -7,13 +7,15 @@ sweep-photon  CSV of error-probability curves versus mean photon number
 sweep-energy  CSV of exponent and bound versus the energy budget
 simulate      Monte Carlo validation of the exponent bound for one policy
 verify        structural checks (convexity margin, tilt range, optimizer
-              vs time-sharing) with a machine-readable report
+              vs time-sharing) at fixed reference points
 
-Exit codes: 0 success, 1 malformed arguments, 2 infeasible constraints,
-3 verification failure.  Outputs are deterministic for a fixed seed; files
-are written atomically (temp file + rename).  CSV is UTF-8 with LF line
-endings and full-precision scientific notation; JSON documents carry a
-schema_version field and sorted keys.
+``exponent`` and ``simulate`` write JSON and the sweeps write CSV; ``verify``
+writes a text report, or JSON with ``--format json``.  Exit codes: 0
+success, 1 malformed arguments or an unwritable ``--out``, 2 infeasible
+constraints, 3 verification failure.  Outputs are deterministic for a fixed
+seed; files are written atomically (temp file + rename).  CSV is UTF-8 with
+LF line endings and full-precision scientific notation; JSON documents
+carry a schema_version field and sorted keys.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import exponent
 from .baselines import helstrom_binary, homodyne_binary, theorem_bound
 from .constellation import (
     InfeasibleRatiosError,
@@ -128,11 +132,15 @@ def _add_alpha_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+    return value
+
+
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None, help="output file path")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default=None, help="output format"
-    )
 
 
 def build_parser() -> _Parser:
@@ -145,20 +153,20 @@ def build_parser() -> _Parser:
     _add_ratio_flags(p_exp)
     _add_constellation_flags(p_exp)
     _add_grid_flag(p_exp)
-    _add_output_flags(p_exp)
+    _add_out_flag(p_exp)
 
     p_photon = sub.add_parser(
         "sweep-photon", help="error curves vs mean photon number (binary)"
     )
     _add_ratio_flags(p_photon)
-    _add_output_flags(p_photon)
+    _add_out_flag(p_photon)
 
     p_energy = sub.add_parser(
         "sweep-energy", help="exponent and bound vs energy budget (binary)"
     )
     _add_ratio_flags(p_energy)
     _add_alpha_flag(p_energy)
-    _add_output_flags(p_energy)
+    _add_out_flag(p_energy)
 
     p_sim = sub.add_parser(
         "simulate", help="Monte Carlo validation of the exponent bound"
@@ -176,34 +184,24 @@ def build_parser() -> _Parser:
         default=100_000,
         help="Monte Carlo trials per hypothesis (default 100000)",
     )
-    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_sim.add_argument(
+        "--seed", type=_seed, default=0, help="RNG seed in [0, 2**64) (default 0)"
+    )
     p_sim.add_argument(
         "--force-zero",
         action="store_true",
         help="simulate the all-zero-displacement policy instead of the optimizer",
     )
-    _add_output_flags(p_sim)
+    _add_out_flag(p_sim)
 
     p_ver = sub.add_parser("verify", help="run the structural checks")
+    _add_out_flag(p_ver)
     p_ver.add_argument(
-        "--expected-counterexample",
-        type=float,
-        default=1.9822,
-        help="expected optimizer value at the finite-dark reference point",
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="report format (default text)",
     )
-    p_ver.add_argument(
-        "--expected-time-sharing",
-        type=float,
-        default=1.9314,
-        help="expected time-sharing value at the reference point",
-    )
-    p_ver.add_argument(
-        "--min-margin",
-        type=float,
-        default=0.04,
-        help="required optimizer-over-time-sharing margin",
-    )
-    _add_output_flags(p_ver)
 
     return parser
 
@@ -306,7 +304,7 @@ def cmd_sweep_photon(args: argparse.Namespace) -> int:
             f"{x:.17e}"
             for x in (
                 a,
-                theorem_bound(beta, a, 2, binary_prefactor=True),
+                theorem_bound(beta, a, 2),
                 helstrom_binary(a),
                 homodyne_binary(a),
             )
@@ -328,9 +326,7 @@ def cmd_sweep_energy(args: argparse.Namespace) -> int:
     for r_ce in grid:
         point = OperatingRatios(r_sn=ratios.r_sn, r_ca=ratios.r_ca, r_ce=r_ce)
         solution = optimize_binary(point)
-        bound = theorem_bound(
-            solution.beta, args.alpha_sq, 2, binary_prefactor=True
-        )
+        bound = theorem_bound(solution.beta, args.alpha_sq, 2)
         rows.append(
             f"{r_ce:.17e},{solution.beta:.17e},{bound:.17e},"
             + _q_summary(solution.q_star)
@@ -355,12 +351,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     realized_type = policy.type_distribution()
     beta_realized = exponent_of(realized_type, constellation, ratios)
     report = monte_carlo(policy, args.trials, args.seed)
-    bound = theorem_bound(
-        beta_realized,
-        args.alpha_sq,
-        constellation.num_states,
-        binary_prefactor=constellation.num_states == 2,
-    )
+    bound = theorem_bound(beta_realized, args.alpha_sq, constellation.num_states)
     slack = 1.0 + 5.0 * (
         report.stderr / report.p_e if report.p_e > 0.0 else 0.0
     )
@@ -393,24 +384,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    ratios_high = OperatingRatios(r_sn=1e-6, r_ca=1.0, r_ce=0.9)
-    ratios_low = OperatingRatios(r_sn=1e-2, r_ca=1.0, r_ce=0.9)
-    report = verify_claims(
-        ratios_high,
-        ratios_low,
-        expected_counterexample=args.expected_counterexample,
-        expected_time_sharing=args.expected_time_sharing,
-        min_margin=args.min_margin,
-    )
+    report = verify_claims()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "parameters": {
-            "expected_counterexample": args.expected_counterexample,
-            "expected_time_sharing": args.expected_time_sharing,
-            "min_margin": args.min_margin,
-            "ratios_high": {"r_sn": 1e-6, "r_ca": 1.0, "r_ce": 0.9},
-            "ratios_low": {"r_sn": 1e-2, "r_ca": 1.0, "r_ce": 0.9},
+            "expected_counterexample": exponent.EXPECTED_COUNTEREXAMPLE,
+            "expected_time_sharing": exponent.EXPECTED_TIME_SHARING,
+            "min_margin": exponent.MIN_MARGIN,
+            "ratios_high": asdict(exponent.VERIFY_RATIOS_HIGH),
+            "ratios_low": asdict(exponent.VERIFY_RATIOS_LOW),
         },
         **report.to_dict(),
     }
@@ -441,30 +424,21 @@ _COMMANDS = {
     "verify": cmd_verify,
 }
 
-#: The one output format of each command that does not offer a choice.
-_FIXED_FORMAT = {
-    "exponent": "json",
-    "sweep-photon": "csv",
-    "sweep-energy": "csv",
-    "simulate": "json",
-}
-
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        fixed = _FIXED_FORMAT.get(args.command)
-        if fixed and (args.format or fixed) != fixed:
-            raise ValueError(f"{args.command} emits {fixed.upper()} only")
-        if not fixed and args.format == "csv":
-            raise ValueError(f"{args.command} emits JSON or text")
         return _COMMANDS[args.command](args)
     except InfeasibleRatiosError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except OSError as exc:
+        target = args.out or "stdout"
+        sys.stderr.write(f"error: cannot write {target}: {exc.strerror}\n")
         return EXIT_USAGE
 
 

@@ -75,10 +75,6 @@ class OperatingRatios:
             raise ValueError(f"snr must be positive, got {snr!r}")
         return cls(r_sn=1.0 / snr, r_ca=r_ca, r_ce=r_ce)
 
-    def rate_upper_bound(self) -> float:
-        """Uniform bound (r_ca + 1)**2 + r_sn on every normalized rate."""
-        return (self.r_ca + 1.0) ** 2 + self.r_sn
-
 
 @dataclass(frozen=True)
 class PskConstellation:

@@ -13,11 +13,11 @@ Poisson laws.  This module evaluates it without cancellation between the
 rates (``chernoff_values``; ``pair_chernoff_values`` over the pairs of a
 rate table) and maximizes mixtures of it over ``s`` with one safeguarded
 Newton solver (``max_chernoff_mixtures``; ``max_chernoff`` is its
-single-rate-pair case); ``s_star_ratio`` and ``s_star_log`` give a single
-pair's maximizer in closed form.  The two pair kernels take a table of
-rates and the indices of each pair's two rows, and walk the pairs in row
-blocks of at most ``BLOCK_ELEMENTS`` elements, so their working set does not
-grow with the number of pairs.  ``golden_section_max`` is a scalar search,
+single-rate-pair case); ``s_star_log`` gives a single pair's maximizer in
+closed form.  The two pair kernels take a table of rates and the indices of
+each pair's two rows, and walk the pairs in row blocks of at most
+``BLOCK_ELEMENTS`` elements, so their working set does not grow with the
+number of pairs.  ``golden_section_max`` is a scalar search,
 used by the binary optimizer's polish.  The textbook closed form
 and the independent series, KL and tilted-rate oracles the tests check this
 module against live in ``tests/oracles.py``.
@@ -309,23 +309,15 @@ def golden_section_max(
     return x, f(x)
 
 
-def s_star_ratio(ratio: float) -> float:
-    """Maximizing tilt as a function of the rate ratio ``R = lambda0/lambda1``.
-
-    Closed form ``S(R) = log((R - 1)/log R) / log R`` for ``R`` in (0, 1),
-    strictly increasing with range (0, 1/2).  Near ``R = 1`` the direct
-    expression loses precision, so the expansion
-    ``S(R) = 1/2 + x/24 - x**3/2880 + O(x**5)`` in ``x = log R`` is used.
-    """
-    if not 0.0 < ratio < 1.0 or not math.isfinite(ratio):
-        raise ValueError(f"ratio must lie strictly inside (0, 1), got {ratio!r}")
-    return s_star_log(math.log(ratio))
-
-
 def s_star_log(x: float | np.ndarray) -> float | np.ndarray:
-    """``s_star_ratio`` as a function of ``x = log R <= 0``, a float or an
-    array: ``log(expm1(x)/x) / x``, with the same expansion near 0 (x = 0,
-    equal rates, gives 1/2).  It takes ``x`` as ``_oriented`` gives it, as
+    """Maximizing tilt as a function of ``x = log R <= 0``, with
+    ``R = lambda0/lambda1``; ``x`` is a float or an array.
+
+    Closed form ``S(R) = log((R - 1)/log R) / log R``, here
+    ``log(expm1(x)/x) / x``, strictly increasing in R on (0, 1) with range
+    (0, 1/2).  Near ``x = 0`` the direct expression loses precision, so the
+    expansion ``1/2 + x/24 - x**3/2880 + O(x**5)`` is used (x = 0, equal
+    rates, gives 1/2).  It takes ``x`` as ``_oriented`` gives it, as
     ``log(small) - log(big)`` where ``R`` itself would leave the normal
     range."""
     x = np.asarray(x, dtype=float)

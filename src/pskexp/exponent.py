@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +77,18 @@ V_GRID_STEP = 1e-3
 #: Coordinate-ascent cap and stopping gain of ``optimize_general``.
 MAX_ITERATIONS = 50
 IMPROVEMENT_TOL = 1e-9
+
+#: Reference points of ``verify_claims``: vanishing dark counts, where
+#: time-sharing is optimal, and finite dark counts, where an interior point
+#: mass beats it.
+VERIFY_RATIOS_HIGH = OperatingRatios(r_sn=1e-6, r_ca=1.0, r_ce=0.9)
+VERIFY_RATIOS_LOW = OperatingRatios(r_sn=1e-2, r_ca=1.0, r_ce=0.9)
+
+#: Optimizer and time-sharing values expected at ``VERIFY_RATIOS_LOW`` (each
+#: to 2e-3), and the least margin by which the optimizer must win there.
+EXPECTED_COUNTEREXAMPLE = 1.9822
+EXPECTED_TIME_SHARING = 1.9314
+MIN_MARGIN = 0.04
 
 
 def minimize(*args, **kwargs):  # unused here; bench/tracing.py spans this binding
@@ -509,27 +521,24 @@ class ClaimReport:
         }
 
 
-def verify_claims(
-    ratios_high: OperatingRatios,
-    ratios_low: OperatingRatios,
-    expected_counterexample: float = 1.9822,
-    expected_time_sharing: float = 1.9314,
-    min_margin: float = 0.04,
-) -> ClaimReport:
+def verify_claims() -> ClaimReport:
     """Run the structural checks behind the optimizer design.
 
     (1) the zero-dark convexity margin is positive on an (s, v) grid;
     (2) the optimal tilt always lies in (0, 1/2] — via the ratio closed form
         and via pair maximization for non-degenerate distributions;
-    (3) at ``ratios_low`` the optimizer strictly beats time-sharing by at
-        least ``min_margin`` and lands near ``expected_counterexample``;
-    (4) at ``ratios_high`` (vanishing dark counts) the optimizer returns
-        time-sharing for every budget on a 0.1-step grid.
+    (3) at ``VERIFY_RATIOS_LOW`` the optimizer strictly beats time-sharing
+        by at least ``MIN_MARGIN`` and lands near
+        ``EXPECTED_COUNTEREXAMPLE``;
+    (4) at ``VERIFY_RATIOS_HIGH`` (vanishing dark counts) the optimizer
+        returns time-sharing for every budget on a 0.1-step grid.
 
-    Failed checks are reported, never raised.
+    The reference points and thresholds are the module constants, read at
+    call time.  Failed checks are reported, never raised.
     """
     from .divergence import RatePair, max_chernoff
 
+    ratios_low = VERIFY_RATIOS_LOW
     checks: list[ClaimCheck] = []
     notes: list[str] = []
 
@@ -596,16 +605,16 @@ def verify_claims(
         ClaimCheck(
             name="interior-mass-beats-time-sharing",
             passed=(
-                solution.beta >= expected_counterexample - 2e-3
-                and abs(ts_value - expected_time_sharing) <= 2e-3
-                and margin >= min_margin
+                solution.beta >= EXPECTED_COUNTEREXAMPLE - 2e-3
+                and abs(ts_value - EXPECTED_TIME_SHARING) <= 2e-3
+                and margin >= MIN_MARGIN
             ),
             details={
                 "beta": solution.beta,
                 "time_sharing_value": ts_value,
                 "margin": margin,
-                "expected_counterexample": expected_counterexample,
-                "expected_time_sharing": expected_time_sharing,
+                "expected_counterexample": EXPECTED_COUNTEREXAMPLE,
+                "expected_time_sharing": EXPECTED_TIME_SHARING,
                 "q_star": [
                     {"re": p.real, "im": p.imag, "weight": w}
                     for p, w in solution.q_star.atoms
@@ -617,9 +626,7 @@ def verify_claims(
     # (4) vanishing dark counts: time-sharing is returned across budgets.
     worst_tv = 0.0
     for r_ce in np.arange(0.1, 1.001, 0.1):
-        budget_ratios = OperatingRatios(
-            r_sn=ratios_high.r_sn, r_ca=ratios_high.r_ca, r_ce=float(r_ce)
-        )
+        budget_ratios = replace(VERIFY_RATIOS_HIGH, r_ce=float(r_ce))
         sol = optimize_binary(budget_ratios)
         tv = sol.q_star.total_variation(
             ControlDistribution.time_sharing(float(r_ce))

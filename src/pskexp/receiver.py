@@ -187,9 +187,7 @@ def _block_generator(seed: int, m: int, block: int) -> np.random.Generator:
     prefix of the full block the same key gives, and drawing a block in
     consecutive sub-blocks of rows gives the rows one draw would.
     """
-    key = np.array(
-        [seed & 0xFFFFFFFFFFFFFFFF, ((m + 1) << 48) | block], dtype=np.uint64
-    )
+    key = np.array([seed, ((m + 1) << 48) | block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -240,8 +238,9 @@ def monte_carlo(
 
     Trial t of hypothesis m is row t mod MC_BLOCK_TRIALS of block
     t // MC_BLOCK_TRIALS, whose counts come from the counter-based stream
-    keyed by (seed, m, block) alone.  The report is therefore a function of
-    (policy, trials, seed) only, reproducible bit-for-bit across reruns and
+    keyed by (seed, m, block) alone; the seed is one 64-bit word of that
+    key, so it must lie in [0, 2**64).  The report is therefore a function
+    of (policy, trials, seed) only, reproducible bit-for-bit across reruns and
     independent of the order in which blocks run.  Each block is drawn and
     scored in consecutive sub-blocks of rows from its stream, about
     ``BLOCK_ELEMENTS`` counts and scores at a time; the stream gives the
@@ -252,6 +251,8 @@ def monte_carlo(
     """
     if trials_per_hypothesis < 1:
         raise ValueError("at least one trial per hypothesis required")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed!r}")
     group_rates, multiplicity, totals = _group_policy(policy)
     num_states = policy.constellation.num_states
     log_rates = np.log(group_rates)  # (M, G)

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 from oracles import chernoff_s, chernoff_s_series, kl_poisson, tilted_rate
 from pskexp.baselines import homodyne_binary, theorem_bound
 from pskexp.constellation import OperatingRatios, SignalScale, bpsk
-from pskexp.divergence import RatePair, chernoff_values, max_chernoff, s_star_ratio
+from pskexp.divergence import RatePair, chernoff_values, max_chernoff, s_star_log
 from pskexp.exponent import (
     ControlDistribution,
     convexity_margin,
@@ -86,7 +86,7 @@ class TestAcceptance:
             lo, hi = np.sort(10.0 ** rng.uniform(-3.0, 1.0, size=2))
             if hi - lo <= 1e-12 * hi:
                 continue
-            closed = s_star_ratio(lo / hi)
+            closed = s_star_log(math.log(lo / hi))
             searched = max_chernoff(RatePair(lo, hi)).s_star
             worst = max(worst, abs(closed - searched))
         ok = abs(opt.s_star - 0.31) <= 0.005 and worst <= 1e-6
@@ -105,7 +105,7 @@ class TestAcceptance:
             sharing = ControlDistribution.time_sharing(r_ce)
             worst_tv = max(worst_tv, solution.q_star.total_variation(sharing))
             log_bounds.append(
-                math.log(theorem_bound(solution.beta, 2.0, 2, True))
+                math.log(theorem_bound(solution.beta, 2.0, 2))
             )
         fit = np.polyval(np.polyfit(budgets, log_bounds, 1), budgets)
         residual = float(np.max(np.abs(fit - log_bounds) / np.abs(log_bounds)))
@@ -154,7 +154,7 @@ class TestAcceptance:
             hi = 10.0 ** rng.uniform(-1.0, 1.0)
             lo = hi * 10.0 ** rng.uniform(-2.0, -0.3)
             pair = RatePair(lo, hi)
-            s = s_star_ratio(lo / hi)
+            s = s_star_log(math.log(lo / hi))
             mid = tilted_rate(pair, s)
             d0, d1 = kl_poisson(mid, lo), kl_poisson(mid, hi)
             best = max_chernoff(pair).value
@@ -171,7 +171,7 @@ class TestAcceptance:
             for k in range(1, 50)
         )
         ratios_axis = np.linspace(1e-6, 1.0 - 1e-6, 10000)
-        tilts = np.array([s_star_ratio(r) for r in ratios_axis])
+        tilts = np.array([s_star_log(math.log(r)) for r in ratios_axis])
         monotone = bool(np.all(np.diff(tilts) > 0.0))
         elapsed = perf_counter() - start
         ok = (
@@ -307,7 +307,7 @@ class TestAcceptance:
         beta = optimize_binary(OperatingRatios(1e-6, 1.0, 1.0)).beta
 
         def gap(alpha_sq: float) -> float:
-            ours = theorem_bound(beta, alpha_sq, 2, True)
+            ours = theorem_bound(beta, alpha_sq, 2)
             return math.log(ours) - math.log(homodyne_binary(alpha_sq))
 
         crossover = brentq(gap, 0.25, 4.0)
@@ -328,7 +328,7 @@ class TestAcceptance:
         beta = optimize_binary(OperatingRatios(1e-2, 1.0, 1.0)).beta
 
         def gap(alpha_sq: float) -> float:
-            ours = theorem_bound(beta, alpha_sq, 2, True)
+            ours = theorem_bound(beta, alpha_sq, 2)
             return math.log(ours) - math.log(homodyne_binary(alpha_sq))
 
         crossover = brentq(gap, 0.25, 30.0)

@@ -70,20 +70,15 @@ class TestTheoremBound:
     """Validate the exponent-based achievability bound."""
 
     def test_exponential_form(self):
-        """Without the prefactor the bound is min(1, (M-1) exp(-n_s beta))."""
+        """Beyond two hypotheses the bound is min(1, (M-1) exp(-n_s beta))."""
         got = theorem_bound(beta=1.5, n_s=2.0, num_states=4)
         assert got == pytest.approx(3.0 * math.exp(-3.0), rel=1e-14)
 
     def test_binary_prefactor(self):
-        """The binary refinement halves the coefficient."""
-        plain = theorem_bound(beta=2.0, n_s=1.0, num_states=2)
-        refined = theorem_bound(beta=2.0, n_s=1.0, num_states=2, binary_prefactor=True)
-        assert refined == pytest.approx(0.5 * plain, rel=1e-14)
-
-    def test_prefactor_requires_binary(self):
-        """The 1/2 prefactor is undefined beyond two hypotheses."""
-        with pytest.raises(ValueError, match="two hypotheses"):
-            theorem_bound(beta=1.0, n_s=1.0, num_states=4, binary_prefactor=True)
+        """Two hypotheses take the likelihood-ratio coefficient 1/2, not the
+        union bound's M - 1 = 1."""
+        got = theorem_bound(beta=2.0, n_s=1.0, num_states=2)
+        assert got == pytest.approx(0.5 * math.exp(-2.0), rel=1e-14)
 
     def test_caps_at_one(self):
         """Trivially large coefficients clip to the vacuous bound 1."""
@@ -92,8 +87,8 @@ class TestTheoremBound:
     def test_doubling_photons_squares_the_decay(self):
         """bound(2 n_s) / coeff = (bound(n_s) / coeff)**2 below the cap."""
         beta, n_s = 1.7, 1.3
-        single = theorem_bound(beta, n_s, 2) / 1.0
-        double = theorem_bound(beta, 2.0 * n_s, 2) / 1.0
+        single = theorem_bound(beta, n_s, 2) / 0.5
+        double = theorem_bound(beta, 2.0 * n_s, 2) / 0.5
         assert double == pytest.approx(single**2, rel=1e-12)
 
     def test_rejects_bad_arguments(self):
@@ -107,7 +102,7 @@ class TestTheoremBound:
     def test_rejects_negative_or_non_finite_photons(self, n_s):
         """A negative photon number would push the bound above 1/2."""
         with pytest.raises(ValueError, match="n_s"):
-            theorem_bound(beta=1.0, n_s=n_s, num_states=2, binary_prefactor=True)
+            theorem_bound(beta=1.0, n_s=n_s, num_states=2)
 
 
 def point_mass_exponent(v, constellation, ratios):

@@ -16,6 +16,7 @@ from pskexp.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    build_parser,
     main,
 )
 
@@ -82,14 +83,62 @@ class TestExitCodes:
         assert code == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
-    def test_verify_failure_is_exit_three(self, tmp_path):
+    def test_verify_failure_is_exit_three(self, tmp_path, monkeypatch):
         """An impossible expected value makes verify exit 3."""
-        code, _ = run_to_file(
-            tmp_path,
-            "verify.json",
-            ["verify", "--expected-counterexample", "2.5", "--format", "json"],
-        )
+        monkeypatch.setattr("pskexp.exponent.EXPECTED_COUNTEREXAMPLE", 2.5)
+        code, _ = run_to_file(tmp_path, "verify.json", ["verify", "--format", "json"])
         assert code == EXIT_VERIFY_FAILED
+
+    def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
+        """--out into a directory that does not exist exits 1 with one error
+        line, and leaves no temp file behind."""
+        out = tmp_path / "missing" / "x.json"
+        code = main(["exponent", "--r-sn", "0.01", "--r-ce", "0", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOptionTable:
+    """Guard the command-line surface against options added in passing."""
+
+    #: Every option each command takes.  A new option is added here on
+    #: purpose, or this test fails.
+    OPTIONS = {
+        "exponent": {
+            "--r-sn", "--snr", "--r-ca", "--r-ce", "--psk", "--phases",
+            "--grid-k", "--out",
+        },
+        "sweep-photon": {"--r-sn", "--snr", "--r-ca", "--r-ce", "--out"},
+        "sweep-energy": {"--r-sn", "--snr", "--r-ca", "--r-ce", "--alpha-sq", "--out"},
+        "simulate": {
+            "--r-sn", "--snr", "--r-ca", "--r-ce", "--psk", "--phases",
+            "--alpha-sq", "--grid-k", "--slices", "--trials", "--seed",
+            "--force-zero", "--out",
+        },
+        "verify": {"--out", "--format"},
+    }
+
+    def test_option_table(self):
+        """Each command takes exactly the options in OPTIONS (and -h)."""
+        parser = build_parser()
+        (commands,) = [
+            action.choices
+            for action in parser._actions
+            if isinstance(action.choices, dict)
+        ]
+        got = {
+            name: {
+                flag
+                for action in command._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help")
+            }
+            for name, command in commands.items()
+        }
+        assert got == self.OPTIONS
 
 
 class TestExponentCommand:
@@ -164,9 +213,10 @@ class TestExponentCommand:
         assert doc["beta"] == 0.0
 
     def test_rejects_csv_format(self, capsys):
-        """The exponent document is JSON-only."""
-        code = main(["exponent", "--r-sn", "0.01", "--format", "csv"])
-        assert code == EXIT_USAGE
+        """The exponent document is JSON-only and takes no --format."""
+        with pytest.raises(SystemExit) as exc:
+            main(["exponent", "--r-sn", "0.01", "--format", "csv"])
+        assert exc.value.code == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
     def test_rejects_zero_grid_k(self):
@@ -223,19 +273,21 @@ class TestSweepPhoton:
         assert float(last[1]) < float(last[3])
 
     def test_rejects_json_format(self, capsys):
-        """Sweeps are CSV-only."""
-        code = main(["sweep-photon", "--snr", "1e6", "--format", "json"])
-        assert code == EXIT_USAGE
+        """Sweeps are CSV-only and take no --format."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-photon", "--snr", "1e6", "--format", "json"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_rejects_format_before_solving(self, monkeypatch):
-        """A wrong --format is refused before the binary solve runs."""
+        """A stray --format is refused before the binary solve runs."""
 
         def solve(ratios):
             raise AssertionError("optimize_binary ran")
 
         monkeypatch.setattr("pskexp.cli.optimize_binary", solve)
-        code = main(["sweep-photon", "--snr", "1e6", "--format", "json"])
-        assert code == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-photon", "--snr", "1e6", "--format", "json"])
+        assert exc.value.code == EXIT_USAGE
 
     def test_byte_identical_reruns(self, tmp_path):
         """The same configuration produces byte-identical files."""
@@ -370,10 +422,22 @@ class TestSimulate:
         assert code == EXIT_USAGE
 
     def test_rejects_csv_format(self, capsys):
-        """The simulation document is JSON-only."""
-        code = main(self.SMALL + ["--format", "csv"])
-        assert code == EXIT_USAGE
+        """The simulation document is JSON-only and takes no --format."""
+        with pytest.raises(SystemExit) as exc:
+            main(self.SMALL + ["--format", "csv"])
+        assert exc.value.code == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_rejects_seed_outside_64_bits(self, seed, capsys):
+        """A seed outside [0, 2**64) is a usage error: the stream keeps 64
+        bits of it, so -1 would replay 2**64 - 1."""
+        argv = list(self.SMALL)
+        argv[argv.index("--seed") + 1] = seed
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
 
     def test_rejects_zero_grid_k(self):
         """--grid-k below 1 is a usage error at parse time."""
@@ -404,21 +468,25 @@ class TestVerify:
             raise AssertionError("verify_claims ran")
 
         monkeypatch.setattr("pskexp.cli.verify_claims", checks)
-        assert main(["verify", "--format", "csv"]) == EXIT_USAGE
-        assert "verify emits JSON or text" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "csv"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
-    def test_perturbed_json_fails_interior_mass_check(self, tmp_path):
+    def test_perturbed_json_fails_interior_mass_check(self, tmp_path, monkeypatch):
         """An impossible expectation fails exactly the optimizer check."""
+        monkeypatch.setattr("pskexp.exponent.EXPECTED_COUNTEREXAMPLE", 2.5)
         code, text = run_to_file(
-            tmp_path,
-            "verify.json",
-            ["verify", "--expected-counterexample", "2.5", "--format", "json"],
+            tmp_path, "verify.json", ["verify", "--format", "json"]
         )
         assert code == EXIT_VERIFY_FAILED
         doc = json.loads(text)
         assert doc["schema_version"] == "2"
         assert doc["all_passed"] is False
+        assert doc["parameters"]["expected_counterexample"] == 2.5
         by_name = {c["name"]: c["passed"] for c in doc["checks"]}
+        failed = [name for name, passed in by_name.items() if not passed]
+        assert failed == ["interior-mass-beats-time-sharing"]
         assert by_name["interior-mass-beats-time-sharing"] is False
         assert by_name["energy-convexity-margin-positive"] is True
         assert by_name["vanishing-dark-time-sharing"] is True
@@ -505,8 +573,7 @@ class TestStartup:
             "from pskexp.cli import main\n"
             "from pskexp.exponent import verify_claims\n"
             "optimize_binary(OperatingRatios(1e-4, 1.0, 0.3))\n"
-            "verify_claims(OperatingRatios(1e-6, 1.0, 0.9),\n"
-            "              OperatingRatios(1e-2, 1.0, 0.9))\n"
+            "verify_claims()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    main(['exponent', '--r-sn', '0.01', '--r-ca', '1', '--r-ce', '0.9'])\n"
             "    main(['sweep-photon', '--snr', '100'])\n"

@@ -74,10 +74,6 @@ class TestOperatingRatios:
         with pytest.raises(ValueError, match="snr"):
             OperatingRatios.from_snr(snr=0.0, r_ca=1.0, r_ce=0.9)
 
-    def test_rate_upper_bound(self):
-        """The uniform rate bound is (r_ca + 1)**2 + r_sn."""
-        assert RATIOS.rate_upper_bound() == pytest.approx(4.01, abs=1e-15)
-
 
 class TestPskConstellation:
     """Validate the hypothesis set container."""
@@ -201,7 +197,8 @@ class TestNormalizedRate:
         """r_sn <= Lambda_m(v) <= (r_ca + 1)**2 + r_sn on the disk."""
         v = rho * cmath.exp(1j * theta)
         rate = normalized_rate(v, m, uniform_psk(4), RATIOS)
-        assert RATIOS.r_sn - 1e-13 <= rate <= RATIOS.rate_upper_bound() + 1e-13
+        upper = (RATIOS.r_ca + 1.0) ** 2 + RATIOS.r_sn
+        assert RATIOS.r_sn - 1e-13 <= rate <= upper + 1e-13
 
 
 class TestControlGrid:

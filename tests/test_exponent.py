@@ -27,7 +27,7 @@ from pskexp.divergence import (
     RatePair,
     chernoff_values,
     max_chernoff_mixtures,
-    s_star_ratio,
+    s_star_log,
 )
 from pskexp.exponent import (
     ENERGY_TOL,
@@ -338,7 +338,7 @@ class TestPairExponent:
         rates = bpsk_rates(v, 0.01)
         assert got.s_star <= 0.5
         assert got.s_star == pytest.approx(
-            s_star_ratio(rates.lambda0 / rates.lambda1), abs=1e-9
+            s_star_log(math.log(rates.lambda0 / rates.lambda1)), abs=1e-9
         )
 
     @pytest.mark.parametrize(
@@ -490,7 +490,7 @@ class TestOptimizeBinary:
     def test_value_bounded_by_rate_bound(self):
         """beta can never exceed the uniform rate upper bound."""
         sol = optimize_binary(RATIOS_LOW)
-        assert sol.beta <= RATIOS_LOW.rate_upper_bound()
+        assert sol.beta <= (RATIOS_LOW.r_ca + 1.0) ** 2 + RATIOS_LOW.r_sn
 
     @pytest.mark.parametrize(
         "r_sn, r_ce, winner",
@@ -964,10 +964,7 @@ class TestConvexityMargin:
 @pytest.fixture(scope="module")
 def report():
     """Run the full default check battery once for the module."""
-    return verify_claims(
-        ratios_high=OperatingRatios(r_sn=1e-6, r_ca=1.0, r_ce=0.9),
-        ratios_low=OperatingRatios(r_sn=1e-2, r_ca=1.0, r_ce=0.9),
-    )
+    return verify_claims()
 
 
 class TestVerifyClaims:
@@ -995,13 +992,10 @@ class TestVerifyClaims:
         assert "2.1460" in joined
         assert "2.1359" in joined
 
-    def test_perturbed_expectation_fails(self):
+    def test_perturbed_expectation_fails(self, monkeypatch):
         """An impossible expected counterexample value flips check 3 only."""
-        report = verify_claims(
-            ratios_high=OperatingRatios(r_sn=1e-6, r_ca=1.0, r_ce=0.9),
-            ratios_low=OperatingRatios(r_sn=1e-2, r_ca=1.0, r_ce=0.9),
-            expected_counterexample=2.5,
-        )
+        monkeypatch.setattr(exponent, "EXPECTED_COUNTEREXAMPLE", 2.5)
+        report = verify_claims()
         by_name = {c.name: c.passed for c in report.checks}
         assert not report.all_passed
         assert not by_name["interior-mass-beats-time-sharing"]

@@ -395,6 +395,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="trial"):
             monte_carlo(pol, trials_per_hypothesis=0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        """The stream is keyed by 64 bits of the seed, so a seed outside
+        [0, 2**64) would replay the trials of another seed."""
+        pol = uniform_policy(0.5, slices=2, r_ce=0.25)
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo(pol, trials_per_hypothesis=100, seed=seed)
+        largest = monte_carlo(pol, trials_per_hypothesis=100, seed=2**64 - 1)
+        assert largest.seed == 2**64 - 1
+
     def test_report_validates_probability(self):
         """Out-of-range p_e is rejected by the report container."""
         with pytest.raises(ValueError, match="p_e"):
