@@ -28,8 +28,6 @@ from .divergence import (
     max_chernoff_mixtures,
 )
 from .exponent import (
-    ClaimCheck,
-    ClaimReport,
     ControlDistribution,
     ExponentSolution,
     convexity_margin,
@@ -53,8 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChernoffOptimum",
-    "ClaimCheck",
-    "ClaimReport",
     "ControlDistribution",
     "ExactErrorResult",
     "ExponentSolution",

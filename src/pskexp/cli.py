@@ -74,7 +74,9 @@ def _add_ratio_flags(parser: argparse.ArgumentParser) -> None:
         "--r-sn", type=float, help="dark-count rate ratio (dark rate / alpha^2)"
     )
     group.add_argument(
-        "--snr", type=float, help="signal-to-noise ratio (reciprocal of --r-sn)"
+        "--snr",
+        type=_positive_float,
+        help="signal-to-noise ratio (reciprocal of --r-sn)",
     )
     parser.add_argument(
         "--r-ca", type=float, default=1.0, help="control disk radius (default 1)"
@@ -207,9 +209,8 @@ def build_parser() -> _Parser:
 
 
 def _ratios(args: argparse.Namespace) -> OperatingRatios:
-    if args.snr is not None:
-        return OperatingRatios.from_snr(args.snr, r_ca=args.r_ca, r_ce=args.r_ce)
-    return OperatingRatios(r_sn=args.r_sn, r_ca=args.r_ca, r_ce=args.r_ce)
+    r_sn = args.r_sn if args.snr is None else 1.0 / args.snr
+    return OperatingRatios(r_sn=r_sn, r_ca=args.r_ca, r_ce=args.r_ce)
 
 
 def _constellation(args: argparse.Namespace) -> PskConstellation:
@@ -231,12 +232,6 @@ def _optimize(
     if constellation.phases == bpsk().phases:
         return optimize_binary(ratios)
     return optimize_general(constellation, ratios, grid_k=grid_k)
-
-
-def _atoms_doc(q: ControlDistribution) -> list:
-    return [
-        {"re": p.real, "im": p.imag, "weight": w} for p, w in q.atoms
-    ]
 
 
 def _q_summary(q: ControlDistribution) -> str:
@@ -284,7 +279,7 @@ def cmd_exponent(args: argparse.Namespace) -> int:
             "grid_k": args.grid_k,
         },
         "beta": solution.beta,
-        "q_star": _atoms_doc(solution.q_star),
+        "q_star": solution.q_star.records(),
         "per_pair": [
             {"pair": list(pair), "s_star": s_star, "value": value}
             for pair, s_star, value in solution.per_pair
@@ -320,7 +315,7 @@ def cmd_sweep_energy(args: argparse.Namespace) -> int:
     grid = [
         float(r_ce)
         for r_ce in np.linspace(0.0, 1.0, 21)
-        if r_ce <= ratios.r_ca**2 + 1e-12
+        if r_ce <= ratios.r_ca * ratios.r_ca + 1e-12
     ]
     rows = []
     for r_ce in grid:
@@ -370,7 +365,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "phases": list(constellation.phases),
             "force_zero": bool(args.force_zero),
         },
-        "policy_type": _atoms_doc(realized_type),
+        "policy_type": realized_type.records(),
         "mean_energy": policy.mean_energy(),
         "beta_realized": beta_realized,
         "bound": bound,
@@ -395,25 +390,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "ratios_high": asdict(exponent.VERIFY_RATIOS_HIGH),
             "ratios_low": asdict(exponent.VERIFY_RATIOS_LOW),
         },
-        **report.to_dict(),
+        **report,
     }
     if args.format == "json":
         _write_text(args.out, _json_doc(payload))
     else:
         lines = []
-        for check in report.checks:
-            tag = "PASS" if check.passed else "FAIL"
-            detail = ", ".join(f"{k}={v}" for k, v in check.details.items())
-            lines.append(f"[{tag}] {check.name}: {detail}")
-        for note in report.notes:
+        for check in report["checks"]:
+            tag = "PASS" if check["passed"] else "FAIL"
+            detail = ", ".join(f"{k}={v}" for k, v in check["details"].items())
+            lines.append(f"[{tag}] {check['name']}: {detail}")
+        for note in report["notes"]:
             lines.append(f"note: {note}")
         lines.append(
             "all checks passed"
-            if report.all_passed
+            if report["all_passed"]
             else "one or more checks FAILED"
         )
         _write_text(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
+    return EXIT_OK if report["all_passed"] else EXIT_VERIFY_FAILED
 
 
 _COMMANDS = {

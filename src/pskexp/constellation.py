@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Absolute slack when checking membership in the closed control disk.
+#: Slack of the closed control disk, relative to its radius: |v| <= r_ca *
+#: (1 + DISK_TOL).  The energy checks add it to the budget as is.
 DISK_TOL = 1e-12
 
 #: A phase within this many quarter turns of a multiple of pi/2 (a few
@@ -63,17 +64,10 @@ class OperatingRatios:
             raise ValueError(f"r_ce must be nonnegative, got {self.r_ce!r}")
         # A single atom can never exceed the peak bound, so any energy budget
         # beyond r_ca**2 is unusable and flags a misconfigured run.
-        if self.r_ce > self.r_ca**2 + DISK_TOL:
+        if self.r_ce > self.r_ca * self.r_ca + DISK_TOL:
             raise InfeasibleRatiosError(
-                f"r_ce={self.r_ce!r} exceeds r_ca**2={self.r_ca**2!r}"
+                f"r_ce={self.r_ce!r} exceeds r_ca**2={self.r_ca * self.r_ca!r}"
             )
-
-    @classmethod
-    def from_snr(cls, snr: float, r_ca: float, r_ce: float) -> "OperatingRatios":
-        """Build from a signal-to-noise ratio, with r_sn = 1/snr."""
-        if not math.isfinite(snr) or snr <= 0.0:
-            raise ValueError(f"snr must be positive, got {snr!r}")
-        return cls(r_sn=1.0 / snr, r_ca=r_ca, r_ce=r_ce)
 
 
 @dataclass(frozen=True)
@@ -85,6 +79,8 @@ class PskConstellation:
     def __post_init__(self) -> None:
         if len(self.phases) < 2:
             raise ValueError("a constellation needs at least 2 hypotheses")
+        if not all(math.isfinite(p) for p in self.phases):
+            raise ValueError(f"phases must be finite, got {self.phases!r}")
         # Phases must be pairwise distinct modulo 2*pi.
         reduced = [p % (2.0 * math.pi) for p in self.phases]
         for i in range(len(reduced)):
@@ -107,8 +103,9 @@ class PskConstellation:
     def state_point(self, m: int) -> complex:
         """Unit-circle point exp(i*phi_m) of hypothesis m, exact at the
         multiples of pi/2 (where ``cmath.exp`` leaves a 1e-16 residue, which
-        floors the nulled rate and splits ties between mirror states)."""
-        quarters = self.phases[m] / (math.pi / 2.0)
+        floors the nulled rate and splits ties between mirror states), judged
+        on the phase modulo 2*pi."""
+        quarters = self.phases[m] % (2.0 * math.pi) / (math.pi / 2.0)
         nearest = round(quarters)
         if abs(quarters - nearest) <= QUARTER_TOL:
             return (1 + 0j, 1j, -1 + 0j, complex(0.0, -1.0))[nearest % 4]
@@ -165,7 +162,7 @@ def normalized_rates(
     table: row m is hypothesis m over the n displacement ratios ``points``,
     each in the disk |v| <= r_ca."""
     pts = np.asarray(points, dtype=complex)
-    if np.any(np.abs(pts) > ratios.r_ca + DISK_TOL):
+    if np.any(np.abs(pts) > ratios.r_ca * (1.0 + DISK_TOL)):
         raise ValueError("a grid point exceeds the control radius")
     states = np.array(
         [constellation.state_point(m) for m in range(constellation.num_states)]

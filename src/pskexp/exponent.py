@@ -171,12 +171,16 @@ class ControlDistribution:
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.atoms], dtype=float)
 
+    def records(self) -> list[dict]:
+        """The atoms as JSON records ``{"re", "im", "weight"}``."""
+        return [{"re": p.real, "im": p.imag, "weight": w} for p, w in self.atoms]
+
     def second_moment(self) -> float:
         return float(np.dot(self.weights, np.abs(self.points) ** 2))
 
     def validate_feasible(self, ratios: OperatingRatios) -> None:
         """Raise unless every atom is in the disk and the energy budget holds."""
-        if np.any(np.abs(self.points) > ratios.r_ca + DISK_TOL):
+        if np.any(np.abs(self.points) > ratios.r_ca * (1.0 + DISK_TOL)):
             raise ValueError("an atom lies outside the control disk")
         if self.second_moment() > ratios.r_ce + ENERGY_TOL:
             raise ValueError(
@@ -296,12 +300,15 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
 
         f(v) = min(1, r_ce/v**2) * P(v).
 
-    f is evaluated on a v-grid of cells ``V_GRID_STEP`` wide, its best grid
-    point is polished by ``golden_section_max`` over the cells on either
-    side, and the kink ``sqrt(r_ce)`` and the disk edge ``r_ca`` are then
-    taken exactly whenever either is at least as good.  ``diagnostics``
-    name the winner (``interior``, ``end-point`` or ``disk-edge``) and count
-    the scalar evaluations of f (``point_evaluations``).
+    Past v = max(2, 8*sqrt(r_ce/f(kink))) nothing beats the kink
+    min(sqrt(r_ce), r_ca), so the search ends there or at ``r_ca``,
+    whichever is smaller: its edge.  f is evaluated on a v-grid of cells
+    ``V_GRID_STEP`` wide, its best grid point is polished by
+    ``golden_section_max`` over the cells on either side, and the kink and
+    the edge are then taken exactly whenever either is at least as good.
+    ``diagnostics`` name the winner (``interior``, ``end-point`` or
+    ``disk-edge``) and count the scalar evaluations of f
+    (``point_evaluations``).
     """
     constellation = bpsk()
     pair = (0, 1)
@@ -334,14 +341,24 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
         evaluations += 1
         return float(objective(v))
 
-    vgrid = np.linspace(0.0, ca, max(2, int(round(ca / V_GRID_STEP))) + 1)
+    sqrt_ce = math.sqrt(ce)
+    kink = min(sqrt_ce, ca)
+    kink_value = evaluate(kink)
+    # For v >= 2, P(v) <= KL(Lambda1||Lambda0) <= (4v)**2/(v-1)**2 <= 64
+    # (KL below chi-square), so f(v) <= 64*r_ce/v**2: below f(kink) past
+    # 8*sqrt(r_ce/f(kink)).
+    edge = ca
+    if kink_value > 0.0:
+        edge = min(ca, max(2.0, 8.0 * math.sqrt(ce / kink_value)))
+    vgrid = np.linspace(0.0, edge, max(2, int(round(edge / V_GRID_STEP))) + 1)
     k = int(np.argmax(objective(vgrid)))
     lo, hi = vgrid[max(k - 1, 0)], vgrid[min(k + 1, len(vgrid) - 1)]
     v, value = golden_section_max(evaluate, float(lo), float(hi))
     winner = "interior"
-    sqrt_ce = math.sqrt(ce)
-    for name, end in (("end-point", min(sqrt_ce, ca)), ("disk-edge", ca)):
-        end_value = evaluate(end)
+    for name, end, end_value in (
+        ("end-point", kink, kink_value),
+        ("disk-edge", edge, evaluate(edge)),
+    ):
         if end_value >= value:
             v, value, winner = end, end_value, name
     # Built directly: ``from_arrays`` would drop an atom v of weight under
@@ -490,38 +507,7 @@ def convexity_margin(s: float, r: float, v: float) -> float:
     return curvature_term - divergence_term
 
 
-@dataclass(frozen=True)
-class ClaimCheck:
-    """Outcome of one structural check, with numeric evidence."""
-
-    name: str
-    passed: bool
-    details: dict
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
-
-
-@dataclass(frozen=True)
-class ClaimReport:
-    """Aggregate of the structural checks run by ``verify_claims``."""
-
-    checks: tuple[ClaimCheck, ...]
-    notes: tuple[str, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [check.to_dict() for check in self.checks],
-            "notes": list(self.notes),
-        }
-
-
-def verify_claims() -> ClaimReport:
+def verify_claims() -> dict:
     """Run the structural checks behind the optimizer design.
 
     (1) the zero-dark convexity margin is positive on an (s, v) grid;
@@ -534,12 +520,14 @@ def verify_claims() -> ClaimReport:
         returns time-sharing for every budget on a 0.1-step grid.
 
     The reference points and thresholds are the module constants, read at
-    call time.  Failed checks are reported, never raised.
+    call time.  Failed checks are reported, never raised.  Returns the
+    JSON-ready report ``{"all_passed", "checks": [{"name", "passed",
+    "details"}], "notes"}``.
     """
     from .divergence import RatePair, max_chernoff
 
     ratios_low = VERIFY_RATIOS_LOW
-    checks: list[ClaimCheck] = []
+    checks: list[dict] = []
     notes: list[str] = []
 
     # (1) zero-dark convexity margin positive on the standard grid.
@@ -549,7 +537,7 @@ def verify_claims() -> ClaimReport:
         [[convexity_margin(s, 0.0, v) for v in v_values] for s in s_values]
     )
     checks.append(
-        ClaimCheck(
+        dict(
             name="energy-convexity-margin-positive",
             passed=bool(np.all(margins > 0.0)),
             details={
@@ -576,7 +564,7 @@ def verify_claims() -> ClaimReport:
         and all(0.0 < s <= 0.5 for s in pair_tilts)
     )
     checks.append(
-        ClaimCheck(
+        dict(
             name="optimal-tilt-in-left-half",
             passed=tilt_ok,
             details={
@@ -602,7 +590,7 @@ def verify_claims() -> ClaimReport:
         "reference, 2.1359 does not)"
     )
     checks.append(
-        ClaimCheck(
+        dict(
             name="interior-mass-beats-time-sharing",
             passed=(
                 solution.beta >= EXPECTED_COUNTEREXAMPLE - 2e-3
@@ -615,10 +603,7 @@ def verify_claims() -> ClaimReport:
                 "margin": margin,
                 "expected_counterexample": EXPECTED_COUNTEREXAMPLE,
                 "expected_time_sharing": EXPECTED_TIME_SHARING,
-                "q_star": [
-                    {"re": p.real, "im": p.imag, "weight": w}
-                    for p, w in solution.q_star.atoms
-                ],
+                "q_star": solution.q_star.records(),
             },
         )
     )
@@ -633,11 +618,15 @@ def verify_claims() -> ClaimReport:
         )
         worst_tv = max(worst_tv, tv)
     checks.append(
-        ClaimCheck(
+        dict(
             name="vanishing-dark-time-sharing",
             passed=worst_tv <= 1e-2,
             details={"worst_total_variation": worst_tv},
         )
     )
 
-    return ClaimReport(checks=tuple(checks), notes=tuple(notes))
+    return {
+        "all_passed": all(check["passed"] for check in checks),
+        "checks": checks,
+        "notes": notes,
+    }

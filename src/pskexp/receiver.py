@@ -87,7 +87,7 @@ class OpenLoopPolicy:
         points = np.array(self.displacements, dtype=complex)
         if not np.all(np.isfinite(points)):
             raise ValueError("displacements must be finite")
-        if np.any(np.abs(points) > self.ratios.r_ca + DISK_TOL):
+        if np.any(np.abs(points) > self.ratios.r_ca * (1.0 + DISK_TOL)):
             raise ValueError("a displacement lies outside the control disk")
         if self.mean_energy() > self.ratios.r_ce + POLICY_ENERGY_TOL:
             raise ValueError(

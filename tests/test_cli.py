@@ -69,6 +69,15 @@ class TestExitCodes:
         code = main(["exponent", "--r-sn", "0.01", "--phases", "0,abc"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("phases", ["0,inf", "0,nan"])
+    def test_non_finite_phase_is_usage_error(self, phases, capsys):
+        """A non-finite phase exits 1 with one error line."""
+        code = main(["exponent", "--r-sn", "0.01", "--phases", phases])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: phases must be finite")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["sweep-photon", "sweep-energy"])
     @pytest.mark.parametrize("flag", [["--psk", "4"], ["--phases", "0,3.14"]])
     def test_sweeps_take_no_constellation_flag(self, command, flag):
@@ -99,6 +108,26 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSnrFlag:
+    """--snr is the reciprocal of --r-sn, checked where it is parsed."""
+
+    def test_snr_writes_reciprocal_dark_ratio(self, capsys):
+        """--snr 100 reports r_sn = 0.01 and the --r-sn 0.01 exponent."""
+        assert main(["exponent", "--snr", "100", "--r-ce", "0.9"]) == EXIT_OK
+        by_snr = json.loads(capsys.readouterr().out)
+        assert by_snr["parameters"]["r_sn"] == 0.01
+        assert main(["exponent", "--r-sn", "0.01", "--r-ce", "0.9"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == by_snr
+
+    @pytest.mark.parametrize("snr", ["0", "-5", "inf", "nan"])
+    def test_rejects_non_positive_or_non_finite_snr(self, snr, capsys):
+        """argparse refuses the value, exit 1, before any solve."""
+        with pytest.raises(SystemExit) as exc:
+            main(["exponent", "--snr", snr])
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --snr: must be positive and finite" in capsys.readouterr().err
 
 
 class TestOptionTable:
@@ -204,6 +233,13 @@ class TestExponentCommand:
         assert doc["method"] == "general-coordinate-ascent"
         assert doc["certified"] is True
         assert len(doc["per_pair"]) == 6
+
+    def test_huge_phase_is_not_snapped_to_a_quarter_point(self, capsys):
+        """Phase 1e300 reduces to about 5.56 rad, far from a quarter point;
+        snapped on the unreduced phase it read beta = 0."""
+        code = main(["exponent", "--r-sn", "0.01", "--phases", "0,1e300"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["beta"] > 1.0
 
     def test_writes_to_stdout_without_out(self, capsys):
         """Omitting --out streams the document to stdout."""

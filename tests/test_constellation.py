@@ -67,13 +67,6 @@ class TestOperatingRatios:
         ratios = OperatingRatios(r_sn=0.01, r_ca=0.5, r_ce=0.25)
         assert ratios.r_ce == 0.25
 
-    def test_from_snr(self):
-        """from_snr stores the reciprocal dark ratio."""
-        ratios = OperatingRatios.from_snr(snr=100.0, r_ca=1.0, r_ce=0.9)
-        assert ratios.r_sn == pytest.approx(0.01, rel=1e-15)
-        with pytest.raises(ValueError, match="snr"):
-            OperatingRatios.from_snr(snr=0.0, r_ca=1.0, r_ce=0.9)
-
 
 class TestPskConstellation:
     """Validate the hypothesis set container."""
@@ -89,6 +82,20 @@ class TestPskConstellation:
             PskConstellation(phases=(0.0, 0.0))
         with pytest.raises(ValueError, match="coincide"):
             PskConstellation(phases=(0.0, 2.0 * math.pi))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_phases(self, bad):
+        """A non-finite phase is refused when the constellation is built."""
+        with pytest.raises(ValueError, match="finite"):
+            PskConstellation(phases=(0.0, bad))
+
+    def test_huge_phase_is_not_snapped(self):
+        """A phase far from [0, 2*pi) snaps only if its reduction does:
+        1e300 reduces to about 5.56, no quarter point, so it keeps its
+        exponential."""
+        con = PskConstellation(phases=(0.0, 1e300))
+        assert con.state_point(1) == cmath.exp(1e300j)
+        assert PskConstellation(phases=(0.0, -0.5 * math.pi)).state_point(1) == -1j
 
     def test_bpsk_convention(self):
         """Hypothesis 0 sits at phase pi, hypothesis 1 at phase 0."""
@@ -171,6 +178,16 @@ class TestNormalizedRate:
         """|v| > r_ca raises."""
         with pytest.raises(ValueError, match="control radius"):
             normalized_rate(1.0 + 1e-6, 0, bpsk(), RATIOS)
+
+    def test_disk_slack_is_relative_to_the_radius(self):
+        """At r_ca = 1e5 the grid's own points, some a rounding step past the
+        radius, are inside; a point 1e-9 of the radius past it is not."""
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1e5, r_ce=0.9)
+        grid = control_grid(20, ratios)
+        assert np.max(np.abs(grid)) > ratios.r_ca
+        assert normalized_rates(grid, uniform_psk(4), ratios).shape == (4, len(grid))
+        with pytest.raises(ValueError, match="control radius"):
+            normalized_rates([1e5 * (1.0 + 1e-9)], uniform_psk(4), ratios)
 
     def test_vectorized_matches_scalar(self):
         """normalized_rates agrees with the scalar formula pointwise, one row

@@ -241,6 +241,14 @@ class TestControlDistribution:
         with pytest.raises(ValueError, match="budget"):
             ControlDistribution.point_mass(1.0).validate_feasible(RATIOS_LOW)
 
+    def test_records(self):
+        """records() lists the atoms as JSON records, in atom order."""
+        q = ControlDistribution.from_arrays([0.5j, 0.0], [0.25, 0.75])
+        assert q.records() == [
+            {"re": 0.0, "im": 0.0, "weight": 0.75},
+            {"re": 0.0, "im": 0.5, "weight": 0.25},
+        ]
+
     def test_total_variation_basic(self):
         """TV is 0 on identical, 1 on disjoint, additive on shared support."""
         ts = ControlDistribution.time_sharing(0.5)
@@ -503,6 +511,18 @@ class TestOptimizeBinary:
         assert sol.diagnostics["winner"] == winner
         assert sol.diagnostics["point_evaluations"] > 2
 
+    @pytest.mark.parametrize("r_ca", [1e10, 1e200])
+    def test_search_is_bounded_by_the_problem(self, r_ca):
+        """A huge disk gives the r_ca = 1 solution: past v = max(2,
+        8*sqrt(r_ce/f(kink))) nothing beats the kink, so the v-grid stops
+        there (at 1e10 it spanned the disk and asked for 73 TiB; at 1e200
+        r_ca**2 overflowed)."""
+        sol = optimize_binary(OperatingRatios(r_sn=0.01, r_ca=r_ca, r_ce=0.9))
+        paper = optimize_binary(RATIOS_LOW)
+        assert sol.beta == paper.beta
+        assert sol.q_star == paper.q_star
+        assert sol.diagnostics["winner"] == "end-point"
+
     def test_tiny_budget_keeps_its_atom(self):
         """At r_ce = 1e-15 the optimum puts weight ~1e-15 on one point, and
         beta is r_ce times the best chord slope from the origin, as at any
@@ -684,6 +704,14 @@ class TestOptimizeGeneral:
             lambda: optimize_general(uniform_psk(16), ratios, grid_k=40)
         )
         assert peak <= 8 * 2**20
+
+    def test_large_disk_quaternary(self):
+        """At r_ca = 1e5 the grid's own outer ring passes the disk check and
+        the solve returns a feasible, certified solution."""
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1e5, r_ce=0.9)
+        sol = optimize_general(uniform_psk(4), ratios)
+        sol.q_star.validate_feasible(ratios)
+        assert sol.certified and sol.beta > 0.0
 
     def test_zero_budget_quaternary(self):
         """r_ce = 0 pins the policy at the origin with zero exponent."""
@@ -972,9 +1000,9 @@ class TestVerifyClaims:
 
     def test_all_checks_pass(self, report):
         """Every structural check passes at the default operating points."""
-        failed = [c.name for c in report.checks if not c.passed]
-        assert report.all_passed, f"failed checks: {failed}"
-        assert {c.name for c in report.checks} == {
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert report["all_passed"], f"failed checks: {failed}"
+        assert {c["name"] for c in report["checks"]} == {
             "energy-convexity-margin-positive",
             "optimal-tilt-in-left-half",
             "interior-mass-beats-time-sharing",
@@ -982,13 +1010,15 @@ class TestVerifyClaims:
         }
 
     def test_report_is_json_serializable(self, report):
-        """to_dict produces a plain-JSON structure."""
-        text = json.dumps(report.to_dict(), sort_keys=True)
+        """The report is plain JSON data with exactly the documented keys."""
+        text = json.dumps(report, sort_keys=True)
         assert "energy-convexity-margin-positive" in text
+        assert set(report) == {"all_passed", "checks", "notes"}
+        assert all(set(c) == {"name", "passed", "details"} for c in report["checks"])
 
     def test_notes_flag_inconsistent_quoted_value(self, report):
         """The notes document the 2.1460-vs-2.1359 bookkeeping discrepancy."""
-        joined = " ".join(report.notes)
+        joined = " ".join(report["notes"])
         assert "2.1460" in joined
         assert "2.1359" in joined
 
@@ -996,8 +1026,8 @@ class TestVerifyClaims:
         """An impossible expected counterexample value flips check 3 only."""
         monkeypatch.setattr(exponent, "EXPECTED_COUNTEREXAMPLE", 2.5)
         report = verify_claims()
-        by_name = {c.name: c.passed for c in report.checks}
-        assert not report.all_passed
+        by_name = {c["name"]: c["passed"] for c in report["checks"]}
+        assert not report["all_passed"]
         assert not by_name["interior-mass-beats-time-sharing"]
         assert by_name["energy-convexity-margin-positive"]
         assert by_name["vanishing-dark-time-sharing"]
