@@ -11,11 +11,11 @@ verify        structural checks (convexity margin, tilt range, optimizer
 
 ``exponent`` and ``simulate`` write JSON and the sweeps write CSV; ``verify``
 writes a text report, or JSON with ``--format json``.  Exit codes: 0
-success, 1 malformed arguments or an unwritable ``--out``, 2 infeasible
-constraints, 3 verification failure.  Outputs are deterministic for a fixed
-seed; files are written atomically (temp file + rename).  CSV is UTF-8 with
-LF line endings and full-precision scientific notation; JSON documents
-carry a schema_version field and sorted keys.
+success, 1 malformed arguments, an unwritable ``--out`` or a failed control
+LP, 2 infeasible constraints, 3 verification failure.  Outputs are
+deterministic for a fixed seed; files are written atomically (temp file +
+rename).  CSV is UTF-8 with LF line endings and full-precision scientific
+notation; JSON documents carry a schema_version field and sorted keys.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .constellation import (
 )
 from .exponent import (
     ControlDistribution,
+    ControlLPError,
     ExponentSolution,
     exponent_of,
     optimize_binary,
@@ -315,7 +316,7 @@ def cmd_sweep_energy(args: argparse.Namespace) -> int:
     grid = [
         float(r_ce)
         for r_ce in np.linspace(0.0, 1.0, 21)
-        if r_ce <= ratios.r_ca * ratios.r_ca + 1e-12
+        if ratios.in_disk(math.sqrt(r_ce))
     ]
     rows = []
     for r_ce in grid:
@@ -428,7 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleRatiosError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except (ValueError, ControlLPError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:

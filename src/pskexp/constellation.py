@@ -16,8 +16,9 @@ happens in these normalized units; ``alpha_sq`` enters only as the overall
 exponent scale.
 
 Controls are constrained by a peak amplitude ratio ``r_ca`` (``|v| <= r_ca``)
-and an average energy ratio ``r_ce`` (``mean |v|**2 <= r_ce``).  The search
-space is discretized by ``control_grid`` into polar grid points.
+and an average energy ratio ``r_ce`` (``mean |v|**2 <= r_ce``), both checked
+by ``OperatingRatios.in_disk`` and ``within_budget`` and nowhere else.  The
+search space is discretized by ``control_grid`` into polar grid points.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Slack of the closed control disk, relative to its radius: |v| <= r_ca *
-#: (1 + DISK_TOL).  The energy checks add it to the budget as is.
+#: Slack of both control constraints, relative to the bound: |v| <= r_ca *
+#: (1 + DISK_TOL) and mean |v|**2 <= r_ce * (1 + DISK_TOL).
 DISK_TOL = 1e-12
 
 #: A phase within this many quarter turns of a multiple of pi/2 (a few
@@ -62,12 +63,20 @@ class OperatingRatios:
             raise ValueError(f"r_ca must be positive, got {self.r_ca!r}")
         if not math.isfinite(self.r_ce) or self.r_ce < 0.0:
             raise ValueError(f"r_ce must be nonnegative, got {self.r_ce!r}")
-        # A single atom can never exceed the peak bound, so any energy budget
-        # beyond r_ca**2 is unusable and flags a misconfigured run.
-        if self.r_ce > self.r_ca * self.r_ca + DISK_TOL:
+        # A budget whose point mass, at sqrt(r_ce), leaves the disk is beyond
+        # r_ca**2: unusable, so it flags a misconfigured run.
+        if not self.in_disk(math.sqrt(self.r_ce)):
             raise InfeasibleRatiosError(
                 f"r_ce={self.r_ce!r} exceeds r_ca**2={self.r_ca * self.r_ca!r}"
             )
+
+    def in_disk(self, points) -> np.ndarray:
+        """Whether each point has |v| <= r_ca, to the slack ``DISK_TOL``."""
+        return np.abs(points) <= self.r_ca * (1.0 + DISK_TOL)
+
+    def within_budget(self, energy) -> np.ndarray:
+        """Whether each mean energy is <= r_ce, to the slack ``DISK_TOL``."""
+        return np.asarray(energy) <= self.r_ce * (1.0 + DISK_TOL)
 
 
 @dataclass(frozen=True)
@@ -159,11 +168,8 @@ def normalized_rates(
     ratios: OperatingRatios,
 ) -> np.ndarray:
     """Normalized Poisson means |v + exp(i*phi_m)|**2 + r_sn as an (M, n)
-    table: row m is hypothesis m over the n displacement ratios ``points``,
-    each in the disk |v| <= r_ca."""
+    table: row m is hypothesis m over the n displacement ratios ``points``."""
     pts = np.asarray(points, dtype=complex)
-    if np.any(np.abs(pts) > ratios.r_ca * (1.0 + DISK_TOL)):
-        raise ValueError("a grid point exceeds the control radius")
     states = np.array(
         [constellation.state_point(m) for m in range(constellation.num_states)]
     )

@@ -47,7 +47,6 @@ from typing import Sequence
 import numpy as np
 
 from .constellation import (
-    DISK_TOL,
     OperatingRatios,
     PskConstellation,
     bpsk,
@@ -64,15 +63,14 @@ from .divergence import (
 )
 from .simplex import linprog
 
-#: Moment-constraint slack allowed on a ControlDistribution.
-ENERGY_TOL = 1e-9
-
 #: Weights at or below this are dropped by ``from_arrays`` (LP solutions
 #: carry that much dust).
 DROP_TOL = 1e-12
 
-#: Cell width of the v-grid ``optimize_binary`` searches before its polish.
+#: Cell width of the v-grid ``optimize_binary`` searches before its polish,
+#: and its cell count cap, which widens the cells only on edges past 65.5.
 V_GRID_STEP = 1e-3
+V_GRID_CELLS = 2**16
 
 #: Coordinate-ascent cap and stopping gain of ``optimize_general``.
 MAX_ITERATIONS = 50
@@ -97,6 +95,10 @@ def minimize(*args, **kwargs):  # unused here; bench/tracing.py spans this bindi
     from scipy.optimize import minimize as solve
 
     return solve(*args, **kwargs)
+
+
+class ControlLPError(RuntimeError):
+    """A control LP of ``optimize_general`` ended without a solution."""
 
 
 @dataclass(frozen=True)
@@ -180,9 +182,9 @@ class ControlDistribution:
 
     def validate_feasible(self, ratios: OperatingRatios) -> None:
         """Raise unless every atom is in the disk and the energy budget holds."""
-        if np.any(np.abs(self.points) > ratios.r_ca * (1.0 + DISK_TOL)):
+        if not np.all(ratios.in_disk(self.points)):
             raise ValueError("an atom lies outside the control disk")
-        if self.second_moment() > ratios.r_ce + ENERGY_TOL:
+        if not ratios.within_budget(self.second_moment()):
             raise ValueError(
                 f"second moment {self.second_moment()!r} exceeds budget {ratios.r_ce!r}"
             )
@@ -303,7 +305,8 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
     Past v = max(2, 8*sqrt(r_ce/f(kink))) nothing beats the kink
     min(sqrt(r_ce), r_ca), so the search ends there or at ``r_ca``,
     whichever is smaller: its edge.  f is evaluated on a v-grid of cells
-    ``V_GRID_STEP`` wide, its best grid point is polished by
+    ``V_GRID_STEP`` wide (at most ``V_GRID_CELLS`` of them, wider on longer
+    spans), its best grid point is polished by
     ``golden_section_max`` over the cells on either side, and the kink and
     the edge are then taken exactly whenever either is at least as good.
     ``diagnostics`` name the winner (``interior``, ``end-point`` or
@@ -350,7 +353,8 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
     edge = ca
     if kink_value > 0.0:
         edge = min(ca, max(2.0, 8.0 * math.sqrt(ce / kink_value)))
-    vgrid = np.linspace(0.0, edge, max(2, int(round(edge / V_GRID_STEP))) + 1)
+    cells = min(V_GRID_CELLS, max(2, int(round(edge / V_GRID_STEP))))
+    vgrid = np.linspace(0.0, edge, cells + 1)
     k = int(np.argmax(objective(vgrid)))
     lo, hi = vgrid[max(k - 1, 0)], vgrid[min(k + 1, len(vgrid) - 1)]
     v, value = golden_section_max(evaluate, float(lo), float(hi))
@@ -398,7 +402,8 @@ def optimize_general(
     the iteration; the best iterate's weights become ``q_star``, and its
     ``pair_exponents`` give ``per_pair`` and ``beta``, a certified
     achievability bound.
-    Not guaranteed globally optimal for more than two hypotheses.
+    Not guaranteed globally optimal for more than two hypotheses.  An LP
+    that ends without a solution raises ``ControlLPError``.
     ``diagnostics`` holds the iteration count, the convergence flag and, per
     LP, its pivots (``lp_pivots``) and basis refactorizations
     (``lp_refactorizations``).
@@ -417,7 +422,7 @@ def optimize_general(
         )
         return per_pair, min(pv.value for pv in per_pair)
 
-    feasible = grid_energy <= ratios.r_ce + DISK_TOL
+    feasible = ratios.within_budget(grid_energy)
     x = feasible / np.count_nonzero(feasible)
     per_pair, beta = tilt_step(x)
     best_x, best_beta = x, beta
@@ -433,7 +438,7 @@ def optimize_general(
         coeffs = pair_chernoff_values(rate_table, lefts, rights, tilts)
         lp = linprog(coeffs, grid_energy, ratios.r_ce)
         if not lp.success:
-            raise RuntimeError(f"control LP failed: {lp.message}")
+            raise ControlLPError(f"control LP failed: {lp.message}")
         pivots.append(lp.nit)
         refactorizations.append(lp.refactorizations)
         x = lp.x

@@ -38,7 +38,6 @@ from typing import Sequence
 import numpy as np
 
 from .constellation import (
-    DISK_TOL,
     OperatingRatios,
     PskConstellation,
     SignalScale,
@@ -46,9 +45,6 @@ from .constellation import (
 )
 from .divergence import BLOCK_ELEMENTS
 from .exponent import ControlDistribution
-
-#: Mean-energy slack allowed on a realized policy (matches the peak slack).
-POLICY_ENERGY_TOL = 1e-12
 
 #: Upper-tail mass of each group total neglected by the oracle's box.  Two
 #: orders below the 1e-12 the oracle is trusted to, so the conditional
@@ -87,9 +83,9 @@ class OpenLoopPolicy:
         points = np.array(self.displacements, dtype=complex)
         if not np.all(np.isfinite(points)):
             raise ValueError("displacements must be finite")
-        if np.any(np.abs(points) > self.ratios.r_ca * (1.0 + DISK_TOL)):
+        if not np.all(self.ratios.in_disk(points)):
             raise ValueError("a displacement lies outside the control disk")
-        if self.mean_energy() > self.ratios.r_ce + POLICY_ENERGY_TOL:
+        if not self.ratios.within_budget(self.mean_energy()):
             raise ValueError(
                 f"mean energy {self.mean_energy()!r} exceeds budget "
                 f"{self.ratios.r_ce!r}"
@@ -157,7 +153,7 @@ def realize_policy(
         energies = np.append(energies, 0.0)
         counts = np.append(counts, 0)
     repair_moves = 0
-    while float(np.dot(counts, energies)) / n > ratios.r_ce + POLICY_ENERGY_TOL:
+    while not ratios.within_budget(float(np.dot(counts, energies)) / n):
         donors = np.flatnonzero(counts > 0)
         src = donors[int(np.argmax(energies[donors]))]
         dst = int(np.argmin(energies))

@@ -95,6 +95,10 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
 
     Column 0 must be the origin: zero energy and coefficients ~0 (its rates
     agree), so the basis {column 0, every slack} is feasible at t = 0.  The
+    pair rows, and the energy row with its budget, are first scaled by
+    powers of two (exactly, with ``np.ldexp``) that bring each block's
+    largest entry into [1, 2), so the absolute tolerances below mean the
+    same at every scale of the control disk; the weights are unchanged.  The
     basis inverse is kept dense, updated by one rank-1 step per pivot and
     recomputed (``_basis_inverse``) every ``REFACTOR_EVERY`` pivots and
     before optimality is declared.  Each pass prices every column with one
@@ -111,7 +115,10 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
     priced in by ~1e-10 on a fresh inverse; so the solve stops, as
     converged, when a refactorization interval of Bland pivots or the
     pivots between two restarts on a fresh inverse gain no more than
-    ``STALL_RTOL``.  The final basic weights get one step of iterative
+    ``STALL_RTOL``, or when a restart returns to a basis of an earlier one
+    (a primal pivot that leaves a weight at ~-1e-11 and the dual pivot that
+    removes it can alternate forever, each restart after a dual pivot
+    counting as a fresh start).  The final basic weights get one step of iterative
     refinement against the residual ``b - B @ xb`` (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, ch. 12): on an ill-conditioned
     basis the explicit inverse alone leaves them short of the objective the
@@ -121,14 +128,16 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
     rows, n = coeffs.shape
     m = rows + 2
     # Equality form over z = (q, t, a slack per pair row and the energy row).
+    pair_shift = 1 - np.frexp(np.max(np.abs(coeffs)))[1]
+    energy_shift = 1 - np.frexp(np.max(energy))[1]
     a = np.zeros((m, n + 2 + rows))
-    a[:rows, :n] = -coeffs
+    np.ldexp(-coeffs, pair_shift, out=a[:rows, :n])
     a[:rows, n] = 1.0
-    a[rows, :n] = energy
+    a[rows, :n] = np.ldexp(energy, energy_shift)
     a[-1, :n] = 1.0
     a[:-1, n + 1 :] = np.eye(rows + 1)
     b = np.zeros(m)
-    b[rows] = budget
+    b[rows] = np.ldexp(budget, energy_shift)
     b[-1] = 1.0
     cost = np.zeros(a.shape[1])
     cost[n] = 1.0
@@ -142,6 +151,7 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
     refactors = 1
     pivots = fresh = streak = 0
     mark = restart = -np.inf
+    restarted = set()
     status = "optimal"
     while True:
         reduced = cost - (cost[basis] @ binv) @ a
@@ -161,6 +171,11 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
             if objective - restart <= STALL_RTOL * abs(objective):
                 status = "stalled: no gain between restarts"
                 break
+            key = np.sort(basis).tobytes()
+            if key in restarted:
+                status = "stalled: a restart repeated a basis"
+                break
+            restarted.add(key)
             restart = objective
             continue
         if pivots == MAX_PIVOTS:

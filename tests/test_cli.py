@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,14 @@ class TestExitCodes:
         code = main(["exponent", "--r-sn", "0.01", "--r-ca", "0.5", "--r-ce", "0.5"])
         assert code == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
+
+    def test_control_lp_failure_is_one_error_line(self, monkeypatch, capsys):
+        """A control LP that reaches the pivot cap exits 1 with one error
+        line, not a traceback."""
+        monkeypatch.setattr("pskexp.simplex.MAX_PIVOTS", 1)
+        code = main(["exponent", "--psk", "4", "--r-sn", "0.01", "--r-ce", "0.9"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: control LP failed: pivot cap 1 reached\n"
 
     def test_verify_failure_is_exit_three(self, tmp_path, monkeypatch):
         """An impossible expected value makes verify exit 3."""
@@ -644,3 +653,81 @@ class TestStartup:
         exponent.optimize_binary(ratios)
         exponent.optimize_binary(OperatingRatios(r_sn=1e-4, r_ca=1.0, r_ce=0.3))
         assert calls == []
+
+
+#: Command lines at the edges of the accepted range, with the exit code
+#: each now gives.  Each once failed: a pivot cap after a primal/dual
+#: ping-pong (4-PSK at r_sn 0.1), a refused second moment a rounding step
+#: over a 9e9 budget, a budget above r_ca**2 at r_ca 1e-6 that was accepted,
+#: pivot caps at r_ca 1e-6, and v-grids of 763 MiB to 72.8 TiB.
+RANGE_CASES = [
+    ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9", EXIT_OK),
+    ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9 --grid-k 40", EXIT_OK),
+    ("simulate --psk 4 --r-sn 0.1 --r-ce 0.9", EXIT_OK),
+    ("exponent --psk 4 --grid-k 8 --r-sn 0.01 --r-ca 1e5 --r-ce 9e9", EXIT_OK),
+    ("exponent --r-sn 0.01 --r-ca 1e-6 --r-ce 1.9e-12", EXIT_INFEASIBLE),
+    ("exponent --psk 4 --grid-k 8 --r-ca 1e-6 --r-ce 9e-13 --r-sn 1e-300", EXIT_OK),
+    ("exponent --psk 4 --grid-k 8 --r-ca 1e-6 --r-ce 9e-13 --r-sn 1e-30", EXIT_OK),
+    ("exponent --psk 4 --grid-k 8 --r-ca 1e-6 --r-ce 9e-13 --r-sn 1e-12", EXIT_OK),
+    ("exponent --r-sn 1e12 --r-ca 1e10 --r-ce 0.9", EXIT_OK),
+    ("exponent --r-sn 0.01 --r-ca 1e10 --r-ce 9e19", EXIT_OK),
+    ("exponent --psk 2 --r-sn 0.01 --r-ca 1e5 --r-ce 9e9", EXIT_OK),
+    ("exponent --r-sn 1e30 --r-ca 1e10 --r-ce 0.9", EXIT_OK),
+]
+
+#: Address space and wall time each range case may use.
+RANGE_ADDRESS_SPACE = 3 << 30
+RANGE_TIMEOUT_S = 30
+
+
+def _cap_address_space():
+    resource.setrlimit(
+        resource.RLIMIT_AS, (RANGE_ADDRESS_SPACE, RANGE_ADDRESS_SPACE)
+    )
+
+
+def assert_feasible_records(records, params):
+    """A JSON distribution is one, inside the disk and within the budget,
+    each to 1e-12 of the bound."""
+    points = np.array([complex(a["re"], a["im"]) for a in records])
+    weights = np.array([a["weight"] for a in records])
+    assert np.all(weights > 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+    assert np.all(np.abs(points) <= params["r_ca"] * (1.0 + 1e-12))
+    assert weights @ np.abs(points) ** 2 <= params["r_ce"] * (1.0 + 1e-12)
+
+
+class TestRange:
+    """Every accepted input answers in bounded time and memory."""
+
+    @pytest.mark.parametrize("line, code", RANGE_CASES)
+    def test_answers_without_a_traceback(self, line, code):
+        """Under a 3 GiB address-space cap and a 30 s timeout the command
+        exits 0 with finite, in-range numbers, or exits 1 or 2 with one
+        error line: here with the exit code ``code``."""
+        src = str(Path(pskexp.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "pskexp.cli", *line.split()],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=RANGE_TIMEOUT_S,
+            preexec_fn=_cap_address_space,
+        )
+        assert out.returncode == code, out.stderr
+        if code != EXIT_OK:
+            assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+            return
+        doc = json.loads(out.stdout)
+        params = doc["parameters"]
+        if doc["command"] == "exponent":
+            assert math.isfinite(doc["beta"]) and doc["beta"] >= 0.0
+            assert all(math.isfinite(e["value"]) for e in doc["per_pair"])
+            assert_feasible_records(doc["q_star"], params)
+        else:
+            assert 0.0 <= doc["p_e"] <= 1.0
+            assert math.isfinite(doc["beta_realized"]) and doc["beta_realized"] >= 0.0
+            assert_feasible_records(doc["policy_type"], params)

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pskexp.constellation import (
-    DISK_TOL,
     InfeasibleRatiosError,
     OperatingRatios,
     PskConstellation,
@@ -66,6 +65,44 @@ class TestOperatingRatios:
         """r_ce = r_ca**2 exactly saturates but does not violate."""
         ratios = OperatingRatios(r_sn=0.01, r_ca=0.5, r_ce=0.25)
         assert ratios.r_ce == 0.25
+
+    def test_energy_beyond_a_tiny_peak_is_infeasible(self):
+        """At r_ca = 1e-6 a budget 1.9 times r_ca**2 is infeasible: the slack
+        is relative to the bound, not 1e-12 added to it."""
+        with pytest.raises(InfeasibleRatiosError):
+            OperatingRatios(r_sn=0.01, r_ca=1e-6, r_ce=1.9e-12)
+        OperatingRatios(r_sn=0.01, r_ca=1e-6, r_ce=1e-12)
+
+    def test_rejects_outside_disk(self):
+        """|v| > r_ca is outside the disk; |v| = r_ca is inside."""
+        assert not RATIOS.in_disk(1.0 + 1e-6)
+        assert RATIOS.in_disk(1.0) and RATIOS.in_disk(-1j)
+        np.testing.assert_array_equal(
+            RATIOS.in_disk(np.array([0.5, 1.5j])), [True, False]
+        )
+
+    def test_disk_slack_is_relative_to_the_radius(self):
+        """At r_ca = 1e5 the grid's own points, some a rounding step past the
+        radius, are inside; a point 1e-9 of the radius past it is not."""
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1e5, r_ce=0.9)
+        grid = control_grid(20, ratios)
+        assert np.max(np.abs(grid)) > ratios.r_ca
+        assert np.all(ratios.in_disk(grid))
+        assert not ratios.in_disk(1e5 * (1.0 + 1e-9))
+
+    def test_budget_slack_is_relative_to_the_budget(self):
+        """A second moment a rounding step over a 9e9 budget is within it
+        (1e-9 added to 9e9 is below one ulp), and twice a 5e-13 budget is
+        not."""
+        wide = OperatingRatios(r_sn=0.01, r_ca=1e5, r_ce=9e9)
+        assert wide.within_budget(9000000000.000002)
+        assert not wide.within_budget(9e9 * (1.0 + 1e-9))
+        tiny = OperatingRatios(r_sn=0.01, r_ca=1e-6, r_ce=5e-13)
+        assert tiny.within_budget(5e-13)
+        assert not tiny.within_budget(1e-12)
+        np.testing.assert_array_equal(
+            tiny.within_budget(np.array([0.0, 1e-12])), [True, False]
+        )
 
 
 class TestPskConstellation:
@@ -174,21 +211,6 @@ class TestNormalizedRate:
                 rate = normalized_rates(np.array([v]), con, ratios)[m, 0]
                 assert rate == ratios.r_sn
 
-    def test_rejects_outside_disk(self):
-        """|v| > r_ca raises."""
-        with pytest.raises(ValueError, match="control radius"):
-            normalized_rate(1.0 + 1e-6, 0, bpsk(), RATIOS)
-
-    def test_disk_slack_is_relative_to_the_radius(self):
-        """At r_ca = 1e5 the grid's own points, some a rounding step past the
-        radius, are inside; a point 1e-9 of the radius past it is not."""
-        ratios = OperatingRatios(r_sn=0.01, r_ca=1e5, r_ce=0.9)
-        grid = control_grid(20, ratios)
-        assert np.max(np.abs(grid)) > ratios.r_ca
-        assert normalized_rates(grid, uniform_psk(4), ratios).shape == (4, len(grid))
-        with pytest.raises(ValueError, match="control radius"):
-            normalized_rates([1e5 * (1.0 + 1e-9)], uniform_psk(4), ratios)
-
     def test_vectorized_matches_scalar(self):
         """normalized_rates agrees with the scalar formula pointwise, one row
         per hypothesis."""
@@ -202,8 +224,6 @@ class TestNormalizedRate:
                 for v in pts
             ]
             np.testing.assert_allclose(got, want, rtol=1e-14)
-        with pytest.raises(ValueError, match="control radius"):
-            normalized_rates(np.array([1.5]), con, RATIOS)
 
     @given(
         rho=st.floats(min_value=0.0, max_value=1.0),
@@ -230,7 +250,7 @@ class TestControlGrid:
     def test_points_inside_disk(self):
         """All grid points satisfy |v| <= r_ca."""
         grid = control_grid(7, RATIOS)
-        assert np.all(np.abs(grid) <= RATIOS.r_ca + DISK_TOL)
+        assert np.all(RATIOS.in_disk(grid))
 
     def test_outer_ring_on_boundary(self):
         """The last K points sit exactly on the circle of radius r_ca."""

@@ -30,7 +30,6 @@ from pskexp.divergence import (
     s_star_log,
 )
 from pskexp.exponent import (
-    ENERGY_TOL,
     ControlDistribution,
     ExponentSolution,
     convexity_margin,
@@ -240,6 +239,19 @@ class TestControlDistribution:
             ControlDistribution.point_mass(1.2).validate_feasible(RATIOS_LOW)
         with pytest.raises(ValueError, match="budget"):
             ControlDistribution.point_mass(1.0).validate_feasible(RATIOS_LOW)
+
+    def test_validate_feasible_slack_is_relative(self):
+        """The energy slack scales with the budget: a second moment a
+        rounding step over 9e9 passes, and a point mass at twice a 5e-13
+        budget does not."""
+        wide = OperatingRatios(r_sn=0.01, r_ca=1e5, r_ce=9e9)
+        w = 0.9000000000000001
+        q = ControlDistribution(atoms=((0j, 1.0 - w), (complex(1e5), w)))
+        assert q.second_moment() == 9000000000.000002
+        q.validate_feasible(wide)
+        tiny = OperatingRatios(r_sn=0.01, r_ca=1e-6, r_ce=5e-13)
+        with pytest.raises(ValueError, match="budget"):
+            ControlDistribution.point_mass(1e-6).validate_feasible(tiny)
 
     def test_records(self):
         """records() lists the atoms as JSON records, in atom order."""
@@ -523,6 +535,28 @@ class TestOptimizeBinary:
         assert sol.q_star == paper.q_star
         assert sol.diagnostics["winner"] == "end-point"
 
+    @pytest.mark.parametrize(
+        "r_sn, r_ca, r_ce",
+        [(1e12, 1e10, 0.9), (0.01, 1e10, 9e19), (0.01, 1e5, 9e9), (1e30, 1e10, 0.9)],
+    )
+    def test_v_grid_is_capped(self, r_sn, r_ca, r_ce):
+        """Wide searches grid at most ``V_GRID_CELLS`` cells (they asked
+        numpy for 42.1 GiB, 72.8 TiB, 763 MiB and 72.8 TiB), and return a
+        feasible solution."""
+        ratios = OperatingRatios(r_sn=r_sn, r_ca=r_ca, r_ce=r_ce)
+        solutions = []
+        peak = peak_traced_bytes(lambda: solutions.append(optimize_binary(ratios)))
+        assert peak <= 16 * 2**20
+        sol = solutions[0]
+        sol.q_star.validate_feasible(ratios)
+        assert math.isfinite(sol.beta) and sol.beta >= 0.0
+
+    def test_capped_grid_keeps_the_optimum(self):
+        """At r_ca = 1e3 the search spans the whole disk; its capped grid
+        finds beta at least the 1.7999965801597534e-6 of a 1e6-cell grid."""
+        sol = optimize_binary(OperatingRatios(r_sn=1e6, r_ca=1e3, r_ce=0.9))
+        assert 1.7999965801597534e-06 <= sol.beta <= 1.7999965801597534e-06 * (1 + 1e-9)
+
     def test_tiny_budget_keeps_its_atom(self):
         """At r_ce = 1e-15 the optimum puts weight ~1e-15 on one point, and
         beta is r_ce times the best chord slope from the origin, as at any
@@ -713,6 +747,27 @@ class TestOptimizeGeneral:
         sol.q_star.validate_feasible(ratios)
         assert sol.certified and sol.beta > 0.0
 
+    def test_wide_disk_budget(self):
+        """At r_ce = 9e9 the solution's second moment, a rounding step over
+        the budget, is within the budget's relative slack (it was refused:
+        1e-9 added to 9e9 is below one ulp)."""
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1e5, r_ce=9e9)
+        sol = optimize_general(uniform_psk(4), ratios, grid_k=8)
+        sol.q_star.validate_feasible(ratios)
+        assert sol.beta > 0.0
+
+    @pytest.mark.parametrize(
+        "grid_k, beta", [(20, 0.37996230905398387), (40, 0.37998854288769696)]
+    )
+    def test_primal_dual_ping_pong_ends(self, grid_k, beta):
+        """4-PSK at r_sn 0.1, r_ce 0.9 solves: its third LP alternated a
+        primal and a dual pivot between two bases until the pivot cap."""
+        ratios = OperatingRatios(r_sn=0.1, r_ca=1.0, r_ce=0.9)
+        sol = optimize_general(uniform_psk(4), ratios, grid_k=grid_k)
+        sol.q_star.validate_feasible(ratios)
+        assert sol.beta == pytest.approx(beta, rel=1e-12)
+        assert max(sol.diagnostics["lp_pivots"]) < 100
+
     def test_zero_budget_quaternary(self):
         """r_ce = 0 pins the policy at the origin with zero exponent."""
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.0)
@@ -728,7 +783,6 @@ class TestOptimizeGeneral:
         ratios = OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce)
         sol = optimize_general(uniform_psk(m), ratios, grid_k=40)
         sol.q_star.validate_feasible(ratios)
-        assert sol.q_star.second_moment() <= r_ce + ENERGY_TOL
         assert sol.certified
         assert exponent_of(sol.q_star, uniform_psk(m), ratios) == sol.beta
 
@@ -928,6 +982,62 @@ class TestControlLP:
             budget,
         )
         assert res.nit < MAX_PIVOTS // 20
+
+    def test_restart_on_a_repeated_basis_ends_at_the_optimum(self):
+        """The ping-pong LP (4-PSK, r_sn 0.1, r_ce 0.9, grid_k 20) ends when a
+        restart returns to an earlier basis, 6.4e-12 relative below its
+        certified optimum: that basis holds a weight at -8.6e-12, which is
+        clipped.  The other LPs of the solve reach theirs to 1e-12."""
+        lps = []
+
+        def capture(coeffs, energy, budget):
+            res, basis = solve_with_basis(coeffs, energy, budget)
+            lps.append(((coeffs, energy, budget), basis, res.message))
+            return res
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exponent, "linprog", capture)
+            optimize_general(uniform_psk(4), OperatingRatios(0.1, 1.0, 0.9))
+        messages = [message for _, _, message in lps]
+        assert messages.count("stalled: a restart repeated a basis") == 1
+        for lp, basis, message in lps:
+            t_exact = certified_control_lp(*lp, basis)
+            if message == "optimal":
+                self.assert_reaches_optimum(*lp, t_exact)
+            else:
+                t = np.min(lp[0] @ linprog(*lp).x)
+                assert t == pytest.approx(t_exact, rel=1e-11)
+
+    @pytest.mark.parametrize("r_sn", [1e-300, 1e-30, 1e-16, 1e-12, 1e-8])
+    def test_tiny_disk_lps_solve_at_unit_scale(self, r_sn):
+        """At r_ca = 1e-6 the coefficients are ~1e-12 and the energies
+        ~1e-12; scaled to [1, 2) each LP solves in a few pivots, at HiGHS's
+        optimum of the scaled rows, and beta is r_ce/2, the small-disk limit
+        of 4-PSK (it was 1.96e-13, or the pivot cap)."""
+        ratios = OperatingRatios(r_sn=r_sn, r_ca=1e-6, r_ce=9e-13)
+        lps = []
+
+        def capture(coeffs, energy, budget):
+            res = linprog(coeffs, energy, budget)
+            lps.append(((coeffs, energy, budget), res))
+            return res
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exponent, "linprog", capture)
+            sol = optimize_general(uniform_psk(4), ratios, grid_k=8)
+        for (coeffs, energy, budget), res in lps:
+            assert res.nit <= 20
+            pair_shift = 1 - np.frexp(np.max(np.abs(coeffs)))[1]
+            energy_shift = 1 - np.frexp(np.max(energy))[1]
+            t_ref = highs_control_lp(
+                np.ldexp(coeffs, pair_shift),
+                np.ldexp(energy, energy_shift),
+                np.ldexp(budget, energy_shift),
+            )
+            t = np.ldexp(np.min(coeffs @ res.x), pair_shift)
+            assert t == pytest.approx(t_ref, rel=1e-11)
+        sol.q_star.validate_feasible(ratios)
+        assert sol.beta == pytest.approx(ratios.r_ce / 2.0, rel=1e-7)
 
     def test_zero_budget_keeps_the_origin(self):
         """With no energy only the origin is feasible; it keeps all the
