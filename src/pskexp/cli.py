@@ -11,8 +11,9 @@ verify        structural checks (convexity margin, tilt range, optimizer
 
 ``exponent`` and ``simulate`` write JSON and the sweeps write CSV; ``verify``
 writes a text report, or JSON with ``--format json``.  Exit codes: 0
-success, 1 malformed arguments, an unwritable ``--out`` or a failed control
-LP, 2 infeasible constraints, 3 verification failure.  Outputs are
+success, 1 malformed arguments, an unwritable ``--out``, a failed control
+LP, or a solve that runs out of memory or overflows a float, 2 infeasible
+constraints, 3 verification failure.  Outputs are
 deterministic for a fixed seed; files are written atomically (temp file +
 rename).  CSV is UTF-8 with LF line endings and full-precision scientific
 notation; JSON documents carry a schema_version field and sorted keys.
@@ -425,12 +426,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="raise"):
+            return _COMMANDS[args.command](args)
     except InfeasibleRatiosError as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
     except (ValueError, ControlLPError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except (MemoryError, OverflowError, FloatingPointError) as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:
         target = args.out or "stdout"

@@ -67,6 +67,10 @@ from .simplex import linprog
 #: carry that much dust).
 DROP_TOL = 1e-12
 
+#: Distance within which ``ControlDistribution.total_variation`` counts two
+#: atoms as one location.
+TV_MATCH_TOL = 1e-4
+
 #: Cell width of the v-grid ``optimize_binary`` searches before its polish,
 #: and its cell count cap, which widens the cells only on edges past 65.5.
 V_GRID_STEP = 1e-3
@@ -189,18 +193,16 @@ class ControlDistribution:
                 f"second moment {self.second_moment()!r} exceeds budget {ratios.r_ce!r}"
             )
 
-    def total_variation(
-        self, other: "ControlDistribution", match_tol: float = 1e-4
-    ) -> float:
-        """Total variation distance, identifying atoms within ``match_tol``.
+    def total_variation(self, other: "ControlDistribution") -> float:
+        """Total variation distance, identifying atoms within ``TV_MATCH_TOL``.
 
         Exact TV between finitely supported measures is discontinuous in
         atom locations (nearby but distinct atoms count as disjoint), which
         makes it useless for comparing numerically optimized supports.
-        Atoms closer than ``match_tol`` (on the unit-normalized control
-        scale) are therefore treated as one location.  The default absorbs
-        float- and polish-level jitter while still separating genuinely
-        distinct support points such as 0.949 vs 1.0.
+        Atoms closer than ``TV_MATCH_TOL`` (on the unit-normalized control
+        scale) are therefore treated as one location.  It absorbs float- and
+        polish-level jitter while still separating genuinely distinct support
+        points such as 0.949 vs 1.0.
         """
         entries = [(p, w, 0.0) for p, w in self.atoms]
         entries += [(p, 0.0, w) for p, w in other.atoms]
@@ -209,7 +211,7 @@ class ControlDistribution:
         group_self = group_other = 0.0
         anchor = entries[0][0]
         for point, w_self, w_other in entries:
-            if abs(point - anchor) > match_tol:
+            if abs(point - anchor) > TV_MATCH_TOL:
                 tv += abs(group_self - group_other)
                 group_self = group_other = 0.0
                 anchor = point

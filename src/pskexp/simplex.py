@@ -6,8 +6,10 @@ pairs plus two) and a few thousand columns, with the origin's column
 giving a feasible start.  It keeps the basis inverse dense, prices every
 column with one matrix-vector product and breaks ties by the lowest index,
 so its result is the same on every run and for any number of BLAS threads.
-The final weights get one step of iterative refinement, so they reach the
-optimum the basis attains even where the basis is ill-conditioned.
+It ends on a basis that is optimal on a freshly computed inverse, or, where
+rounding keeps pricing columns in, when a restart returns to an earlier
+basis.  The final weights get one step of iterative refinement, so they
+reach the optimum the basis attains even where the basis is ill-conditioned.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ DEGENERATE_STREAK = 16
 MAX_PIVOTS = 20000
 
 #: A pivot that raises the objective by at most this fraction of it is
-#: degenerate; a solve stops once it gains no more between two restarts.
+#: degenerate; ``DEGENERATE_STREAK`` of them in a row switch to Bland's rule.
 STALL_RTOL = 1e-14
 
 
@@ -99,26 +101,24 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
     powers of two (exactly, with ``np.ldexp``) that bring each block's
     largest entry into [1, 2), so the absolute tolerances below mean the
     same at every scale of the control disk; the weights are unchanged.  The
-    basis inverse is kept dense, updated by one rank-1 step per pivot and
-    recomputed (``_basis_inverse``) every ``REFACTOR_EVERY`` pivots and
-    before optimality is declared.  Each pass prices every column with one
-    product by the dual vector; the largest reduced cost enters (Dantzig's
-    rule, ties to the lowest column index), and among the rows that tie in
-    the ratio test,
-    over pivot elements above ``PIVOT_TOL``, the largest pivot element
-    leaves.  After ``DEGENERATE_STREAK`` pivots in a row that raise the
-    objective by at most ``STALL_RTOL`` of it, Bland's rule (lowest entering
-    column, lowest leaving variable) is used until one does better.  A basic
-    weight that the skipped small pivot elements left below
-    ``-FEASIBILITY_TOL`` at the optimum leaves by a dual simplex pivot.
-    Rounding can keep two nearly collinear columns swapping forever, each
-    priced in by ~1e-10 on a fresh inverse; so the solve stops, as
-    converged, when a refactorization interval of Bland pivots or the
-    pivots between two restarts on a fresh inverse gain no more than
-    ``STALL_RTOL``, or when a restart returns to a basis of an earlier one
-    (a primal pivot that leaves a weight at ~-1e-11 and the dual pivot that
-    removes it can alternate forever, each restart after a dual pivot
-    counting as a fresh start).  The final basic weights get one step of iterative
+    basis inverse is kept dense and updated by one rank-1 step per pivot.
+    Each pass prices every column with one product by the dual vector; the
+    largest reduced cost enters (Dantzig's rule, ties to the lowest column
+    index), and among the rows that tie in the ratio test, over pivot
+    elements above ``PIVOT_TOL``, the largest pivot element leaves.  After
+    ``DEGENERATE_STREAK`` pivots in a row that raise the objective by at
+    most ``STALL_RTOL`` of it, Bland's rule (lowest entering column, lowest
+    leaving variable) is used until one does better.  The inverse is
+    recomputed (``_basis_inverse``) in one place: when the updated inverse
+    prices nothing in, or has taken ``REFACTOR_EVERY`` pivots, and then the
+    columns are priced again.  The first case is a restart.  A basic weight
+    that the skipped small pivot elements left below ``-FEASIBILITY_TOL``
+    on a fresh inverse leaves by a dual simplex pivot, and a fresh inverse
+    that prices nothing in and has no such weight is optimal.  Rounding can
+    keep the solve from getting there: a primal pivot that leaves a weight
+    at ~-1e-11 and the dual pivot that removes it can alternate forever.
+    So the solve stops, as converged, when a restart returns to the basis of
+    an earlier one.  The final basic weights get one step of iterative
     refinement against the residual ``b - B @ xb`` (Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2002, ch. 12): on an ill-conditioned
     basis the explicit inverse alone leaves them short of the objective the
@@ -150,7 +150,6 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
     binv, xb = refactor()
     refactors = 1
     pivots = fresh = streak = 0
-    mark = restart = -np.inf
     restarted = set()
     status = "optimal"
     while True:
@@ -162,21 +161,18 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
         else:
             j = int(np.argmax(reduced))
             j = j if reduced[j] > PRICE_TOL else -1
-        if j < 0 and fresh:
-            # Optimal on an updated inverse: recompute it and price again.
+        if fresh and (j < 0 or fresh == REFACTOR_EVERY):
+            # Recompute the updated inverse and price again; an updated
+            # inverse that priced nothing in makes this a restart.
             binv, xb = refactor()
             refactors += 1
             fresh = 0
-            objective = cost[basis] @ xb
-            if objective - restart <= STALL_RTOL * abs(objective):
-                status = "stalled: no gain between restarts"
-                break
-            key = np.sort(basis).tobytes()
-            if key in restarted:
-                status = "stalled: a restart repeated a basis"
-                break
-            restarted.add(key)
-            restart = objective
+            if j < 0:
+                key = np.sort(basis).tobytes()
+                if key in restarted:
+                    status = "stalled: a restart repeated a basis"
+                    break
+                restarted.add(key)
             continue
         if pivots == MAX_PIVOTS:
             status = f"pivot cap {MAX_PIVOTS} reached"
@@ -212,7 +208,6 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
             j = int(np.argmin(ratios))
             u = binv @ a[:, j]
             theta = xb[r] / u[r]
-            restart = -np.inf
         xb -= theta * u
         xb[r] = theta
         pivot_row = binv[r] / u[r]
@@ -221,20 +216,8 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
         basis[r] = j
         pivots += 1
         fresh += 1
-        objective = cost[basis] @ xb
         gain = theta * reduced[j]
-        streak = streak + 1 if gain <= STALL_RTOL * abs(objective) else 0
-        if fresh == REFACTOR_EVERY:
-            binv, xb = refactor()
-            refactors += 1
-            fresh = 0
-            objective = cost[basis] @ xb
-            if streak >= DEGENERATE_STREAK + REFACTOR_EVERY and (
-                objective - mark <= STALL_RTOL * abs(objective)
-            ):
-                status = "stalled: a refactorization interval gained nothing"
-                break
-            mark = objective
+        streak = streak + 1 if gain <= STALL_RTOL * abs(cost[basis] @ xb) else 0
     xb += binv @ (b - a[:, basis] @ xb)
     x = np.zeros(n)
     in_grid = basis < n

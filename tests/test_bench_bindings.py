@@ -40,12 +40,12 @@ def load_bench_module(name):
 
 @pytest.mark.parametrize(
     "key",
-    [(8, 0.02, 0.85), (8, 0.05, 0.75), (16, 0.005, 0.85), (16, 0.02, 0.85)],
+    list(load_bench_module("workloads").FROZEN_MARY_BETA),
     ids=lambda key: "psk{}-{}-{}".format(*key),
 )
 def test_frozen_mary_beta_holds(key):
-    """The M-ary exponents the benchmark froze at grid_k = 40 may only rise
-    (these four moved most under the last numeric change)."""
+    """Each M-ary exponent the benchmark froze at grid_k = 40 may only
+    rise."""
     frozen = load_bench_module("workloads").FROZEN_MARY_BETA[key]
     m, r_sn, r_ce = key
     ratios = OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce)

@@ -659,7 +659,9 @@ class TestStartup:
 #: each now gives.  Each once failed: a pivot cap after a primal/dual
 #: ping-pong (4-PSK at r_sn 0.1), a refused second moment a rounding step
 #: over a 9e9 budget, a budget above r_ca**2 at r_ca 1e-6 that was accepted,
-#: pivot caps at r_ca 1e-6, and v-grids of 763 MiB to 72.8 TiB.
+#: pivot caps at r_ca 1e-6, v-grids of 763 MiB to 72.8 TiB, a 300-PSK LP
+#: matrix of 15 GiB, and float overflows at r_ca 1e160 and 1.7e308 (the
+#: last three with a traceback).
 RANGE_CASES = [
     ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9", EXIT_OK),
     ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9 --grid-k 40", EXIT_OK),
@@ -673,6 +675,25 @@ RANGE_CASES = [
     ("exponent --r-sn 0.01 --r-ca 1e10 --r-ce 9e19", EXIT_OK),
     ("exponent --psk 2 --r-sn 0.01 --r-ca 1e5 --r-ce 9e9", EXIT_OK),
     ("exponent --r-sn 1e30 --r-ca 1e10 --r-ce 0.9", EXIT_OK),
+    ("exponent --psk 300 --grid-k 8 --r-sn 0.01 --r-ce 0.9", EXIT_USAGE),
+    ("exponent --r-sn 0.01 --r-ca 1e160 --r-ce 1e307", EXIT_USAGE),
+    ("exponent --r-sn 0.01 --r-ca 1.7e308 --r-ce 1e300", EXIT_USAGE),
+]
+
+#: A log grid over the accepted range: binary and 4-PSK (grid_k 8)
+#: ``exponent`` and ``simulate`` at each (r_sn, r_ca, r_ce), with r_ce at
+#: 1e-12 * r_ca**2, 0.9 * min(1, r_ca**2) and r_ca**2.
+RANGE_GRID = [
+    f"{command} --r-sn {r_sn!r} --r-ca {r_ca!r} --r-ce {r_ce!r}"
+    for command in (
+        "exponent",
+        "exponent --psk 4 --grid-k 8",
+        "simulate --slices 20 --trials 1000",
+        "simulate --psk 4 --grid-k 8 --slices 20 --trials 1000",
+    )
+    for r_sn in (1e-300, 1e-8, 1.0, 1e12)
+    for r_ca in (1e-6, 1.0, 1e10)
+    for r_ce in (1e-12 * r_ca**2, 0.9 * min(1.0, r_ca**2), r_ca**2)
 ]
 
 #: Address space and wall time each range case may use.
@@ -696,6 +717,76 @@ def assert_feasible_records(records, params):
     assert weights @ np.abs(points) ** 2 <= params["r_ce"] * (1.0 + 1e-12)
 
 
+#: Runs the command lines read from stdin (a JSON list) through ``main``
+#: one after another, and prints [exit code, stdout, stderr] for each; an
+#: exception that escapes ``main`` is reported as exit code None with its
+#: traceback.  Warnings are reset per line, so each shows as it would in a
+#: process of its own.
+RANGE_RUNNER = """
+import contextlib, io, json, sys, traceback, warnings
+from pskexp.cli import main
+results = []
+for line in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(line.split())
+            except SystemExit as exc:
+                code = exc.code
+            except BaseException:
+                code = None
+                err.write(traceback.format_exc())
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def run_capped(argv, stdin=None):
+    """Run ``python argv`` with this pskexp under the range cases' address
+    space cap and timeout, BLAS at one thread."""
+    src = str(Path(pskexp.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=env,
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=RANGE_TIMEOUT_S,
+        preexec_fn=_cap_address_space,
+    )
+
+
+def assert_answers(code, stdout, stderr):
+    """Exit 0 with finite, in-range numbers, or exit 1 or 2 with one error
+    line and no traceback."""
+    if code != EXIT_OK:
+        assert code in (EXIT_USAGE, EXIT_INFEASIBLE), stderr
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        return
+    doc = json.loads(stdout)
+    params = doc["parameters"]
+    if doc["command"] == "exponent":
+        assert math.isfinite(doc["beta"]) and doc["beta"] >= 0.0
+        assert all(math.isfinite(e["value"]) for e in doc["per_pair"])
+        assert_feasible_records(doc["q_star"], params)
+    else:
+        assert 0.0 <= doc["p_e"] <= 1.0
+        assert math.isfinite(doc["beta_realized"]) and doc["beta_realized"] >= 0.0
+        assert_feasible_records(doc["policy_type"], params)
+
+
+@pytest.fixture(scope="module")
+def range_grid_results():
+    """Each ``RANGE_GRID`` line's [exit code, stdout, stderr], all run in
+    one child under the address-space cap and timeout."""
+    out = run_capped(["-c", RANGE_RUNNER], stdin=json.dumps(RANGE_GRID))
+    assert out.returncode == 0, out.stderr
+    return dict(zip(RANGE_GRID, json.loads(out.stdout)))
+
+
 class TestRange:
     """Every accepted input answers in bounded time and memory."""
 
@@ -704,30 +795,11 @@ class TestRange:
         """Under a 3 GiB address-space cap and a 30 s timeout the command
         exits 0 with finite, in-range numbers, or exits 1 or 2 with one
         error line: here with the exit code ``code``."""
-        src = str(Path(pskexp.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-m", "pskexp.cli", *line.split()],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=RANGE_TIMEOUT_S,
-            preexec_fn=_cap_address_space,
-        )
+        out = run_capped(["-m", "pskexp.cli", *line.split()])
         assert out.returncode == code, out.stderr
-        if code != EXIT_OK:
-            assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
-            return
-        doc = json.loads(out.stdout)
-        params = doc["parameters"]
-        if doc["command"] == "exponent":
-            assert math.isfinite(doc["beta"]) and doc["beta"] >= 0.0
-            assert all(math.isfinite(e["value"]) for e in doc["per_pair"])
-            assert_feasible_records(doc["q_star"], params)
-        else:
-            assert 0.0 <= doc["p_e"] <= 1.0
-            assert math.isfinite(doc["beta_realized"]) and doc["beta_realized"] >= 0.0
-            assert_feasible_records(doc["policy_type"], params)
+        assert_answers(out.returncode, out.stdout, out.stderr)
+
+    @pytest.mark.parametrize("line", RANGE_GRID)
+    def test_grid_answers_without_a_traceback(self, line, range_grid_results):
+        """Every grid point answers as a range case does."""
+        assert_answers(*range_grid_results[line])

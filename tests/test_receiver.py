@@ -272,7 +272,7 @@ class TestRealizePolicy:
         assert pol.mean_energy() <= ratios.r_ce + 1e-12
         assert max(abs(d) for d in pol.displacements) <= ratios.r_ca + 1e-12
         moves = getattr(pol, "_repair_moves")
-        tv = pol.type_distribution().total_variation(q, match_tol=1e-12)
+        tv = pol.type_distribution().total_variation(q)
         assert tv <= (1.0 + moves) / slices + 1e-12
 
 
