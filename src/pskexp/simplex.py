@@ -31,7 +31,10 @@ MAX_PIVOTS = 20000
 
 #: A pivot that raises the objective by at most this fraction of it is
 #: degenerate; ``DEGENERATE_STREAK`` of them in a row switch to Bland's rule.
-STALL_RTOL = 1e-14
+DEGENERATE_RTOL = 1e-14
+
+#: The one stall exit: a restart returned to the basis of an earlier one.
+STALLED = "stalled: a restart repeated a basis"
 
 
 class SimplexResult(NamedTuple):
@@ -107,11 +110,11 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
     index), and among the rows that tie in the ratio test, over pivot
     elements above ``PIVOT_TOL``, the largest pivot element leaves.  After
     ``DEGENERATE_STREAK`` pivots in a row that raise the objective by at
-    most ``STALL_RTOL`` of it, Bland's rule (lowest entering column, lowest
-    leaving variable) is used until one does better.  The inverse is
-    recomputed (``_basis_inverse``) in one place: when the updated inverse
-    prices nothing in, or has taken ``REFACTOR_EVERY`` pivots, and then the
-    columns are priced again.  The first case is a restart.  A basic weight
+    most ``DEGENERATE_RTOL`` of it, Bland's rule (lowest entering column,
+    lowest leaving variable) is used until one does better.  The inverse is
+    recomputed (``_basis_inverse``) in one place, before the columns are
+    priced: once the updated inverse has taken ``REFACTOR_EVERY`` pivots,
+    or when it has priced nothing in, which is a restart.  A basic weight
     that the skipped small pivot elements left below ``-FEASIBILITY_TOL``
     on a fresh inverse leaves by a dual simplex pivot, and a fresh inverse
     that prices nothing in and has no such weight is optimal.  Rounding can
@@ -151,8 +154,21 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
     refactors = 1
     pivots = fresh = streak = 0
     restarted = set()
+    priced_out = False
     status = "optimal"
     while True:
+        if priced_out or fresh == REFACTOR_EVERY:
+            # Recompute the updated inverse before pricing; one that priced
+            # nothing in makes this a restart.
+            binv, xb = refactor()
+            refactors += 1
+            fresh = 0
+            if priced_out:
+                key = np.sort(basis).tobytes()
+                if key in restarted:
+                    status = STALLED
+                    break
+                restarted.add(key)
         reduced = cost - (cost[basis] @ binv) @ a
         reduced[basis] = 0.0
         if streak >= DEGENERATE_STREAK:
@@ -161,18 +177,8 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
         else:
             j = int(np.argmax(reduced))
             j = j if reduced[j] > PRICE_TOL else -1
-        if fresh and (j < 0 or fresh == REFACTOR_EVERY):
-            # Recompute the updated inverse and price again; an updated
-            # inverse that priced nothing in makes this a restart.
-            binv, xb = refactor()
-            refactors += 1
-            fresh = 0
-            if j < 0:
-                key = np.sort(basis).tobytes()
-                if key in restarted:
-                    status = "stalled: a restart repeated a basis"
-                    break
-                restarted.add(key)
+        priced_out = fresh > 0 and j < 0
+        if priced_out:
             continue
         if pivots == MAX_PIVOTS:
             status = f"pivot cap {MAX_PIVOTS} reached"
@@ -217,7 +223,7 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
         pivots += 1
         fresh += 1
         gain = theta * reduced[j]
-        streak = streak + 1 if gain <= STALL_RTOL * abs(cost[basis] @ xb) else 0
+        streak = streak + 1 if gain <= DEGENERATE_RTOL * abs(cost[basis] @ xb) else 0
     xb += binv @ (b - a[:, basis] @ xb)
     x = np.zeros(n)
     in_grid = basis < n
@@ -227,6 +233,6 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
         x=x,
         nit=pivots,
         refactorizations=refactors,
-        success=status == "optimal" or status.startswith("stalled"),
+        success=status in ("optimal", STALLED),
         message=status,
     )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import peak_traced_bytes
-from pskexp import receiver
+from pskexp import exponent, receiver
 from pskexp.constellation import (
     OperatingRatios,
     SignalScale,
@@ -272,7 +272,11 @@ class TestRealizePolicy:
         assert pol.mean_energy() <= ratios.r_ce + 1e-12
         assert max(abs(d) for d in pol.displacements) <= ratios.r_ca + 1e-12
         moves = getattr(pol, "_repair_moves")
-        tv = pol.type_distribution().total_variation(q)
+        # Match atoms only at float jitter, so that a repaired slot near a
+        # distinct atom (the origin's sink, say) still counts as moved.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exponent, "TV_MATCH_TOL", 1e-12)
+            tv = pol.type_distribution().total_variation(q)
         assert tv <= (1.0 + moves) / slices + 1e-12
 
 
