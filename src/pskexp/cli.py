@@ -83,11 +83,11 @@ def _add_ratio_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--r-ca", type=float, default=1.0, help="control disk radius (default 1)"
     )
+
+
+def _add_budget_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--r-ce",
-        type=float,
-        default=1.0,
-        help="mean control energy budget (default 1)",
+        "--r-ce", type=float, default=1.0, help="mean control energy budget (default 1)"
     )
 
 
@@ -155,6 +155,7 @@ def build_parser() -> _Parser:
         "exponent", help="optimal constrained open-loop exponent"
     )
     _add_ratio_flags(p_exp)
+    _add_budget_flag(p_exp)
     _add_constellation_flags(p_exp)
     _add_grid_flag(p_exp)
     _add_out_flag(p_exp)
@@ -163,12 +164,15 @@ def build_parser() -> _Parser:
         "sweep-photon", help="error curves vs mean photon number (binary)"
     )
     _add_ratio_flags(p_photon)
+    _add_budget_flag(p_photon)
     _add_out_flag(p_photon)
 
     p_energy = sub.add_parser(
         "sweep-energy", help="exponent and bound vs energy budget (binary)"
     )
     _add_ratio_flags(p_energy)
+    # No --r-ce: the sweep sets its own budgets, from 0 up.
+    p_energy.set_defaults(r_ce=0.0)
     _add_alpha_flag(p_energy)
     _add_out_flag(p_energy)
 
@@ -176,6 +180,7 @@ def build_parser() -> _Parser:
         "simulate", help="Monte Carlo validation of the exponent bound"
     )
     _add_ratio_flags(p_sim)
+    _add_budget_flag(p_sim)
     _add_constellation_flags(p_sim)
     _add_alpha_flag(p_sim)
     _add_grid_flag(p_sim)
@@ -314,13 +319,10 @@ def cmd_sweep_photon(args: argparse.Namespace) -> int:
 
 def cmd_sweep_energy(args: argparse.Namespace) -> int:
     ratios = _ratios(args)
-    grid = [
-        float(r_ce)
-        for r_ce in np.linspace(0.0, 1.0, 21)
-        if ratios.in_disk(math.sqrt(r_ce))
-    ]
     rows = []
-    for r_ce in grid:
+    for r_ce in np.linspace(0.0, 1.0, 21).tolist():
+        if not ratios.in_disk(math.sqrt(r_ce)):
+            continue
         point = OperatingRatios(r_sn=ratios.r_sn, r_ca=ratios.r_ca, r_ce=r_ce)
         solution = optimize_binary(point)
         bound = theorem_bound(solution.beta, args.alpha_sq, 2)

@@ -63,8 +63,9 @@ from .divergence import (
 )
 from .simplex import linprog
 
-#: Weights at or below this are dropped by ``from_arrays`` (LP solutions
-#: carry that much dust).
+#: LP weights at or below this are zeroed by ``optimize_general``: the
+#: simplex leaves that much dust on grid points, and a zero weight is what
+#: ``from_arrays`` drops.
 DROP_TOL = 1e-12
 
 #: Distance within which ``ControlDistribution.total_variation`` counts two
@@ -135,9 +136,10 @@ class ControlDistribution:
     ) -> "ControlDistribution":
         """Build from parallel arrays, merging duplicates and renormalizing.
 
-        Weights at or below ``DROP_TOL`` are discarded; the remainder is
-        renormalized to sum exactly to 1.  Arrays of different lengths, or a
-        negative or non-finite weight, raise.
+        The only builder of distributions.  Zero weights are discarded, and
+        every positive one is kept, however small; the remainder is
+        renormalized to sum exactly to 1.  Arrays of different lengths, a
+        negative or non-finite weight, or weights that are all zero raise.
         """
         merged: dict[complex, float] = {}
         for point, weight in zip(points, weights, strict=True):
@@ -145,7 +147,7 @@ class ControlDistribution:
                 raise ValueError(
                     f"atom weights must be finite and nonnegative, got {weight!r}"
                 )
-            if weight > DROP_TOL:
+            if weight > 0.0:
                 key = complex(point)
                 merged[key] = merged.get(key, 0.0) + float(weight)
         if not merged:
@@ -156,18 +158,14 @@ class ControlDistribution:
 
     @classmethod
     def point_mass(cls, v: complex) -> "ControlDistribution":
-        return cls(atoms=((complex(v), 1.0),))
+        return cls.from_arrays([v], [1.0])
 
     @classmethod
     def time_sharing(cls, r_ce: float) -> "ControlDistribution":
         """Budget-saturating mixture of the nulling point 1 and the origin."""
         if not 0.0 <= r_ce <= 1.0:
             raise ValueError(f"r_ce must lie in [0, 1], got {r_ce!r}")
-        if r_ce == 0.0:
-            return cls.point_mass(0.0)
-        if r_ce == 1.0:
-            return cls.point_mass(1.0)
-        return cls(atoms=((0.0 + 0.0j, 1.0 - r_ce), (1.0 + 0.0j, r_ce)))
+        return cls.from_arrays([0.0, 1.0], [1.0 - r_ce, r_ce])
 
     @property
     def points(self) -> np.ndarray:
@@ -367,13 +365,8 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
     ):
         if end_value >= value:
             v, value, winner = end, end_value, name
-    # Built directly: ``from_arrays`` would drop an atom v of weight under
-    # DROP_TOL, which carries the whole exponent at budgets below it.
-    w = ce / (v * v) if v > sqrt_ce else 1.0
-    if w >= 1.0:
-        q = ControlDistribution.point_mass(v)
-    else:
-        q = ControlDistribution(atoms=((0j, 1.0 - w), (complex(v), w)))
+    w = min(1.0, ce / (v * v)) if v > sqrt_ce else 1.0
+    q = ControlDistribution.from_arrays([0.0, v], [1.0 - w, w])
     return finish(q, {"winner": winner, "point_evaluations": evaluations})
 
 
@@ -388,7 +381,7 @@ def optimize_general(
     over the grid, starting uniform on the grid points within the energy
     budget.  Alternates (a) fixing each pair's tilt at its current
     maximizer, found for all pairs in one ``max_chernoff_mixtures`` call on
-    the table's columns with weight above ``DROP_TOL``, with (b) a linear
+    the table's columns with positive weight, with (b) a linear
     program maximizing the worst pair's fixed-tilt objective over grid
     weights under the energy constraint, solved by ``linprog`` (looked up on
     this module at call time, so a wrapper put there sees every LP).  Both
@@ -396,7 +389,9 @@ def optimize_general(
     bounded row blocks, so no (pairs, grid) array is built but the LP's
     coefficients.  An LP
     solution over the budget (by rounding, a few 1e-15 on the benchmark's
-    points) is mixed with the origin, grid point 0, just enough to meet it.
+    points) is mixed with the origin, grid point 0, just enough to meet it;
+    then its weights at or below ``DROP_TOL`` are zeroed, the one place
+    where LP dust leaves the solve.
     The simplex breaks ties by the lowest grid index, so among
     symmetry-equivalent optima ``q_star`` is the one that rule reaches, the
     same on every run and for any number of BLAS threads.
@@ -418,7 +413,7 @@ def optimize_general(
     rate_table = normalized_rates(grid, constellation, ratios)
 
     def tilt_step(x: np.ndarray) -> tuple[list[ChernoffOptimum], float]:
-        support = x > DROP_TOL
+        support = x > 0.0
         per_pair = max_chernoff_mixtures(
             rate_table[:, support], lefts, rights, x[support]
         )
@@ -449,6 +444,7 @@ def optimize_general(
             w0 = (energy - ratios.r_ce) / energy
             x = (1.0 - w0) * x
             x[0] += w0
+        x = np.where(x > DROP_TOL, x, 0.0)
         per_pair, beta = tilt_step(x)
         if beta > best_beta:
             best_x, best_beta = x, beta

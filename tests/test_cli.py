@@ -150,7 +150,7 @@ class TestOptionTable:
             "--grid-k", "--out",
         },
         "sweep-photon": {"--r-sn", "--snr", "--r-ca", "--r-ce", "--out"},
-        "sweep-energy": {"--r-sn", "--snr", "--r-ca", "--r-ce", "--alpha-sq", "--out"},
+        "sweep-energy": {"--r-sn", "--snr", "--r-ca", "--alpha-sq", "--out"},
         "simulate": {
             "--r-sn", "--snr", "--r-ca", "--r-ce", "--psk", "--phases",
             "--alpha-sq", "--grid-k", "--slices", "--trials", "--seed",
@@ -283,9 +283,7 @@ def photon_sweep(tmp_path_factory):
 def energy_sweep(tmp_path_factory):
     """One low-SNR energy sweep shared across assertions."""
     out = tmp_path_factory.mktemp("sweep") / "energy.csv"
-    code = main(
-        ["sweep-energy", "--r-sn", "1e-2", "--r-ce", "1.0", "--out", str(out)]
-    )
+    code = main(["sweep-energy", "--r-sn", "1e-2", "--out", str(out)])
     return code, out.read_text(encoding="utf-8")
 
 
@@ -396,12 +394,26 @@ class TestSweepEnergy:
         code, text = run_to_file(
             tmp_path,
             "energy_small.csv",
-            ["sweep-energy", "--r-sn", "0.01", "--r-ca", "0.7", "--r-ce", "0.4"],
+            ["sweep-energy", "--r-sn", "0.01", "--r-ca", "0.7"],
         )
         assert code == EXIT_OK
         _, rows = parse_csv(text)
         assert len(rows) == 10
         assert max(float(r[0]) for r in rows) <= 0.49 + 1e-12
+
+    def test_small_disk_needs_no_budget(self, tmp_path):
+        """The sweep sets its own budgets, so a disk with r_ca**2 below the
+        --r-ce default of the other commands still sweeps: r_ca 0.5 gives
+        the six budgets up to 0.25."""
+        code, text = run_to_file(
+            tmp_path,
+            "energy_half.csv",
+            ["sweep-energy", "--r-sn", "0.01", "--r-ca", "0.5"],
+        )
+        assert code == EXIT_OK
+        _, rows = parse_csv(text)
+        assert len(rows) == 6
+        assert float(rows[-1][0]) == 0.25
 
 
 class TestSimulate:
@@ -538,14 +550,20 @@ class TestVerify:
         assert any("2.1359" in note for note in doc["notes"])
 
 
+def child_env(**overrides: str) -> dict:
+    """This process's environment, with ``overrides``, for a child that
+    imports this pskexp."""
+    src = str(Path(pskexp.__file__).resolve().parents[1])
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_probe(code: str) -> str:
     """Run Python code in a fresh interpreter that imports this pskexp."""
-    src = str(Path(pskexp.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -745,12 +763,9 @@ json.dump(results, sys.stdout)
 def run_capped(argv, stdin=None):
     """Run ``python argv`` with this pskexp under the range cases' address
     space cap and timeout, BLAS at one thread."""
-    src = str(Path(pskexp.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *argv],
-        env=env,
+        env=child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
         input=stdin,
         capture_output=True,
         text=True,
@@ -803,3 +818,33 @@ class TestRange:
     def test_grid_answers_without_a_traceback(self, line, range_grid_results):
         """Every grid point answers as a range case does."""
         assert_answers(*range_grid_results[line])
+
+
+#: Command lines whose output must not depend on the number of BLAS threads:
+#: a 16-PSK solve at K = 40, whose LPs refactorize their bases, and a 4-PSK
+#: simulation, which solves, realizes and samples its policy.
+BLAS_THREAD_LINES = [
+    "exponent --psk 16 --grid-k 40 --r-sn 0.005 --r-ce 0.9",
+    "simulate --psk 4 --r-sn 0.01 --r-ce 0.9 --slices 50 --trials 20000 --seed 5",
+]
+
+
+class TestBlasThreads:
+    """``linprog`` inverts its bases without LAPACK, so every output is the
+    same for any number of BLAS threads."""
+
+    @pytest.mark.parametrize("line", BLAS_THREAD_LINES)
+    def test_one_and_two_threads_print_the_same(self, line):
+        """The command prints the same stdout with BLAS and OpenMP at one
+        thread and at two."""
+        stdouts = [
+            subprocess.run(
+                [sys.executable, "-m", "pskexp.cli", *line.split()],
+                env=child_env(OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for n in ("1", "2")
+        ]
+        assert stdouts[0] == stdouts[1]

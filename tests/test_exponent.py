@@ -168,14 +168,21 @@ class TestControlDistribution:
             ControlDistribution(atoms=((0.0 + 0.0j, 0.6), (1.0 + 0.0j, 0.6)))
 
     def test_from_arrays_merges_and_renormalizes(self):
-        """Duplicate points merge; weights renormalize; dust is dropped."""
+        """Duplicate points merge; weights renormalize; a zero weight is
+        dropped."""
         q = ControlDistribution.from_arrays(
             points=[0.5, 0.5, 0.0, 1.0],
-            weights=[0.2, 0.2, 0.4, 1e-15],
+            weights=[0.2, 0.2, 0.4, 0.0],
         )
         assert len(q.atoms) == 2
         np.testing.assert_allclose(q.points, [0.0, 0.5])
         np.testing.assert_allclose(q.weights, [0.5, 0.5], rtol=1e-14)
+
+    def test_from_arrays_keeps_tiny_positive_weight(self):
+        """Only zero weights are dropped: an atom of weight 1e-15 stays, as
+        the binary optimum's atom does at budgets that small."""
+        q = ControlDistribution.from_arrays([0.0, 1.0], [1.0 - 1e-15, 1e-15])
+        assert q.atoms == ((0j, 1.0 - 1e-15), (1 + 0j, 1e-15))
 
     def test_rejects_non_finite_points(self):
         """A NaN or infinite atom is refused, not carried into the rates."""
@@ -201,10 +208,10 @@ class TestControlDistribution:
             with pytest.raises(ValueError):
                 ControlDistribution.from_arrays(points, weights)
 
-    def test_from_arrays_rejects_all_dust(self):
-        """An entirely sub-threshold weight vector is an error."""
+    def test_from_arrays_rejects_all_zero_weights(self):
+        """A weight vector of zeros is an error."""
         with pytest.raises(ValueError, match="vanished"):
-            ControlDistribution.from_arrays(points=[0.5], weights=[1e-15])
+            ControlDistribution.from_arrays(points=[0.5, 1.0], weights=[0.0, 0.0])
 
     def test_from_arrays_deterministic_order(self):
         """Atoms come out sorted by (real, imaginary) part."""
@@ -779,7 +786,10 @@ class TestOptimizeGeneral:
     )
     def test_lp_overshoot_is_pulled_back_into_budget(self, m, r_sn, r_ce):
         """Points where HiGHS's LP solutions were a few 1e-8 over the budget
-        stay feasible: any overshoot is mixed with the origin."""
+        stay feasible: any overshoot is mixed with the origin.  The
+        package's own LP overshoots by rounding only: 28 of the LPs of 44
+        solves at these and the frozen benchmark points end over the
+        budget, by at most 2.5e-15 relative."""
         ratios = OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce)
         sol = optimize_general(uniform_psk(m), ratios, grid_k=40)
         sol.q_star.validate_feasible(ratios)
@@ -790,12 +800,14 @@ class TestOptimizeGeneral:
         "case", PINNED_GENERAL, ids=lambda c: f"psk{c['m']}-k{c['grid_k']}"
     )
     def test_pinned_solutions(self, case):
-        """beta, q_star and per_pair are exactly those recorded before."""
+        """beta, q_star and per_pair are exactly those recorded before, and
+        q_star carries no LP dust: every weight is above ``DROP_TOL``."""
         sol = optimize_general(
             uniform_psk(case["m"]),
             OperatingRatios(r_sn=case["r_sn"], r_ca=1.0, r_ce=case["r_ce"]),
             grid_k=case["grid_k"],
         )
+        assert np.all(sol.q_star.weights > exponent.DROP_TOL)
         assert sol.beta == case["beta"]
         assert sol.q_star.atoms == tuple(
             (complex(re, im), w) for re, im, w in case["atoms"]
