@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -793,13 +794,18 @@ def assert_answers(code, stdout, stderr):
         assert_feasible_records(doc["policy_type"], params)
 
 
+def run_lines(lines):
+    """Each command line's [exit code, stdout, stderr], all run through
+    ``RANGE_RUNNER`` in one child under the address-space cap and timeout."""
+    out = run_capped(["-c", RANGE_RUNNER], stdin=json.dumps(lines))
+    assert out.returncode == 0, out.stderr
+    return dict(zip(lines, json.loads(out.stdout)))
+
+
 @pytest.fixture(scope="module")
 def range_grid_results():
-    """Each ``RANGE_GRID`` line's [exit code, stdout, stderr], all run in
-    one child under the address-space cap and timeout."""
-    out = run_capped(["-c", RANGE_RUNNER], stdin=json.dumps(RANGE_GRID))
-    assert out.returncode == 0, out.stderr
-    return dict(zip(RANGE_GRID, json.loads(out.stdout)))
+    """Each ``RANGE_GRID`` line's [exit code, stdout, stderr]."""
+    return run_lines(RANGE_GRID)
 
 
 class TestRange:
@@ -818,6 +824,42 @@ class TestRange:
     def test_grid_answers_without_a_traceback(self, line, range_grid_results):
         """Every grid point answers as a range case does."""
         assert_answers(*range_grid_results[line])
+
+
+PINNED_OUTPUTS_PATH = Path(__file__).with_name("pinned_outputs.json")
+
+
+def pinned_outputs(lines):
+    """Each command line's exit code, stdout sha256 and stderr, as
+    ``pinned_outputs.json`` holds them.  Re-derive the file with
+    ``PYTHONPATH=src:tests python -c "import json, test_cli as t; lines =
+    list(json.loads(t.PINNED_OUTPUTS_PATH.read_text())); print(json.dumps(
+    t.pinned_outputs(lines), indent=1))" > tests/pinned_outputs.json``."""
+    return {
+        line: {
+            "exit_code": code,
+            "stdout_sha256": hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
+            "stderr": stderr,
+        }
+        for line, (code, stdout, stderr) in run_lines(lines).items()
+    }
+
+
+class TestPinnedOutputs:
+    """What the CLI prints, pinned line by line."""
+
+    def test_every_line_prints_its_pinned_output(self):
+        """Every command line of ``pinned_outputs.json`` (the benchmark's
+        CLI operations, README's examples, range edges, subnormal dark
+        ratios and the options no other line uses) exits, prints and warns
+        as the file holds.  Like the other ``pinned_*.json`` files, it pins
+        what the program prints on the machine that derived it, right or
+        wrong: a change that moves a line re-derives the file (see
+        ``pinned_outputs``) and names the line in CHANGES.md."""
+        pinned = json.loads(PINNED_OUTPUTS_PATH.read_text())
+        got = pinned_outputs(list(pinned))
+        moved = {line: got[line] for line in pinned if got[line] != pinned[line]}
+        assert moved == {}
 
 
 #: Command lines whose output must not depend on the number of BLAS threads:
