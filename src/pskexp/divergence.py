@@ -9,18 +9,21 @@ divergence
                             - lambda0**s * lambda1**(1-s),   s in [0, 1],
 
 which is the closed form of ``-log sum_y p0(y)**s * p1(y)**(1-s)`` for
-Poisson laws.  This module evaluates it without cancellation between the
-rates (``chernoff_values``; ``pair_chernoff_values`` over the pairs of a
-rate table) and maximizes mixtures of it over ``s`` with one safeguarded
-Newton solver (``max_chernoff_mixtures``; ``max_chernoff`` is its
-single-rate-pair case); ``s_star_log`` gives a single pair's maximizer in
-closed form.  The two pair kernels take a table of rates and the indices of
-each pair's two rows, and walk the pairs in row blocks of at most
-``BLOCK_ELEMENTS`` elements, so their working set does not grow with the
-number of pairs.  ``golden_section_max`` is a scalar search,
-used by the binary optimizer's polish.  The textbook closed form
-and the independent series, KL and tilted-rate oracles the tests check this
-module against live in ``tests/oracles.py``.
+Poisson laws.  The rates are finite and positive: every mean the package
+forms carries the dark ratio ``r_sn > 0``.  ``chernoff_values`` is the
+package's one evaluator of ``C_s``, without cancellation between the rates
+(``pair_chernoff_values`` runs it over the pairs of a rate table, and the
+optimizers and ``convexity_margin`` call it).  This module also maximizes
+mixtures of it over ``s`` with one safeguarded Newton solver
+(``max_chernoff_mixtures``; ``max_chernoff`` is its single-rate-pair case);
+``s_star_log`` gives a single pair's maximizer in closed form.  The two
+pair kernels take a table of rates and the indices of each pair's two rows,
+and walk the pairs in row blocks of at most ``BLOCK_ELEMENTS`` elements, so
+their working set does not grow with the number of pairs.
+``golden_section_max`` is a scalar search, used by the binary optimizer's
+polish.  The textbook closed form and the independent series, KL and
+tilted-rate oracles the tests check this module against live in
+``tests/oracles.py``.
 
 Facts relied on elsewhere and tested:
 
@@ -108,7 +111,9 @@ def _oriented(lambda0: np.ndarray, lambda1: np.ndarray):
     flip = lambda0 > lambda1
     small = np.where(flip, lambda1, lambda0)
     big = np.where(flip, lambda0, lambda1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Positive finite rates raise only divide-by-zero here: log1p(-1) in the
+    # branch not taken, and log(0) of an underflowed ratio, replaced below.
+    with np.errstate(divide="ignore"):
         ratio = small / big
         x = np.where(ratio > 0.5, np.log1p((small - big) / big), np.log(ratio))
         # Below the normal range the ratio loses digits or underflows.
@@ -135,21 +140,19 @@ def chernoff_values(
     rate arrays its own tilt.  It may instead be a function of the oriented
     log-ratio ``x`` that gives the tilt ``t`` of ``C_t(small, big)``
     directly: ``chernoff_values(lambda0, lambda1, s_star_log)`` is each
-    pair's maximum over the tilt, with the rates oriented once.  Zero rates
-    are admitted with the continuous convention ``C_s(0, lambda1) =
-    (1-s)*lambda1`` for s in (0, 1], and ``C_0(0, lambda1) = C_s(0, 0) = 0``.
+    pair's maximum over the tilt, with the rates oriented once.
+
+    Rates must be finite and positive, as every Poisson mean of the package
+    is (the dark ratio ``r_sn`` is).  A single zero rate against a positive
+    one still gives the limit ``C_s(0, lambda1) = (1-s)*lambda1`` for s in
+    (0, 1]; ``C_0(0, lambda1)`` and ``C_s(0, 0)`` are NaN, with numpy's
+    invalid-value warning.
     """
-    l0 = np.asarray(lambda0, dtype=float)
-    l1 = np.asarray(lambda1, dtype=float)
-    small, big, x, flip = _oriented(l0, l1)
+    small, big, x, flip = _oriented(
+        np.asarray(lambda0, dtype=float), np.asarray(lambda1, dtype=float)
+    )
     t = s(x) if callable(s) else np.where(flip, 1.0 - s, s)
-    with np.errstate(invalid="ignore"):
-        values = t * (small - big) - big * np.expm1(t * x)
-    undefined = np.isnan(values)
-    if undefined.any():
-        # 0*log(0) is taken as 0: a zero rate at t = 0, or two zero rates.
-        values = np.where(undefined & (np.minimum(l0, l1) == 0.0), 0.0, values)
-    return np.maximum(values, 0.0)
+    return np.maximum(t * (small - big) - big * np.expm1(t * x), 0.0)
 
 
 def _row_blocks(rows: int, width: int) -> list[slice]:
@@ -220,8 +223,7 @@ def max_chernoff_mixtures(
     and inputs that fit one block are solved in one pass.  A pair whose
     rates agree atom by atom to within ``EQUAL_RATE_RTOL`` has ``F_p = 0``
     and returns (1/2, 0) by convention.  Rates must be positive.  Values are
-    ``weights``-dot-products of ``chernoff_values`` rows at the tilts,
-    clamped at 0.
+    ``weights``-dot-products of ``chernoff_values`` rows at the tilts.
     """
     table = np.asarray(table, dtype=float)
     lefts = np.asarray(lefts, dtype=int)
@@ -268,7 +270,7 @@ def _max_mixture_rows(
         active &= ~done
     values = np.sum(w * chernoff_values(l0, l1, s[:, None]), axis=1)
     return [
-        ChernoffOptimum(s_star=float(t), value=max(float(v), 0.0) if ok else 0.0)
+        ChernoffOptimum(s_star=float(t), value=float(v) if ok else 0.0)
         for t, v, ok in zip(s, values, live)
     ]
 

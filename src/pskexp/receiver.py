@@ -73,8 +73,6 @@ class OpenLoopPolicy:
     ratios: OperatingRatios
 
     def __post_init__(self) -> None:
-        if not self.displacements:
-            raise ValueError("a policy needs at least one slice")
         if len(self.displacements) != self.scale.slices:
             raise ValueError(
                 f"{len(self.displacements)} displacements for "

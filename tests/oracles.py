@@ -5,10 +5,11 @@ The textbook closed form of the divergence, series summation of the tilted
 Poisson product, the Poisson log-pmf it sums, the Poisson KL divergence and
 the geometric tilted rate.  None of them is on a path the CLI runs; the
 divergence and acceptance tests check the cancellation-free form and the
-tilt solver in ``pskexp.divergence`` against them.  ``highs_control_lp``
-solves ``pskexp.exponent.linprog``'s LP with scipy's HiGHS, and
-``certified_control_lp`` finds its exact optimum in mpmath, for the tests
-of the in-package simplex.  ``peak_traced_bytes`` measures a call's peak
+tilt solver in ``pskexp.divergence`` against them.  ``zero_dark_margin``
+is ``pskexp.exponent.convexity_margin`` at r = 0 in its own closed form.
+``highs_control_lp`` solves ``pskexp.exponent.linprog``'s LP with scipy's
+HiGHS, and ``certified_control_lp`` finds its exact optimum in mpmath, for
+the tests of the in-package simplex.  ``peak_traced_bytes`` measures a call's peak
 allocation, for the tests that bound a kernel's working set.
 """
 
@@ -126,6 +127,17 @@ def tilted_rate(pair: RatePair, s: float) -> float:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must lie in [0, 1], got {s!r}")
     return math.exp(s * math.log(pair.lambda0) + (1.0 - s) * math.log(pair.lambda1))
+
+
+def zero_dark_margin(s, v):
+    """The energy-convexity margin at zero dark counts in closed form,
+    ``4s(1-2s)v + (1-v)**(2(1-s)) * [(1+v)**(2s) - (1-v)**(2s)]``, for floats
+    or arrays of s and v that broadcast against each other.  It is
+    ``convexity_margin(s, 0, v)`` with the rates (1 -+ v)**2 put in, not
+    through ``chernoff_values``."""
+    return 4.0 * s * (1.0 - 2.0 * s) * v + (1.0 - v) ** (2.0 * (1.0 - s)) * (
+        (1.0 + v) ** (2.0 * s) - (1.0 - v) ** (2.0 * s)
+    )
 
 
 def highs_control_lp(coeffs, energy, budget: float) -> float:

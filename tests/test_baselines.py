@@ -34,10 +34,11 @@ class TestHelstromBinary:
         want = 0.5 * (1.0 - math.sqrt(1.0 - math.exp(-4.0 * n_s)))
         assert helstrom_binary(n_s) == pytest.approx(want, rel=1e-14)
 
-    def test_rejects_negative(self):
-        """Negative photon numbers are rejected."""
+    @pytest.mark.parametrize("curve", [helstrom_binary, homodyne_binary])
+    def test_rejects_negative(self, curve):
+        """Negative photon numbers are rejected by both baselines."""
         with pytest.raises(ValueError, match="n_s"):
-            helstrom_binary(-0.1)
+            curve(-0.1)
 
 
 class TestHomodyneBinary:

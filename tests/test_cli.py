@@ -102,22 +102,33 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: control LP failed: pivot cap 1 reached\n"
 
-    def test_verify_failure_is_exit_three(self, tmp_path, monkeypatch):
-        """An impossible expected value makes verify exit 3."""
+    @pytest.mark.parametrize("flags", [["--format", "json"], []], ids=["json", "text"])
+    def test_verify_failure_is_exit_three(self, tmp_path, monkeypatch, flags):
+        """An impossible expected value makes verify exit 3, in JSON and in
+        the default text report, which then ends on the failure line."""
         monkeypatch.setattr("pskexp.exponent.EXPECTED_COUNTEREXAMPLE", 2.5)
-        code, _ = run_to_file(tmp_path, "verify.json", ["verify", "--format", "json"])
+        code, text = run_to_file(tmp_path, "verify.out", ["verify", *flags])
         assert code == EXIT_VERIFY_FAILED
+        if not flags:
+            assert text.splitlines()[-1] == "one or more checks FAILED"
 
-    def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
-        """--out into a directory that does not exist exits 1 with one error
-        line, and leaves no temp file behind."""
-        out = tmp_path / "missing" / "x.json"
+    @pytest.mark.parametrize(
+        "where, message",
+        [("missing/x.json", "No such file or directory"), ("sub", "Is a directory")],
+    )
+    def test_out_into_missing_directory_is_usage_error(
+        self, tmp_path, capsys, where, message
+    ):
+        """--out into a directory that does not exist, or naming a directory
+        (which fails only when the written temp file is moved there), exits 1
+        with one error line, and leaves no temp file behind."""
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / where
         code = main(["exponent", "--r-sn", "0.01", "--r-ce", "0", "--out", str(out)])
         assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(out) in err
-        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == f"error: cannot write {out}: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+        assert list((tmp_path / "sub").iterdir()) == []
 
 
 class TestSnrFlag:

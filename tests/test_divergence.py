@@ -179,9 +179,13 @@ class TestChernoffValues:
         assert got[0] == pytest.approx(0.75 * 2.0, abs=1e-14)
 
     def test_both_zero(self):
-        """C_s(0, 0) = 0."""
-        got = chernoff_values(np.array([0.0]), np.array([0.0]), 0.5)
-        assert got[0] == pytest.approx(0.0, abs=1e-15)
+        """C_s(0, 0), like C_0(0, l1), lies outside the positive rates the
+        kernel takes: NaN, with numpy's invalid-value warning."""
+        with pytest.warns(RuntimeWarning, match="invalid"):
+            got = chernoff_values(
+                np.array([0.0, 0.0]), np.array([0.0, 2.0]), np.array([0.5, 0.0])
+            )
+        assert np.isnan(got).all()
 
     @pytest.mark.parametrize("v", [1e-3, 1e-5, 1e-7])
     def test_relative_accuracy_as_rates_merge(self, v):

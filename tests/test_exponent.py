@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import certified_control_lp, chernoff_s, highs_control_lp, peak_traced_bytes
+from oracles import (
+    certified_control_lp,
+    chernoff_s,
+    highs_control_lp,
+    peak_traced_bytes,
+    zero_dark_margin,
+)
 from pskexp import exponent, simplex
 from pskexp.constellation import (
     OperatingRatios,
@@ -1067,15 +1073,20 @@ class TestConvexityMargin:
     """Validate the energy-convexity margin."""
 
     def test_domain_validation(self):
-        """s in (0, 1/2], r >= 0, v in (0, 1) are enforced."""
+        """s in (0, 1/2], r >= 0, v in (0, 1) are enforced, on every entry
+        of an array."""
         with pytest.raises(ValueError, match="s"):
             convexity_margin(0.0, 0.0, 0.5)
         with pytest.raises(ValueError, match="s"):
             convexity_margin(0.6, 0.0, 0.5)
+        with pytest.raises(ValueError, match="s"):
+            convexity_margin(np.array([0.3, 0.6]), 0.0, 0.5)
         with pytest.raises(ValueError, match="r"):
             convexity_margin(0.3, -1e-9, 0.5)
         with pytest.raises(ValueError, match="v"):
             convexity_margin(0.3, 0.0, 1.0)
+        with pytest.raises(ValueError, match="v"):
+            convexity_margin(0.3, 0.0, np.array([0.5, 0.0]))
 
     def test_symmetric_tilt_zero_dark_value(self):
         """g_{1/2,0}(1/2) = (1 - 1/2) * 2 * (1/2) = 1/2 exactly."""
@@ -1087,10 +1098,44 @@ class TestConvexityMargin:
         assert convexity_margin(0.3, 0.01, 1e-9) == pytest.approx(0.0, abs=1e-7)
 
     def test_positive_at_zero_dark(self):
-        """Zero-dark margin is strictly positive on the whole (s, v) grid."""
-        for s in np.arange(0.05, 0.501, 0.05):
-            for v in np.arange(0.05, 0.951, 0.05):
-                assert convexity_margin(float(s), 0.0, float(v)) > 0.0
+        """Zero-dark margin is strictly positive on the whole (s, v) grid,
+        and on a log grid down to s = 1e-12 and v = 1e-15."""
+        s = np.concatenate(
+            [np.arange(0.05, 0.501, 0.05), np.geomspace(1e-12, 0.5, 61)]
+        )
+        v = np.concatenate(
+            [np.arange(0.05, 0.951, 0.05), np.geomspace(1e-15, 1.0, 82)[:-1]]
+        )
+        assert np.all(convexity_margin(s[:, None], 0.0, v) > 0.0)
+
+    def test_zero_dark_matches_closed_form(self):
+        """At r = 0 the margin through ``chernoff_values`` is the closed
+        form of the oracle to a few eps absolute (1.4e-15 seen), near the
+        merging rates of small v and near v = 1."""
+        s = np.concatenate([np.geomspace(1e-6, 0.5, 60), np.linspace(0.01, 0.5, 50)])
+        v = np.concatenate(
+            [
+                np.geomspace(1e-12, 1.0 - 1e-6, 80),
+                np.linspace(0.01, 1.0 - 1e-6, 80),
+                1.0 - np.geomspace(1e-6, 0.5, 40),
+            ]
+        )
+        np.testing.assert_allclose(
+            convexity_margin(s[:, None], 0.0, v),
+            zero_dark_margin(s[:, None], v),
+            rtol=0.0,
+            atol=4e-15,
+        )
+
+    @pytest.mark.parametrize("r", [0.0, 1e-4, 0.01])
+    def test_array_call_is_the_scalar_calls(self, r):
+        """One call on an (s, v) grid gives each scalar call's value bit
+        for bit."""
+        s = np.arange(0.05, 0.501, 0.05)
+        v = np.arange(0.05, 0.951, 0.05)
+        scalar = [[convexity_margin(a, r, b) for b in v] for a in s]
+        got = convexity_margin(s[:, None], r, v)
+        assert got.tobytes() == np.array(scalar).tobytes()
 
     def test_sign_matches_energy_curvature_off_boundary(self):
         """For s < 1/2 the margin sign equals the FD sign of d^2 C_s/dE^2."""

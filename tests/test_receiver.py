@@ -145,12 +145,14 @@ def uniform_policy(v: complex, slices: int, r_ce: float) -> OpenLoopPolicy:
 class TestOpenLoopPolicy:
     """Validate the realized policy container."""
 
-    def test_slice_count_must_match_scale(self):
-        """Displacement count must equal scale.slices."""
+    @pytest.mark.parametrize("displacements", [(0.0j, 0.0j), ()])
+    def test_slice_count_must_match_scale(self, displacements):
+        """Displacement count must equal scale.slices, which is at least
+        one, so no policy is empty."""
         scale = SignalScale(alpha_sq=2.0, slices=3, grid_k=1)
         with pytest.raises(ValueError, match="slices"):
             OpenLoopPolicy(
-                displacements=(0.0j, 0.0j),
+                displacements=displacements,
                 scale=scale,
                 constellation=BPSK,
                 ratios=RATIOS_09,
