@@ -2,6 +2,7 @@
 its checks hold pskexp to frozen values; a rename or a numeric change in
 pskexp would break benchmark runs, so check both here."""
 
+import functools
 import importlib
 import importlib.util
 import json
@@ -38,19 +39,64 @@ def load_bench_module(name):
     return sys.modules[name]
 
 
-@pytest.mark.parametrize(
-    "key",
-    list(load_bench_module("workloads").FROZEN_MARY_BETA),
-    ids=lambda key: "psk{}-{}-{}".format(*key),
+FROZEN_KEYS = list(load_bench_module("workloads").FROZEN_MARY_BETA)
+
+
+def census_id(key):
+    """A ``FROZEN_MARY_BETA`` key (M, r_sn, r_ce) as a test id and
+    ``pinned_census.json`` key."""
+    return "psk{}-{}-{}".format(*key)
+
+
+@functools.cache
+def solve_frozen(key):
+    """``optimize_general``'s solve at a ``FROZEN_MARY_BETA`` point, at
+    r_ca = 1 and grid_k = 40, once per test session."""
+    m, r_sn, r_ce = key
+    ratios = OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce)
+    return optimize_general(uniform_psk(m), ratios, grid_k=40)
+
+
+def census_record(solution):
+    """beta and ``q_star``'s atoms ("re im weight") in hex, and each LP's
+    pivots and basis refactorizations, as ``pinned_census.json`` holds them
+    for every ``FROZEN_MARY_BETA`` solve.  Re-derive the file with
+    ``PYTHONPATH=src:tests python -c "import json, test_bench_bindings as t;
+    print(json.dumps({t.census_id(k): t.census_record(t.solve_frozen(k)) for
+    k in t.FROZEN_KEYS}, indent=1))" > tests/pinned_census.json``."""
+    diagnostics = solution.diagnostics
+    return {
+        "beta": solution.beta.hex(),
+        "q_star": [
+            f"{p.real.hex()} {p.imag.hex()} {w.hex()}" for p, w in solution.q_star.atoms
+        ],
+        "lp_pivots": diagnostics["lp_pivots"],
+        "lp_refactorizations": diagnostics["lp_refactorizations"],
+    }
+
+
+PINNED_CENSUS = json.loads(
+    (Path(__file__).with_name("pinned_census.json")).read_text()
 )
+
+
+@pytest.mark.parametrize("key", FROZEN_KEYS, ids=census_id)
 def test_frozen_mary_beta_holds(key):
     """Each M-ary exponent the benchmark froze at grid_k = 40 may only
     rise."""
     frozen = load_bench_module("workloads").FROZEN_MARY_BETA[key]
-    m, r_sn, r_ce = key
-    ratios = OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce)
-    beta = optimize_general(uniform_psk(m), ratios, grid_k=40).beta
-    assert beta >= frozen - 1e-9
+    assert solve_frozen(key).beta >= frozen - 1e-9
+
+
+@pytest.mark.parametrize("key", FROZEN_KEYS, ids=census_id)
+def test_census_solve_is_pinned(key):
+    """Each ``FROZEN_MARY_BETA`` solve gives, bit for bit, the beta and
+    ``q_star`` of ``pinned_census.json``, with the same pivots and
+    refactorizations in every LP.  Like the other ``pinned_*.json`` files it
+    pins what the program computes, right or wrong: a change that moves a
+    solve re-derives the file (see ``census_record``) and names the solve in
+    CHANGES.md."""
+    assert census_record(solve_frozen(key)) == PINNED_CENSUS[census_id(key)]
 
 
 def test_frozen_paper_beta_holds():
