@@ -24,10 +24,10 @@ moment at most ``r_ce``.  This module optimizes that objective:
   a discretized control grid, held as the grid's rate table and a weight
   vector over the grid: per-pair tilt maximization (all pairs at once, one
   ``max_chernoff_mixtures`` call) alternates with a linear program over the
-  weights, solved by the package's revised simplex (``linprog``).  Every
-  iterate is feasible, so the result is always a certified achievability
-  lower bound, but for more than two hypotheses no global optimality is
-  claimed.
+  weights, solved by the package's revised simplex (``linprog``) on the
+  pair rows that bind.  Every iterate is feasible, so the result is always
+  a certified achievability lower bound, but for more than two hypotheses
+  no global optimality is claimed.
 
 * ``convexity_margin`` and ``verify_claims`` check the structural facts
   behind the optimizer: convexity of the pairwise divergence in the control
@@ -383,15 +383,19 @@ def optimize_general(
     maximizer, found for all pairs in one ``max_chernoff_mixtures`` call on
     the table's columns with positive weight, with (b) a linear
     program maximizing the worst pair's fixed-tilt objective over grid
-    weights under the energy constraint, solved by ``linprog`` (looked up on
-    this module at call time, so a wrapper put there sees every LP).  Both
-    take the table and the pairs' row indices, and walk the pairs in
-    bounded row blocks, so no (pairs, grid) array is built but the LP's
-    coefficients.  An LP
-    solution over the budget (by rounding, a few 1e-15 on the benchmark's
-    points) is mixed with the origin, grid point 0, just enough to meet it;
-    then its weights at or below ``DROP_TOL`` are zeroed, the one place
-    where LP dust leaves the solve.
+    weights under the energy constraint.  Both take the table and the pairs'
+    row indices, and walk the pairs in bounded row blocks, so no (pairs,
+    grid) array is built but the LP's coefficients.  The LP is solved by
+    row generation (Hettich & Kortanek, "Semi-infinite programming", SIAM
+    Review 35(3), 1993): ``linprog`` (looked up on this module at call time,
+    so a wrapper put there sees every LP) solves it on the M pair rows
+    lowest at the current weights, then again with every row its solution
+    puts below the solved rows' minimum, until there is none; a relaxation
+    whose optimum meets every row is the full LP's optimum.  An LP solution
+    over the budget (by rounding, a few 1e-15 on the benchmark's points) is
+    mixed with the origin, grid point 0, just enough to meet it; then its
+    weights at or below ``DROP_TOL`` are zeroed, the one place where LP
+    dust leaves the solve.
     The simplex breaks ties by the lowest grid index, so among
     symmetry-equivalent optima ``q_star`` is the one that rule reaches, the
     same on every run and for any number of BLAS threads.
@@ -402,8 +406,9 @@ def optimize_general(
     Not guaranteed globally optimal for more than two hypotheses.  An LP
     that ends without a solution raises ``ControlLPError``.
     ``diagnostics`` holds the iteration count, the convergence flag and, per
-    LP, its pivots (``lp_pivots``) and basis refactorizations
-    (``lp_refactorizations``).
+    LP, its rounds of row generation (``lp_rounds``), the pair rows active
+    at its end (``lp_rows``), and its pivots (``lp_pivots``) and basis
+    refactorizations (``lp_refactorizations``) summed over the rounds.
     """
     grid = control_grid(grid_k, ratios)
     pairs = constellation.pairs()
@@ -426,19 +431,30 @@ def optimize_general(
     beta_prev = beta
     converged = False
     iterations = 0
-    pivots: list[int] = []
-    refactorizations: list[int] = []
+    pivots, refactorizations, rounds, rows = [], [], [], []
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        # LP over (Q, t): maximize t with E_Q[C_{s_pair}] >= t per pair.
+        # LP over (Q, t): maximize t with E_Q[C_{s_pair}] >= t per pair,
+        # on the pair rows that bind, from the M lowest at x.
         tilts = np.array([pv.s_star for pv in per_pair])
         coeffs = pair_chernoff_values(rate_table, lefts, rights, tilts)
-        lp = linprog(coeffs, grid_energy, ratios.r_ce)
-        if not lp.success:
-            raise ControlLPError(f"control LP failed: {lp.message}")
-        pivots.append(lp.nit)
-        refactorizations.append(lp.refactorizations)
-        x = lp.x
+        violated = np.zeros(len(pairs), dtype=bool)
+        violated[np.argsort(coeffs @ x, kind="stable")[: constellation.num_states]] = True
+        active = np.zeros_like(violated)
+        solves = []
+        while violated.any():
+            active |= violated
+            lp = linprog(coeffs[active], grid_energy, ratios.r_ce)
+            if not lp.success:
+                raise ControlLPError(f"control LP failed: {lp.message}")
+            solves.append(lp)
+            values = coeffs @ lp.x
+            violated = ~active & (values < values[active].min())
+        rounds.append(len(solves))
+        rows.append(int(np.count_nonzero(active)))
+        pivots.append(sum(sub.nit for sub in solves))
+        refactorizations.append(sum(sub.refactorizations for sub in solves))
+        x = solves[-1].x
         energy = grid_energy @ x
         if energy > ratios.r_ce:
             w0 = (energy - ratios.r_ce) / energy
@@ -468,6 +484,8 @@ def optimize_general(
             "converged": converged,
             "lp_pivots": pivots,
             "lp_refactorizations": refactorizations,
+            "lp_rounds": rounds,
+            "lp_rows": rows,
         },
     )
 

@@ -128,7 +128,10 @@ def realize_policy(
     Rounding up a heavy atom can overshoot the energy budget, so a repair
     loop then moves one slot at a time from the highest-|v| atom to the
     lowest-|v| atom (adding 0 as a sink atom if absent) until the realized
-    mean energy is within budget.  The realized type differs from q by at
+    mean energy is within budget.  Among highest-|v| atoms the slot comes
+    from the one with the most slots, ties going to the earlier atom, so a
+    rotation or reflection of q that maps the constellation to itself
+    realizes to the same exponent.  The realized type differs from q by at
     most 1/N per apportionment step plus 1/N per repair move, and the
     returned policy satisfies both class invariants exactly.
     """
@@ -153,7 +156,8 @@ def realize_policy(
     repair_moves = 0
     while not ratios.within_budget(float(np.dot(counts, energies)) / n):
         donors = np.flatnonzero(counts > 0)
-        src = donors[int(np.argmax(energies[donors]))]
+        donors = donors[energies[donors] == energies[donors].max()]
+        src = donors[int(np.argmax(counts[donors]))]
         dst = int(np.argmin(energies))
         counts[src] -= 1
         counts[dst] += 1

@@ -1,9 +1,11 @@
 """Revised primal simplex for the control LP of ``optimize_general``.
 
 ``linprog`` maximizes the worst row of ``coeffs @ q`` over distributions q
-on a grid under an energy budget: a few hundred rows at most (hypothesis
-pairs plus two) and a few thousand columns, with the origin's column
-giving a feasible start.  It keeps the basis inverse dense, prices every
+on a grid under an energy budget, with the origin's column giving a
+feasible start.  ``optimize_general`` passes it only the pair rows that
+bind, about M of the M(M-1)/2 hypothesis pairs, so an LP has about M + 2
+rows and up to a few thousand columns.  It keeps the basis inverse
+dense, inverts the whole basis on each refactorization, prices every
 column with one matrix-vector product and breaks ties by the lowest index,
 so its result is the same on every run and for any number of BLAS threads.
 It ends on a basis that is optimal on a freshly computed inverse, or, where
@@ -49,12 +51,12 @@ class SimplexResult(NamedTuple):
     message: str
 
 
-def _gauss_jordan_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Inverse by Gauss-Jordan elimination with partial pivoting, in
-    elementwise numpy steps: unlike LAPACK's, the result does not depend on
-    how many threads BLAS runs."""
-    k = len(matrix)
-    work = np.hstack([matrix, np.eye(k)])
+def _basis_inverse(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Inverse of the basis matrix ``a[:, basis]`` by Gauss-Jordan
+    elimination with partial pivoting, in elementwise numpy steps: unlike
+    LAPACK's, the result does not depend on how many threads BLAS runs."""
+    k = len(basis)
+    work = np.hstack([a[:, basis], np.eye(k)])
     for i in range(k):
         p = i + int(np.argmax(np.abs(work[i:, i])))
         work[[i, p]] = work[[p, i]]
@@ -63,34 +65,6 @@ def _gauss_jordan_inverse(matrix: np.ndarray) -> np.ndarray:
         column[i] = 0.0
         work -= np.outer(column, work[i])
     return work[:, k:]
-
-
-def _basis_inverse(a: np.ndarray, basis: np.ndarray, first_slack: int) -> np.ndarray:
-    """Inverse of the basis matrix ``a[:, basis]`` whose columns from
-    ``first_slack`` on are unit vectors (slack j on row j - first_slack).
-
-    Ordering the basic slacks' rows S first and the other basic columns K
-    last makes the basis block triangular, [[I, P], [0, Q]] with Q the rows
-    R without a basic slack; its inverse is [[I, -P Q^-1], [0, Q^-1]], so
-    only Q, usually far smaller than the basis, is inverted.  R is found
-    with a boolean mask, in increasing order; ``np.setdiff1d`` would give
-    the same rows but imports ``numpy.ma`` on its first call.
-    """
-    m = len(basis)
-    is_slack = basis >= first_slack
-    slacks = np.flatnonzero(is_slack)
-    others = np.flatnonzero(~is_slack)
-    rows_s = basis[slacks] - first_slack
-    free = np.ones(m, dtype=bool)
-    free[rows_s] = False
-    rows_r = np.flatnonzero(free)
-    q_inverse = _gauss_jordan_inverse(a[np.ix_(rows_r, basis[others])])
-    p = a[np.ix_(rows_s, basis[others])]
-    inverse = np.zeros((m, m))
-    inverse[slacks, rows_s] = 1.0
-    inverse[np.ix_(slacks, rows_r)] = -(p[:, :, None] * q_inverse).sum(axis=1)
-    inverse[np.ix_(others, rows_r)] = q_inverse
-    return inverse
 
 
 def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexResult:
@@ -104,7 +78,8 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
     powers of two (exactly, with ``np.ldexp``) that bring each block's
     largest entry into [1, 2), so the absolute tolerances below mean the
     same at every scale of the control disk; the weights are unchanged.  The
-    basis inverse is kept dense and updated by one rank-1 step per pivot.
+    basis inverse is kept dense, (rows + 2)**2, and updated by one rank-1
+    step per pivot, so the solve is meant for few rows.
     Each pass prices every column with one product by the dual vector; the
     largest reduced cost enters (Dantzig's rule, ties to the lowest column
     index), and among the rows that tie in the ratio test, over pivot
@@ -112,7 +87,7 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
     ``DEGENERATE_STREAK`` pivots in a row that raise the objective by at
     most ``DEGENERATE_RTOL`` of it, Bland's rule (lowest entering column,
     lowest leaving variable) is used until one does better.  The inverse is
-    recomputed (``_basis_inverse``) in one place, before the columns are
+    recomputed whole (``_basis_inverse``) in one place, before the columns are
     priced: once the updated inverse has taken ``REFACTOR_EVERY`` pivots,
     or when it has priced nothing in, which is a restart.  A basic weight
     that the skipped small pivot elements left below ``-FEASIBILITY_TOL``
@@ -147,7 +122,7 @@ def linprog(coeffs: np.ndarray, energy: np.ndarray, budget: float) -> SimplexRes
     basis = np.concatenate([np.arange(n + 1, n + 2 + rows), [0]])
 
     def refactor():
-        inverse = _basis_inverse(a, basis, n + 1)
+        inverse = _basis_inverse(a, basis)
         return inverse, inverse @ b
 
     binv, xb = refactor()

@@ -61,9 +61,9 @@ def census_record(solution):
     """beta and ``q_star``'s atoms ("re im weight") in hex, and each LP's
     pivots and basis refactorizations, as ``pinned_census.json`` holds them
     for every ``FROZEN_MARY_BETA`` solve.  Re-derive the file with
-    ``PYTHONPATH=src:tests python -c "import json, test_bench_bindings as t;
-    print(json.dumps({t.census_id(k): t.census_record(t.solve_frozen(k)) for
-    k in t.FROZEN_KEYS}, indent=1))" > tests/pinned_census.json``."""
+    ``PYTHONPATH=src:tests python -c "import json, test_bench_bindings as t; print(
+    json.dumps({t.census_id(k): t.census_record(t.solve_frozen(k)) for k in
+    t.FROZEN_KEYS}, indent=1))" > tests/pinned_census.json``."""
     diagnostics = solution.diagnostics
     return {
         "beta": solution.beta.hex(),

@@ -689,9 +689,11 @@ class TestStartup:
 #: each now gives.  Each once failed: a pivot cap after a primal/dual
 #: ping-pong (4-PSK at r_sn 0.1), a refused second moment a rounding step
 #: over a 9e9 budget, a budget above r_ca**2 at r_ca 1e-6 that was accepted,
-#: pivot caps at r_ca 1e-6, v-grids of 763 MiB to 72.8 TiB, a 300-PSK LP
-#: matrix of 15 GiB, and float overflows at r_ca 1e160 and 1.7e308 (the
-#: last three with a traceback).
+#: pivot caps at r_ca 1e-6, v-grids of 763 MiB to 72.8 TiB, and float
+#: overflows at r_ca 1e160 and 1.7e308 (the last two with a traceback).
+#: 64-, 128- and 300-PSK solves took up to 17.5 s, 1.5 GiB, and a refused
+#: 15 GiB LP matrix, while every pair row went into the simplex; with the
+#: rows that bind only, they answer.
 RANGE_CASES = [
     ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9", EXIT_OK),
     ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9 --grid-k 40", EXIT_OK),
@@ -705,7 +707,9 @@ RANGE_CASES = [
     ("exponent --r-sn 0.01 --r-ca 1e10 --r-ce 9e19", EXIT_OK),
     ("exponent --psk 2 --r-sn 0.01 --r-ca 1e5 --r-ce 9e9", EXIT_OK),
     ("exponent --r-sn 1e30 --r-ca 1e10 --r-ce 0.9", EXIT_OK),
-    ("exponent --psk 300 --grid-k 8 --r-sn 0.01 --r-ce 0.9", EXIT_USAGE),
+    ("exponent --psk 64 --r-sn 0.01 --r-ce 0.9", EXIT_OK),
+    ("exponent --psk 128 --grid-k 8 --r-sn 0.01 --r-ce 0.9", EXIT_OK),
+    ("exponent --psk 300 --grid-k 8 --r-sn 0.01 --r-ce 0.9", EXIT_OK),
     ("exponent --r-sn 0.01 --r-ca 1e160 --r-ce 1e307", EXIT_USAGE),
     ("exponent --r-sn 0.01 --r-ca 1.7e308 --r-ce 1e300", EXIT_USAGE),
 ]
@@ -843,9 +847,10 @@ PINNED_OUTPUTS_PATH = Path(__file__).with_name("pinned_outputs.json")
 def pinned_outputs(lines):
     """Each command line's exit code, stdout sha256 and stderr, as
     ``pinned_outputs.json`` holds them.  Re-derive the file with
-    ``PYTHONPATH=src:tests python -c "import json, test_cli as t; lines =
-    list(json.loads(t.PINNED_OUTPUTS_PATH.read_text())); print(json.dumps(
-    t.pinned_outputs(lines), indent=1))" > tests/pinned_outputs.json``."""
+    ``PYTHONPATH=src:tests python -c "import json, test_cli as t; print(
+    json.dumps(t.pinned_outputs(list(json.loads(
+    t.PINNED_OUTPUTS_PATH.read_text()))), indent=1))" >
+    tests/pinned_outputs.json``."""
     return {
         line: {
             "exit_code": code,

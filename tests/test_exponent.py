@@ -752,6 +752,17 @@ class TestOptimizeGeneral:
         )
         assert peak <= 8 * 2**20
 
+    def test_sixty_four_psk_working_set(self):
+        """The 64-PSK solve at K = 20, 2016 pairs by 401 grid points, peaks
+        below 24 MiB of allocations (117 MiB when every pair row went into
+        the simplex, with its dense slack block): its LPs hold only the pair
+        rows that bind, about 64."""
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
+        peak = peak_traced_bytes(
+            lambda: optimize_general(uniform_psk(64), ratios, grid_k=20)
+        )
+        assert peak <= 24 * 2**20
+
     def test_large_disk_quaternary(self):
         """At r_ca = 1e5 the grid's own outer ring passes the disk check and
         the solve returns a feasible, certified solution."""
@@ -822,16 +833,42 @@ class TestOptimizeGeneral:
             ((l, m), s, v) for l, m, s, v in case["per_pair"]
         )
 
-    def test_reports_convergence_diagnostics(self):
-        """Iteration count, convergence flag and each LP's pivots and
-        refactorizations of the basis inverse are exposed."""
-        sol = optimize_general(BPSK, RATIOS_LOW, grid_k=10)
-        iterations = sol.diagnostics["iterations"]
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_reports_convergence_diagnostics(self, m):
+        """Iteration count, convergence flag and, per control LP, its rounds
+        of row generation, the pair rows active at its end, and its pivots
+        and refactorizations of the basis inverse summed over the rounds."""
+        solves = []
+
+        def capture(coeffs, energy, budget):
+            res = linprog(coeffs, energy, budget)
+            solves.append((len(coeffs), res))
+            return res
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exponent, "linprog", capture)
+            sol = optimize_general(uniform_psk(m), RATIOS_LOW, grid_k=10)
+        diagnostics = sol.diagnostics
+        iterations = diagnostics["iterations"]
         assert iterations >= 1
-        assert isinstance(sol.diagnostics["converged"], bool)
-        assert len(sol.diagnostics["lp_pivots"]) == iterations
-        assert len(sol.diagnostics["lp_refactorizations"]) == iterations
-        assert all(n >= 1 for n in sol.diagnostics["lp_refactorizations"])
+        assert isinstance(diagnostics["converged"], bool)
+        rounds = diagnostics["lp_rounds"]
+        assert len(rounds) == iterations and min(rounds) >= 1
+        assert sum(rounds) == len(solves)
+        ends = np.cumsum(rounds)
+        starts = ends - rounds
+        assert diagnostics["lp_rows"] == [solves[e - 1][0] for e in ends]
+        pairs = m * (m - 1) // 2
+        assert all(min(m, pairs) <= n <= pairs for n in diagnostics["lp_rows"])
+        for name, field in (
+            ("lp_pivots", "nit"),
+            ("lp_refactorizations", "refactorizations"),
+        ):
+            assert diagnostics[name] == [
+                sum(getattr(res, field) for _, res in solves[a:b])
+                for a, b in zip(starts, ends)
+            ]
+        assert all(n >= 1 for n in diagnostics["lp_refactorizations"])
 
 
 #: Operating points (M, r_sn, r_ce, grid_k) whose control LPs the simplex is
@@ -870,9 +907,9 @@ def solve_with_basis(coeffs, energy, budget):
     bases = []
     inverse = simplex._basis_inverse
 
-    def record(a, basis, first_slack):
+    def record(a, basis):
         bases.append(basis.copy())
-        return inverse(a, basis, first_slack)
+        return inverse(a, basis)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "_basis_inverse", record)
@@ -881,25 +918,41 @@ def solve_with_basis(coeffs, energy, budget):
 
 
 @pytest.fixture(scope="module")
-def captured_lps():
-    """Every control LP ``optimize_general`` solves on ``LP_CASES``, as
-    ``((coeffs, energy, budget), certified optimum, HiGHS's optimum)``."""
-    lps = []
+def ascent_steps():
+    """Every ascent step of ``optimize_general`` on ``LP_CASES``: the pair
+    rows of its control LP, and the LPs it solved on the rows that bind, as
+    ``((coeffs, energy, budget), result, final basis)``."""
+    steps = []
+    pair_values = exponent.pair_chernoff_values
+
+    def capture_rows(*args):
+        coeffs = pair_values(*args)
+        steps.append((coeffs, []))
+        return coeffs
 
     def capture(coeffs, energy, budget):
         res, basis = solve_with_basis(coeffs, energy, budget)
-        lps.append(((coeffs, energy, budget), basis))
+        steps[-1][1].append(((coeffs, energy, budget), res, basis))
         return res
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exponent, "pair_chernoff_values", capture_rows)
         patch.setattr(exponent, "linprog", capture)
         for m, r_sn, r_ce, grid_k in LP_CASES:
             optimize_general(
                 uniform_psk(m), OperatingRatios(r_sn, 1.0, r_ce), grid_k=grid_k
             )
+    return steps
+
+
+@pytest.fixture(scope="module")
+def captured_lps(ascent_steps):
+    """Every control LP ``optimize_general`` solves on ``LP_CASES``, as
+    ``((coeffs, energy, budget), certified optimum, HiGHS's optimum)``."""
     return [
         (lp, certified_control_lp(*lp, basis), highs_control_lp(*lp))
-        for lp, basis in lps
+        for _, solves in ascent_steps
+        for lp, _, basis in solves
     ]
 
 
@@ -938,6 +991,15 @@ class TestControlLP:
         for lp, t_exact, t_highs in captured_lps:
             self.assert_reaches_optimum(*lp, t_exact)
             assert t_highs == pytest.approx(t_exact, rel=1e-9)
+
+    def test_row_generation_reaches_the_full_optimum(self, ascent_steps):
+        """On every ascent step of ``LP_CASES`` the weights of the last LP,
+        solved on the pair rows that bind, reach HiGHS's optimum of the LP
+        over all pair rows to 1e-12 relative."""
+        for coeffs, solves in ascent_steps:
+            (_, energy, budget), res, _ = solves[-1]
+            t_ref = highs_control_lp(coeffs, energy, budget)
+            assert np.min(coeffs @ res.x) == pytest.approx(t_ref, rel=1e-12)
 
     def test_stall_rules_end_solves_without_a_pricing_tolerance(
         self, captured_lps, monkeypatch
@@ -1004,30 +1066,47 @@ class TestControlLP:
         )
         assert res.nit < MAX_PIVOTS // 20
 
+    def assert_reaches_certified_optimum(self, lp):
+        """The solve of ``lp`` ends optimal at its certified optimum, or
+        when a restart returns to an earlier basis, 2e-11 relative from it
+        at most (such a basis holds a weight near -1e-11, which is clipped;
+        1.08e-11 below was seen).  Returns the solve's message."""
+        res, basis = solve_with_basis(*lp)
+        t_exact = certified_control_lp(*lp, basis)
+        if res.message == "optimal":
+            self.assert_reaches_optimum(*lp, t_exact)
+        else:
+            assert res.message == simplex.STALLED
+            assert np.min(lp[0] @ res.x) == pytest.approx(t_exact, rel=2e-11)
+        return res.message
+
     def test_restart_on_a_repeated_basis_ends_at_the_optimum(self):
-        """The ping-pong LP (4-PSK, r_sn 0.1, r_ce 0.9, grid_k 20) ends when a
-        restart returns to an earlier basis, 6.4e-12 relative below its
-        certified optimum: that basis holds a weight at -8.6e-12, which is
-        clipped.  The other LPs of the solve reach theirs to 1e-12."""
-        lps = []
+        """The ping-pong LPs (4-PSK, r_sn 0.1, r_ce 0.9), the solve's own on
+        the pair rows that bind and the full ones rebuilt at its tilts,
+        reach their certified optima.  At grid_k 20 every one ends optimal;
+        at grid_k 40 one of each kind ends on the repeated-basis exit."""
+        messages = []
+        for grid_k in (20, 40):
+            tilts, lps = [], []
+            pair_values = exponent.pair_chernoff_values
 
-        def capture(coeffs, energy, budget):
-            res, basis = solve_with_basis(coeffs, energy, budget)
-            lps.append(((coeffs, energy, budget), basis, res.message))
-            return res
+            def capture_tilts(table, lefts, rights, s):
+                tilts.append(s)
+                return pair_values(table, lefts, rights, s)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exponent, "linprog", capture)
-            optimize_general(uniform_psk(4), OperatingRatios(0.1, 1.0, 0.9))
-        messages = [message for _, _, message in lps]
-        assert messages.count("stalled: a restart repeated a basis") == 1
-        for lp, basis, message in lps:
-            t_exact = certified_control_lp(*lp, basis)
-            if message == "optimal":
-                self.assert_reaches_optimum(*lp, t_exact)
-            else:
-                t = np.min(lp[0] @ linprog(*lp).x)
-                assert t == pytest.approx(t_exact, rel=1e-11)
+            def capture(coeffs, energy, budget):
+                lps.append((coeffs, energy, budget))
+                return linprog(coeffs, energy, budget)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(exponent, "pair_chernoff_values", capture_tilts)
+                patch.setattr(exponent, "linprog", capture)
+                optimize_general(
+                    uniform_psk(4), OperatingRatios(0.1, 1.0, 0.9), grid_k=grid_k
+                )
+            lps += [control_lp(4, 0.1, 0.9, grid_k, s) for s in tilts]
+            messages += [self.assert_reaches_certified_optimum(lp) for lp in lps]
+        assert messages.count(simplex.STALLED) == 2
 
     @pytest.mark.parametrize("r_sn", [1e-300, 1e-30, 1e-16, 1e-12, 1e-8])
     def test_tiny_disk_lps_solve_at_unit_scale(self, r_sn):

@@ -247,6 +247,25 @@ class TestRealizePolicy:
         tv = pol.type_distribution().total_variation(q)
         assert tv <= (1.0 + moves) / 3.0 + 1e-12
 
+    def test_symmetric_images_realize_to_one_exponent(self):
+        """The 8 images of the 4-PSK ``q_star`` (r_sn 0.01, r_ce 0.9,
+        grid_k 20) under quarter turns and reflection, which map the
+        constellation to itself (exactly, on these points), realize at N =
+        50 to one exponent.  The repair once took its slot from the first
+        highest-|v| atom in canonical order, and four images realized to
+        0.4381 or 0.4385 instead of 0.4715."""
+        con = uniform_psk(4)
+        q = optimize_general(con, RATIOS_09, grid_k=20).q_star
+        scale = SignalScale(alpha_sq=2.0, slices=50, grid_k=20)
+        betas = []
+        for points in (q.points, q.points.conj()):
+            for turns in range(4):
+                image = ControlDistribution.from_arrays(points * 1j**turns, q.weights)
+                policy = realize_policy(image, scale, con, RATIOS_09)
+                betas.append(exponent_of(policy.type_distribution(), con, RATIOS_09))
+        assert max(betas) - min(betas) <= 1e-12 * max(betas)
+        assert betas[0] == pytest.approx(0.471522, rel=1e-6)
+
     def test_point_mass_realizes_verbatim(self):
         """A point mass at sqrt(0.9) fills every slot at energy 0.9."""
         q = ControlDistribution.point_mass(math.sqrt(0.9))
