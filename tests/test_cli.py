@@ -691,9 +691,9 @@ class TestStartup:
 #: over a 9e9 budget, a budget above r_ca**2 at r_ca 1e-6 that was accepted,
 #: pivot caps at r_ca 1e-6, v-grids of 763 MiB to 72.8 TiB, and float
 #: overflows at r_ca 1e160 and 1.7e308 (the last two with a traceback).
-#: 64-, 128- and 300-PSK solves took up to 17.5 s, 1.5 GiB, and a refused
-#: 15 GiB LP matrix, while every pair row went into the simplex; with the
-#: rows that bind only, they answer.
+#: The 64-, 128- and 300-PSK lines keep large M in bounds: while every pair
+#: row went into the simplex, 128-PSK took 17.5 s and 1.5 GiB, and 300-PSK
+#: asked for a 15 GiB LP matrix.
 RANGE_CASES = [
     ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9", EXIT_OK),
     ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9 --grid-k 40", EXIT_OK),
