@@ -128,11 +128,11 @@ def realize_policy(
     Rounding up a heavy atom can overshoot the energy budget, so a repair
     loop then moves one slot at a time from the highest-|v| atom to the
     lowest-|v| atom (adding 0 as a sink atom if absent) until the realized
-    mean energy is within budget.  Among highest-|v| atoms the slot comes
-    from the one with the most slots, ties going to the earlier atom, so a
-    rotation or reflection of q that maps the constellation to itself
-    realizes to the same exponent.  The realized type differs from q by at
-    most 1/N per apportionment step plus 1/N per repair move, and the
+    mean energy is within budget.  The slot comes from the highest-|v|
+    ring's atom with the most slots (ties to the earlier atom), so the
+    repair does not turn on the canonical order of a rotated or reflected
+    q; ties among remainders still do.  The realized type differs from q by
+    at most 1/N per apportionment step plus 1/N per repair move, and the
     returned policy satisfies both class invariants exactly.
     """
     q.validate_feasible(ratios)
@@ -156,7 +156,9 @@ def realize_policy(
     repair_moves = 0
     while not ratios.within_budget(float(np.dot(counts, energies)) / n):
         donors = np.flatnonzero(counts > 0)
-        donors = donors[energies[donors] == energies[donors].max()]
+        # The |v|^2 of one grid ring spread over up to 8 ulps (rounding).
+        top = energies[donors].max()
+        donors = donors[energies[donors] >= top - 16.0 * np.spacing(top)]
         src = donors[int(np.argmax(counts[donors]))]
         dst = int(np.argmin(energies))
         counts[src] -= 1

@@ -15,6 +15,7 @@ from pskexp.constellation import (
     OperatingRatios,
     SignalScale,
     bpsk,
+    control_grid,
     normalized_rates,
     uniform_psk,
 )
@@ -247,24 +248,35 @@ class TestRealizePolicy:
         tv = pol.type_distribution().total_variation(q)
         assert tv <= (1.0 + moves) / 3.0 + 1e-12
 
-    def test_symmetric_images_realize_to_one_exponent(self):
-        """The 8 images of the 4-PSK ``q_star`` (r_sn 0.01, r_ce 0.9,
-        grid_k 20) under quarter turns and reflection, which map the
-        constellation to itself (exactly, on these points), realize at N =
-        50 to one exponent.  The repair once took its slot from the first
-        highest-|v| atom in canonical order, and four images realized to
-        0.4381 or 0.4385 instead of 0.4715."""
-        con = uniform_psk(4)
-        q = optimize_general(con, RATIOS_09, grid_k=20).q_star
-        scale = SignalScale(alpha_sq=2.0, slices=50, grid_k=20)
+    @pytest.mark.parametrize(
+        "m, grid_k, beta",
+        [(4, 20, 0.471522), (8, 40, 0.121934)],
+        ids=["psk4", "psk8"],
+    )
+    def test_symmetric_images_realize_to_one_exponent(self, m, grid_k, beta):
+        """The 2M images of the M-PSK ``q_star`` (r_sn 0.01, r_ce 0.9) under
+        the rotations and reflections of the constellation, taken as the grid
+        points they land on (whose |v|^2 differ from the originals' by
+        ulps), realize at N = 50 to one exponent.  The repair once took its
+        slot from the first highest-|v| atom in canonical order, and images
+        realized to 0.4381 or 0.4385 (4-PSK) or 0.122432 (8-PSK); an exact
+        |v|^2 tie left the 8-PSK spread in place."""
+        con = uniform_psk(m)
+        q = optimize_general(con, RATIOS_09, grid_k=grid_k).q_star
+        grid = control_grid(grid_k, RATIOS_09)
+        index = np.array([np.flatnonzero(grid == v)[0] for v in q.points]) - 1
+        ring, angle = index // grid_k, index % grid_k
+        scale = SignalScale(alpha_sq=2.0, slices=50, grid_k=grid_k)
         betas = []
-        for points in (q.points, q.points.conj()):
-            for turns in range(4):
-                image = ControlDistribution.from_arrays(points * 1j**turns, q.weights)
-                policy = realize_policy(image, scale, con, RATIOS_09)
+        for sign in (1, -1):
+            for turn in range(0, grid_k, grid_k // m):
+                image = 1 + ring * grid_k + (sign * angle + turn) % grid_k
+                image[index < 0] = 0
+                q_image = ControlDistribution.from_arrays(grid[image], q.weights)
+                policy = realize_policy(q_image, scale, con, RATIOS_09)
                 betas.append(exponent_of(policy.type_distribution(), con, RATIOS_09))
         assert max(betas) - min(betas) <= 1e-12 * max(betas)
-        assert betas[0] == pytest.approx(0.471522, rel=1e-6)
+        assert betas[0] == pytest.approx(beta, rel=1e-5)
 
     def test_point_mass_realizes_verbatim(self):
         """A point mass at sqrt(0.9) fills every slot at energy 0.9."""
