@@ -78,6 +78,19 @@ PINNED_BINARY = json.loads(
     (Path(__file__).with_name("pinned_binary_betas.json")).read_text()
 )
 
+#: ``optimize_binary`` solves over the accepted range, bit for bit: per key
+#: ``binary_census_id(r_sn, r_ca, fraction)``, with r_ce = fraction * r_ca**2,
+#: the record of ``binary_census_record``.
+BINARY_CENSUS_KEYS = [
+    (r_sn, r_ca, fraction)
+    for r_sn in (1e-300, 1e-6, 0.01, 1.0, 1e6, 1e12)
+    for r_ca in (1e-6, 1.0, 1.25, 1e3, 1e10)
+    for fraction in (0.0, 1e-300, 0.1, 0.5, 0.9, 1.0)
+]
+PINNED_BINARY_CENSUS = json.loads(
+    (Path(__file__).with_name("pinned_binary_census.json")).read_text()
+)
+
 #: A control LP whose Bland pivots gain nothing over a whole refactorization
 #: interval before it reaches its optimum: the second LP of (16, 0.001, 0.5,
 #: grid_k 40), by its 120 pair tilts (it rebuilds bit for bit through
@@ -102,6 +115,31 @@ PING_PONG_TILTS = [
 def bpsk_rates(v: float, r: float) -> RatePair:
     """Normalized BPSK rate pair at real displacement v and dark ratio r."""
     return RatePair((1.0 - v) ** 2 + r, (1.0 + v) ** 2 + r)
+
+
+def binary_census_id(r_sn: float, r_ca: float, fraction: float) -> str:
+    """A ``BINARY_CENSUS_KEYS`` key as a test id and
+    ``pinned_binary_census.json`` key."""
+    return f"{r_sn!r}-{r_ca!r}-{fraction!r}"
+
+
+def binary_census_record(r_sn: float, r_ca: float, fraction: float) -> dict:
+    """beta, ``q_star``'s atoms ("re im weight") and ``per_pair`` ("l m
+    s_star value") in hex of ``optimize_binary`` at r_ce = fraction *
+    r_ca**2, as ``pinned_binary_census.json`` holds them.  Re-derive the file
+    with ``PYTHONPATH=src:tests python -c "import json, test_exponent as t;
+    print(json.dumps({t.binary_census_id(*k): t.binary_census_record(*k) for k
+    in t.BINARY_CENSUS_KEYS}, indent=1))" > tests/pinned_binary_census.json``."""
+    sol = optimize_binary(OperatingRatios(r_sn, r_ca, fraction * r_ca * r_ca))
+    return {
+        "beta": sol.beta.hex(),
+        "q_star": [
+            f"{p.real.hex()} {p.imag.hex()} {w.hex()}" for p, w in sol.q_star.atoms
+        ],
+        "per_pair": [
+            f"{l} {m} {s.hex()} {v.hex()}" for (l, m), s, v in sol.per_pair
+        ],
+    }
 
 
 def reference_golden_section_max(f, lo, hi, tol=GOLDEN_TOL, max_iter=GOLDEN_MAX_ITER):
@@ -682,6 +720,18 @@ class TestOptimizeBinary:
         sol = optimize_binary(ratios)
         assert sol.beta >= case["beta"] - 1e-9
         sol.q_star.validate_feasible(ratios)
+
+    @pytest.mark.parametrize(
+        "key", BINARY_CENSUS_KEYS, ids=lambda key: binary_census_id(*key)
+    )
+    def test_binary_solve_is_pinned(self, key):
+        """Each census solve gives, bit for bit, the beta, ``q_star`` and
+        ``per_pair`` of ``pinned_binary_census.json``.  It pins what the
+        program computes, right or wrong: a change that moves a solve
+        re-derives the file (see ``binary_census_record``) and names the
+        solve in CHANGES.md."""
+        record = PINNED_BINARY_CENSUS[binary_census_id(*key)]
+        assert binary_census_record(*key) == record
 
     @pytest.mark.parametrize(
         "r_sn, r_ca, r_ce, beta, atoms",
