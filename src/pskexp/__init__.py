@@ -21,7 +21,6 @@ from .constellation import (
 )
 from .divergence import (
     ChernoffOptimum,
-    RatePair,
     chernoff_values,
     golden_section_max,
     max_chernoff,
@@ -59,7 +58,6 @@ __all__ = [
     "OpenLoopPolicy",
     "OperatingRatios",
     "PskConstellation",
-    "RatePair",
     "SignalScale",
     "bpsk",
     "chernoff_values",

@@ -13,7 +13,7 @@ where the normalized rate
 depends only on dimensionless quantities: the displacement ratio ``v``, the
 constellation phase, and the dark-to-signal ratio ``r_sn``.  All optimization
 happens in these normalized units; ``alpha_sq`` enters only as the overall
-exponent scale.
+exponent scale.  ``normalized_rates`` is the package's one rate formula.
 
 Controls are constrained by a peak amplitude ratio ``r_ca`` (``|v| <= r_ca``)
 and an average energy ratio ``r_ce`` (``mean |v|**2 <= r_ce``), both checked
@@ -163,17 +163,19 @@ class SignalScale:
 
 
 def normalized_rates(
-    points: np.ndarray,
+    points: complex | np.ndarray,
     constellation: PskConstellation,
-    ratios: OperatingRatios,
+    r_sn: float,
 ) -> np.ndarray:
-    """Normalized Poisson means |v + exp(i*phi_m)|**2 + r_sn as an (M, n)
-    table: row m is hypothesis m over the n displacement ratios ``points``."""
+    """Normalized Poisson means |v + exp(i*phi_m)|**2 + r_sn, the package's
+    one rate formula, as an ``(M, *np.shape(points))`` array: row m is
+    hypothesis m over the displacement ratios ``points`` (a scalar gives
+    shape ``(M,)``).  ``r_sn`` is the dark ratio as a float, 0 included."""
     pts = np.asarray(points, dtype=complex)
     states = np.array(
         [constellation.state_point(m) for m in range(constellation.num_states)]
     )
-    return np.abs(pts + states[:, None]) ** 2 + ratios.r_sn
+    return np.abs(np.add.outer(states, pts)) ** 2 + r_sn
 
 
 def control_grid(grid_k: int, ratios: OperatingRatios) -> np.ndarray:

@@ -10,16 +10,17 @@ divergence
 
 which is the closed form of ``-log sum_y p0(y)**s * p1(y)**(1-s)`` for
 Poisson laws.  The rates are finite and positive: every mean the package
-forms carries the dark ratio ``r_sn > 0``.  ``chernoff_values`` is the
-package's one evaluator of ``C_s``, without cancellation between the rates
-(``pair_chernoff_values`` runs it over the pairs of a rate table, and the
-optimizers and ``convexity_margin`` call it).  This module also maximizes
-mixtures of it over ``s`` with one safeguarded Newton solver
-(``max_chernoff_mixtures``; ``max_chernoff`` is its single-rate-pair case);
-``s_star_log`` gives a single pair's maximizer in closed form.  The two
-pair kernels take a table of rates and the indices of each pair's two rows,
-and walk the pairs in row blocks of at most ``BLOCK_ELEMENTS`` elements, so
-their working set does not grow with the number of pairs.
+forms comes from ``normalized_rates`` with the dark ratio ``r_sn > 0``.
+``chernoff_values`` is the package's one evaluator of ``C_s``, without
+cancellation between the rates (``pair_chernoff_values`` runs it over the
+pairs of a rate table, and the optimizers and ``convexity_margin`` call
+it).  This module also maximizes mixtures of it over ``s`` with one
+safeguarded Newton solver (``max_chernoff_mixtures``; ``max_chernoff`` is
+its case of two rates); ``s_star_log`` gives a single pair's maximizer in
+closed form.  The two pair kernels take a table of rates and the indices of
+each pair's two rows, and walk the pairs in row blocks of at most
+``BLOCK_ELEMENTS`` elements, so their working set does not grow with the
+number of pairs.
 ``golden_section_max`` is a scalar search, used by the binary optimizer's
 polish.  The textbook closed form and the independent series, KL and
 tilted-rate oracles the tests check this module against live in
@@ -45,7 +46,6 @@ Facts relied on elsewhere and tested:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -72,20 +72,6 @@ NEWTON_MAX_ITER = 100
 #: least one).  Every row is computed on its own, so the block size changes
 #: no result, only the size of the temporaries.
 BLOCK_ELEMENTS = 1 << 15
-
-
-@dataclass(frozen=True)
-class RatePair:
-    """Mean photon counts under the two hypotheses of a binary test."""
-
-    lambda0: float
-    lambda1: float
-
-    def __post_init__(self) -> None:
-        for name in ("lambda0", "lambda1"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class ChernoffOptimum(NamedTuple):
@@ -275,13 +261,11 @@ def _max_mixture_rows(
     ]
 
 
-def max_chernoff(pair: RatePair) -> ChernoffOptimum:
-    """Maximize the Chernoff divergence of one rate pair over the tilt ``s``:
-    the point-mass case of ``max_chernoff_mixtures``.  For equal rates the
-    divergence is identically zero and ``s_star = 1/2`` by convention."""
-    (optimum,) = max_chernoff_mixtures(
-        [[pair.lambda0], [pair.lambda1]], [0], [1], [1.0]
-    )
+def max_chernoff(lambda0: float, lambda1: float) -> ChernoffOptimum:
+    """Maximize ``C_s(lambda0, lambda1)`` of two rates over the tilt ``s``:
+    ``max_chernoff_mixtures`` on one pair of one-atom rows.  For equal rates
+    it is identically zero and ``s_star = 1/2`` by convention."""
+    (optimum,) = max_chernoff_mixtures([[lambda0], [lambda1]], [0], [1], [1.0])
     return optimum
 
 

@@ -259,7 +259,7 @@ def pair_exponents(
     pairs.
     """
     q.validate_feasible(ratios)
-    table = normalized_rates(q.points, constellation, ratios)
+    table = normalized_rates(q.points, constellation, ratios.r_sn)
     return max_chernoff_mixtures(
         table, [l for l, _ in pairs], [m for _, m in pairs], q.weights
     )
@@ -334,7 +334,7 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
     def objective(v):
         """f(v), for a float or an array: each rate pair's value at its
         closed-form tilt."""
-        rates0, rates1 = (v - 1.0) ** 2 + r, (v + 1.0) ** 2 + r
+        rates0, rates1 = normalized_rates(v, constellation, r)
         return ce / np.maximum(v * v, ce) * chernoff_values(rates0, rates1, s_star_log)
 
     evaluations = 0
@@ -415,7 +415,7 @@ def optimize_general(
     lefts = [l for l, _ in pairs]
     rights = [m for _, m in pairs]
     grid_energy = np.abs(grid) ** 2
-    rate_table = normalized_rates(grid, constellation, ratios)
+    rate_table = normalized_rates(grid, constellation, ratios.r_sn)
 
     def tilt_step(x: np.ndarray) -> tuple[list[ChernoffOptimum], float]:
         support = x > 0.0
@@ -519,8 +519,7 @@ def convexity_margin(
         raise ValueError(f"r must be nonnegative, got {r!r}")
     if not np.all((0.0 < v) & (v < 1.0)):
         raise ValueError(f"v must lie in (0, 1), got {v!r}")
-    lam0 = (1.0 - v) ** 2 + r
-    lam1 = (1.0 + v) ** 2 + r
+    lam0, lam1 = normalized_rates(v, bpsk(), r)
     curvature_term = 8.0 * s * (1.0 - s) * v * (
         1.0 - (r / lam0) * (4.0 * v**2 / lam1)
     )
@@ -544,7 +543,8 @@ def verify_claims() -> dict:
     JSON-ready report ``{"all_passed", "checks": [{"name", "passed",
     "details"}], "notes"}``.
     """
-    from .divergence import RatePair, max_chernoff
+    # Looked up at call time, so a wrapper put on pskexp.divergence sees it.
+    from .divergence import max_chernoff
 
     ratios_low = VERIFY_RATIOS_LOW
     checks: list[dict] = []
@@ -597,8 +597,7 @@ def verify_claims() -> dict:
     ts = ControlDistribution.time_sharing(ratios_low.r_ce)
     ts_value = pair_exponent(ts, (0, 1), constellation, ratios_low).value
     margin = solution.beta - ts_value
-    full_budget = RatePair(ratios_low.r_sn, (1.0 + 1.0) ** 2 + ratios_low.r_sn)
-    kennedy = max_chernoff(full_budget)
+    kennedy = max_chernoff(*normalized_rates(1.0, constellation, ratios_low.r_sn))
     notes.append(
         "full-budget point exponent at r_sn="
         f"{ratios_low.r_sn:g} is {kennedy.value:.4f} by the stationarity "

@@ -207,7 +207,7 @@ def _group_policy(
     multiplicity = np.bincount(inverse, minlength=len(unique_points))
     per_slice = policy.scale.alpha_sq / policy.scale.slices
     group_rates = per_slice * normalized_rates(
-        unique_points, policy.constellation, policy.ratios
+        unique_points, policy.constellation, policy.ratios.r_sn
     )
     totals = group_rates @ multiplicity
     return group_rates, multiplicity, totals

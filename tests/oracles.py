@@ -1,9 +1,11 @@
 """Independent oracles for the Chernoff closed form and the control LP
 (not a test module).
 
-The textbook closed form of the divergence, series summation of the tilted
-Poisson product, the Poisson log-pmf it sums, the Poisson KL divergence and
-the geometric tilted rate.  None of them is on a path the CLI runs; the
+``RatePair`` holds the two rates of a binary test, validated finite and
+positive, as the divergence oracles take them: the textbook closed form of
+the divergence, series summation of the tilted Poisson product, the Poisson
+log-pmf it sums, the Poisson KL divergence and the geometric tilted rate.
+None of them is on a path the CLI runs; the
 divergence and acceptance tests check the cancellation-free form and the
 tilt solver in ``pskexp.divergence`` against them.  ``zero_dark_margin``
 is ``pskexp.exponent.convexity_margin`` at r = 0 in its own closed form.
@@ -17,12 +19,25 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
 
-from pskexp.divergence import RatePair
+
+@dataclass(frozen=True)
+class RatePair:
+    """Mean photon counts under the two hypotheses of a binary test."""
+
+    lambda0: float
+    lambda1: float
+
+    def __post_init__(self) -> None:
+        for name in ("lambda0", "lambda1"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def poisson_log_pmf(rate: float, count: int) -> float:

@@ -24,7 +24,7 @@ RATIOS = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
 
 def normalized_rate(v, m, constellation, ratios):
     """Normalized rate at one displacement, through ``normalized_rates``."""
-    return float(normalized_rates([v], constellation, ratios)[m, 0])
+    return float(normalized_rates(v, constellation, ratios.r_sn)[m])
 
 
 class TestOperatingRatios:
@@ -187,6 +187,20 @@ class TestSignalScale:
 class TestNormalizedRate:
     """Validate the normalized Poisson mean map."""
 
+    def test_rate_contract(self):
+        """Rates have shape (M, *np.shape(points)), r_sn = 0 is accepted,
+        and on real v the BPSK rates are ((1-v)**2 + r, (1+v)**2 + r) bit
+        for bit, state points exactly -1 and +1 and ``abs`` exact on a real
+        difference."""
+        con = uniform_psk(4)
+        assert normalized_rates(0.5, con, 0.01).shape == (4,)
+        assert normalized_rates(np.array([0.0, 0.5j, 1.0]), con, 0.01).shape == (4, 3)
+        assert normalized_rates(0.5, bpsk(), 0.0).tolist() == [0.25, 2.25]
+        for v in (0.0, 5e-324, 1e-9, 0.5, 1.0, 3.0, 1e150):
+            for r in (0.0, 5e-324, 0.01, 1e12):
+                got = normalized_rates(v, bpsk(), r).tolist()
+                assert got == [(1.0 - v) ** 2 + r, (1.0 + v) ** 2 + r]
+
     def test_bpsk_real_displacement_forms(self):
         """On real v, Lambda_0 = (1-v)**2 + r and Lambda_1 = (1+v)**2 + r."""
         con = bpsk()
@@ -208,7 +222,7 @@ class TestNormalizedRate:
         ratios = OperatingRatios(r_sn=10.0**log_r, r_ca=1.0, r_ce=1.0)
         for con, nulling in ((bpsk(), [1, -1]), (uniform_psk(4), [-1, -1j, 1, 1j])):
             for m, v in enumerate(nulling):
-                rate = normalized_rates(np.array([v]), con, ratios)[m, 0]
+                rate = normalized_rates(np.array([v]), con, ratios.r_sn)[m, 0]
                 assert rate == ratios.r_sn
 
     def test_vectorized_matches_scalar(self):
@@ -216,7 +230,7 @@ class TestNormalizedRate:
         per hypothesis."""
         con = uniform_psk(4)
         pts = np.array([0.0, 0.5j, -0.3 + 0.2j, 0.9])
-        table = normalized_rates(pts, con, RATIOS)
+        table = normalized_rates(pts, con, RATIOS.r_sn)
         assert table.shape == (4, len(pts))
         for m, got in enumerate(table):
             want = [

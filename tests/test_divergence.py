@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    RatePair,
     chernoff_s,
     chernoff_s_decimal,
     chernoff_s_series,
@@ -20,7 +21,6 @@ from pskexp import divergence
 from pskexp.divergence import (
     EQUAL_RATE_RTOL,
     ChernoffOptimum,
-    RatePair,
     chernoff_values,
     golden_section_max,
     max_chernoff,
@@ -68,10 +68,9 @@ class TestRatePair:
         """Rates equal up to relative rounding get the (1/2, 0) convention;
         rates just apart are solved."""
         degenerate = ChernoffOptimum(s_star=0.5, value=0.0)
-        assert max_chernoff(RatePair(5.0, 5.0)) == degenerate
-        near = RatePair(5.0, 5.0 * (1.0 + 0.5 * EQUAL_RATE_RTOL))
-        assert max_chernoff(near) == degenerate
-        assert max_chernoff(RatePair(5.0, 5.0001)).value > 0.0
+        assert max_chernoff(5.0, 5.0) == degenerate
+        assert max_chernoff(5.0, 5.0 * (1.0 + 0.5 * EQUAL_RATE_RTOL)) == degenerate
+        assert max_chernoff(5.0, 5.0001).value > 0.0
 
 
 class TestPoissonLogPmf:
@@ -246,7 +245,7 @@ class TestChernoffValues:
         got = chernoff_values(l0, l1, s_star_log)
         assert got.tobytes() == chernoff_values(l1, l0, s_star_log).tobytes()
         for value, a, b in zip(got, l0, l1):
-            assert value == pytest.approx(max_chernoff(RatePair(a, b)).value, rel=1e-12)
+            assert value == pytest.approx(max_chernoff(a, b).value, rel=1e-12)
 
 
 class TestChernoffSeries:
@@ -301,25 +300,25 @@ class TestMaxChernoff:
 
     def test_degenerate_convention(self):
         """Equal rates return (1/2, 0) exactly."""
-        opt = max_chernoff(RatePair(5.0, 5.0))
+        opt = max_chernoff(5.0, 5.0)
         assert opt == ChernoffOptimum(s_star=0.5, value=0.0)
 
     def test_low_snr_extremal_pair(self):
         """Frozen optimum of the near-extremal low-SNR pair."""
-        opt = max_chernoff(PAIR_LOW)
+        opt = max_chernoff(PAIR_LOW.lambda0, PAIR_LOW.lambda1)
         assert opt.value == pytest.approx(PAIR_LOW_MAX, abs=1e-10)
         assert opt.s_star == pytest.approx(PAIR_LOW_S_STAR, abs=1e-8)
 
     def test_full_displacement_pair(self):
         """Frozen optimum of the full-displacement pair."""
-        opt = max_chernoff(PAIR_FULL)
+        opt = max_chernoff(PAIR_FULL.lambda0, PAIR_FULL.lambda1)
         assert opt.value == pytest.approx(PAIR_FULL_MAX, abs=1e-10)
         assert opt.s_star == pytest.approx(PAIR_FULL_S_STAR, abs=1e-8)
 
     def test_stationarity_identity(self):
         """At s*, C_{s*} = s*l0 + (1-s*)l1 - (l1-l0)/log(l1/l0)."""
         l0, l1 = PAIR_FULL.lambda0, PAIR_FULL.lambda1
-        opt = max_chernoff(PAIR_FULL)
+        opt = max_chernoff(PAIR_FULL.lambda0, PAIR_FULL.lambda1)
         closed = opt.s_star * l0 + (1.0 - opt.s_star) * l1 - (l1 - l0) / math.log(l1 / l0)
         assert opt.value == pytest.approx(closed, abs=1e-8)
 
@@ -327,7 +326,7 @@ class TestMaxChernoff:
     def test_value_dominates_interior_samples(self, l0: float, l1: float):
         """The reported maximum is >= C_s at sampled tilts."""
         pair = RatePair(l0, l1)
-        opt = max_chernoff(pair)
+        opt = max_chernoff(pair.lambda0, pair.lambda1)
         for s in (0.2, 0.5, 0.8):
             assert opt.value >= chernoff_s(pair, s) - 1e-12
 
@@ -469,7 +468,7 @@ class TestMaxChernoffMixtures:
     @given(ratio=st.floats(min_value=1e-300, max_value=1.0 - 1e-9))
     def test_point_mass_matches_the_ratio_form(self, ratio):
         """A single atom's tilt is the closed form S(l0/l1)."""
-        assert max_chernoff(RatePair(ratio, 1.0)).s_star == pytest.approx(
+        assert max_chernoff(ratio, 1.0).s_star == pytest.approx(
             s_star_log(math.log(ratio)), abs=1e-10
         )
 
@@ -512,7 +511,7 @@ class TestSStarRatio:
     def test_consistent_with_direct_maximization(self):
         """S(l0/l1) matches the golden-section maximizer argument."""
         for l0, l1 in [(0.01, 4.01), (0.5, 3.0), (1.0, 1.2), (0.0126334, 3.8073666)]:
-            opt = max_chernoff(RatePair(l0, l1))
+            opt = max_chernoff(l0, l1)
             assert s_star_log(math.log(l0 / l1)) == pytest.approx(opt.s_star, abs=1e-6)
 
     def test_log_form_matches_and_reaches_below_the_normal_range(self):
@@ -576,7 +575,8 @@ class TestTiltedRate:
 
     def test_full_pair_at_optimum(self):
         """Tilted rate at s* equals (l1 - l0)/log(l1/l0) = 4/log(401)."""
-        got = tilted_rate(PAIR_FULL, max_chernoff(PAIR_FULL).s_star)
+        opt = max_chernoff(PAIR_FULL.lambda0, PAIR_FULL.lambda1)
+        got = tilted_rate(PAIR_FULL, opt.s_star)
         assert got == pytest.approx(PAIR_FULL_TILTED, abs=1e-8)
         assert got == pytest.approx(4.0 / math.log(401.0), abs=1e-8)
 
@@ -599,4 +599,4 @@ class TestTiltedRate:
             value = chernoff_s(pair, s)
             assert d0 == pytest.approx(d1, abs=1e-9)
             assert d0 == pytest.approx(value, abs=1e-9)
-            assert value == pytest.approx(max_chernoff(pair).value, abs=1e-9)
+            assert value == pytest.approx(max_chernoff(lo, hi).value, abs=1e-9)

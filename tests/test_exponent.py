@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    RatePair,
     certified_control_lp,
     chernoff_s,
     highs_control_lp,
@@ -30,7 +31,6 @@ from pskexp.divergence import (
     GOLDEN_MAX_ITER,
     GOLDEN_TOL,
     ChernoffOptimum,
-    RatePair,
     chernoff_values,
     max_chernoff_mixtures,
     s_star_log,
@@ -114,7 +114,7 @@ PING_PONG_TILTS = [
 
 def bpsk_rates(v: float, r: float) -> RatePair:
     """Normalized BPSK rate pair at real displacement v and dark ratio r."""
-    return RatePair((1.0 - v) ** 2 + r, (1.0 + v) ** 2 + r)
+    return RatePair(*normalized_rates(v, BPSK, r).tolist())
 
 
 def binary_census_id(r_sn: float, r_ca: float, fraction: float) -> str:
@@ -173,7 +173,7 @@ def reference_pair_exponent(q, pair, constellation, ratios):
     """
     q.validate_feasible(ratios)
     l, m = pair
-    table = normalized_rates(q.points, constellation, ratios)
+    table = normalized_rates(q.points, constellation, ratios.r_sn)
     rates_l, rates_m = table[l], table[m]
     scale = np.maximum(rates_l, rates_m)
     if np.all(np.abs(rates_l - rates_m) <= EQUAL_RATE_RTOL * scale):
@@ -953,7 +953,7 @@ def control_lp(m, r_sn, r_ce, grid_k, tilts):
     ratios = OperatingRatios(r_sn, 1.0, r_ce)
     con = uniform_psk(m)
     grid = control_grid(grid_k, ratios)
-    table = normalized_rates(grid, con, ratios)
+    table = normalized_rates(grid, con, ratios.r_sn)
     pairs = con.pairs()
     coeffs = chernoff_values(
         table[[l for l, _ in pairs]],

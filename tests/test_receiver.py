@@ -80,7 +80,7 @@ def slice_rates(policy: OpenLoopPolicy, m: int) -> np.ndarray:
     per_slice = policy.scale.alpha_sq / policy.scale.slices
     points = np.array(policy.displacements, dtype=complex)
     return per_slice * normalized_rates(
-        points, policy.constellation, policy.ratios
+        points, policy.constellation, policy.ratios.r_sn
     )[m]
 
 
@@ -182,7 +182,7 @@ class TestOpenLoopPolicy:
         a group's total is its multiplicity times that."""
         pol = uniform_policy(0.5, slices=4, r_ce=0.25)
         group_rates, multiplicity, totals = _group_policy(pol)
-        want = (2.0 / 4) * normalized_rates([0.5], BPSK, pol.ratios)
+        want = (2.0 / 4) * normalized_rates([0.5], BPSK, pol.ratios.r_sn)
         np.testing.assert_allclose(group_rates, want, rtol=1e-14)
         assert multiplicity.tolist() == [4]
         np.testing.assert_allclose(totals, 4 * want[:, 0], rtol=1e-14)
