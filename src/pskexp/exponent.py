@@ -495,8 +495,8 @@ def convexity_margin(
 ) -> float | np.ndarray:
     """Margin whose sign certifies convexity of the pair divergence in energy.
 
-    For BPSK with real displacement v and dark ratio r, let
-    Lambda0 = (1-v)**2 + r and Lambda1 = (1+v)**2 + r and consider
+    For BPSK with real displacement v and dark ratio r, let ``normalized_rates``
+    give Lambda0 = (1-v)**2 + r and Lambda1 = (1+v)**2 + r, and consider
     C_s as a function of the control energy E = E0*v**2.  The margin
 
         g_{s,r}(v) = 8s(1-s)v * (1 - r/Lambda0 * 4v**2/Lambda1)
