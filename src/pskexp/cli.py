@@ -370,7 +370,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "force_zero": bool(args.force_zero),
         },
         "policy_type": realized_type.records(),
-        "mean_energy": policy.mean_energy(),
+        "mean_energy": realized_type.second_moment(),
         "beta_realized": beta_realized,
         "bound": bound,
         "p_e": report.p_e,

@@ -24,6 +24,7 @@ search space is discretized by ``control_grid`` into polar grid points.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,16 +110,21 @@ class PskConstellation:
         M = self.num_states
         return [(l, m) for l in range(M) for m in range(l + 1, M)]
 
-    def state_point(self, m: int) -> complex:
-        """Unit-circle point exp(i*phi_m) of hypothesis m, exact at the
+    @functools.cached_property
+    def state_points(self) -> tuple[complex, ...]:
+        """Unit-circle points exp(i*phi_m), one per hypothesis, exact at the
         multiples of pi/2 (where ``cmath.exp`` leaves a 1e-16 residue, which
-        floors the nulled rate and splits ties between mirror states), judged
-        on the phase modulo 2*pi."""
-        quarters = self.phases[m] % (2.0 * math.pi) / (math.pi / 2.0)
-        nearest = round(quarters)
-        if abs(quarters - nearest) <= QUARTER_TOL:
-            return (1 + 0j, 1j, -1 + 0j, complex(0.0, -1.0))[nearest % 4]
-        return cmath.exp(1j * self.phases[m])
+        floors the nulled rate and splits ties between mirror states),
+        judged on the phase modulo 2*pi."""
+        points = []
+        for phase in self.phases:
+            quarters = phase % (2.0 * math.pi) / (math.pi / 2.0)
+            nearest = round(quarters)
+            if abs(quarters - nearest) <= QUARTER_TOL:
+                points.append((1 + 0j, 1j, -1 + 0j, complex(0.0, -1.0))[nearest % 4])
+            else:
+                points.append(cmath.exp(1j * phase))
+        return tuple(points)
 
 
 def bpsk() -> PskConstellation:
@@ -172,9 +178,7 @@ def normalized_rates(
     hypothesis m over the displacement ratios ``points`` (a scalar gives
     shape ``(M,)``).  ``r_sn`` is the dark ratio as a float, 0 included."""
     pts = np.asarray(points, dtype=complex)
-    states = np.array(
-        [constellation.state_point(m) for m in range(constellation.num_states)]
-    )
+    states = np.array(constellation.state_points)
     return np.abs(np.add.outer(states, pts)) ** 2 + r_sn
 
 

@@ -10,10 +10,12 @@ are broken toward the smallest hypothesis index, a fixed deterministic rule.
 One scoring function, ``_ml_decisions``, evaluates this rule for both of
 its consumers, ``monte_carlo`` and ``exact_error_small``.
 
-Slices sharing one displacement value form a group.  The statistic sees
-their counts only through the group total, which is Poisson with the summed
-rate (superposition), so both the simulator and the oracle work on group
-totals: the decision statistic's distribution is unchanged.
+Slices sharing one displacement value form a group (``OpenLoopPolicy.groups``
+is the one grouping), and a policy's invariants are judged on its type, the
+groups as a ``ControlDistribution``.  The statistic sees their counts only
+through the group total, which is Poisson with the summed rate
+(superposition), so both the simulator and the oracle work on group totals:
+the decision statistic's distribution is unchanged.
 
 Simulation splits each hypothesis's trials into blocks of MC_BLOCK_TRIALS
 trials and draws block b from its own Philox counter-based stream keyed by
@@ -63,8 +65,9 @@ MC_BLOCK_TRIALS = 65536
 class OpenLoopPolicy:
     """A fixed displacement-ratio sequence with its operating context.
 
-    Both constraints are hard invariants of the class: every displacement
-    stays in the control disk, and the mean energy never exceeds the budget.
+    Both constraints are hard invariants of the class, judged on the
+    policy's type: every displacement stays in the control disk, and the
+    type's second moment never exceeds the budget.
     """
 
     displacements: tuple[complex, ...]
@@ -78,27 +81,18 @@ class OpenLoopPolicy:
                 f"{len(self.displacements)} displacements for "
                 f"{self.scale.slices} slices"
             )
-        points = np.array(self.displacements, dtype=complex)
-        if not np.all(np.isfinite(points)):
-            raise ValueError("displacements must be finite")
-        if not np.all(self.ratios.in_disk(points)):
-            raise ValueError("a displacement lies outside the control disk")
-        if not self.ratios.within_budget(self.mean_energy()):
-            raise ValueError(
-                f"mean energy {self.mean_energy()!r} exceeds budget "
-                f"{self.ratios.r_ce!r}"
-            )
+        self.type_distribution().validate_feasible(self.ratios)
 
-    def mean_energy(self) -> float:
-        mags2 = np.abs(np.array(self.displacements, dtype=complex)) ** 2
-        return float(np.mean(mags2))
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct displacements, in ``np.unique`` order, and the number
+        of slices carrying each."""
+        return np.unique(
+            np.array(self.displacements, dtype=complex), return_counts=True
+        )
 
     def type_distribution(self) -> ControlDistribution:
         """Empirical distribution of the displacement sequence."""
-        n = len(self.displacements)
-        return ControlDistribution.from_arrays(
-            self.displacements, [1.0 / n] * n
-        )
+        return ControlDistribution.from_arrays(*self.groups())
 
 
 @dataclass(frozen=True)
@@ -128,12 +122,13 @@ def realize_policy(
     Rounding up a heavy atom can overshoot the energy budget, so a repair
     loop then moves one slot at a time from the highest-|v| atom to the
     lowest-|v| atom (adding 0 as a sink atom if absent) until the realized
-    mean energy is within budget.  The slot comes from the highest-|v|
-    ring's atom with the most slots (ties to the earlier atom), so the
-    repair does not turn on the canonical order of a rotated or reflected
-    q; ties among remainders still do.  The realized type differs from q by
-    at most 1/N per apportionment step plus 1/N per repair move, and the
-    returned policy satisfies both class invariants exactly.
+    type's second moment, the number ``OpenLoopPolicy`` checks, is within
+    budget.  The slot comes from the highest-|v| ring's atom with the most
+    slots (ties to the earlier atom), so the repair does not turn on the
+    canonical order of a rotated or reflected q; ties among remainders
+    still do.  The realized type differs from q by at most 1/N per
+    apportionment step plus 1/N per repair move, and every policy the loop
+    accepts constructs.
     """
     q.validate_feasible(ratios)
     n = scale.slices
@@ -154,7 +149,9 @@ def realize_policy(
         energies = np.append(energies, 0.0)
         counts = np.append(counts, 0)
     repair_moves = 0
-    while not ratios.within_budget(float(np.dot(counts, energies)) / n):
+    while not ratios.within_budget(
+        ControlDistribution.from_arrays(points, counts).second_moment()
+    ):
         donors = np.flatnonzero(counts > 0)
         # The |v|^2 of one grid ring spread over up to 8 ulps (rounding).
         top = energies[donors].max()
@@ -201,10 +198,7 @@ def _group_policy(
     rate count_g * rate.  The ML statistic only sees group totals, so this
     aggregation is distribution-exact.
     """
-    unique_points, inverse = np.unique(
-        np.array(policy.displacements, dtype=complex), return_inverse=True
-    )
-    multiplicity = np.bincount(inverse, minlength=len(unique_points))
+    unique_points, multiplicity = policy.groups()
     per_slice = policy.scale.alpha_sq / policy.scale.slices
     group_rates = per_slice * normalized_rates(
         unique_points, policy.constellation, policy.ratios.r_sn

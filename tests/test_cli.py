@@ -693,7 +693,10 @@ class TestStartup:
 #: overflows at r_ca 1e160 and 1.7e308 (the last two with a traceback).
 #: The 64-, 128- and 300-PSK lines keep large M in bounds: while every pair
 #: row went into the simplex, 128-PSK took 17.5 s and 1.5 GiB, and 300-PSK
-#: asked for a 15 GiB LP matrix.
+#: asked for a 15 GiB LP matrix.  The 200-slice ``simulate`` line realized a
+#: policy whose repair loop and constructor judged its energy with two
+#: formulas a rounding step apart, and the constructor refused it.  The three
+#: strict xfails are M-ary inputs a seeded random sweep found still exiting 1.
 RANGE_CASES = [
     ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9", EXIT_OK),
     ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9 --grid-k 40", EXIT_OK),
@@ -712,6 +715,36 @@ RANGE_CASES = [
     ("exponent --psk 300 --grid-k 8 --r-sn 0.01 --r-ce 0.9", EXIT_OK),
     ("exponent --r-sn 0.01 --r-ca 1e160 --r-ce 1e307", EXIT_USAGE),
     ("exponent --r-sn 0.01 --r-ca 1.7e308 --r-ce 1e300", EXIT_USAGE),
+    ("simulate --r-sn 0.02 --r-ce 0.2173001549950041 --slices 200 --trials 1000", EXIT_OK),
+    pytest.param(
+        "exponent --psk 8 --grid-k 8 --r-sn 0.12816468504764403 --r-ca 0.8 "
+        "--r-ce 0.454842841827529",
+        EXIT_OK,
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="the basis inverse divides by zero, numpy warnings reach "
+            "stderr, and the run ends 'control LP failed: infeasible'",
+        ),
+    ),
+    pytest.param(
+        "exponent --psk 6 --grid-k 6 --r-sn 0.00825309190163809 --r-ca 1.5 "
+        "--r-ce 1.2019026054561004",
+        EXIT_OK,
+        marks=pytest.mark.xfail(
+            strict=True, reason="control LP failed: unbounded"
+        ),
+    ),
+    pytest.param(
+        "exponent --psk 8 --grid-k 20 --r-sn 0.0030132021032696628 --r-ca 0.8 "
+        "--r-ce 0.5710660303238018",
+        EXIT_OK,
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="second moment 0.5710660303244186 exceeds budget "
+            "0.5710660303238018: dropping LP dust after the budget fix and "
+            "renormalizing lifts the energy past the 1e-12 slack",
+        ),
+    ),
 ]
 
 #: A log grid over the accepted range: binary and 4-PSK (grid_k 8)

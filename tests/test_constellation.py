@@ -131,15 +131,15 @@ class TestPskConstellation:
         1e300 reduces to about 5.56, no quarter point, so it keeps its
         exponential."""
         con = PskConstellation(phases=(0.0, 1e300))
-        assert con.state_point(1) == cmath.exp(1e300j)
-        assert PskConstellation(phases=(0.0, -0.5 * math.pi)).state_point(1) == -1j
+        assert con.state_points[1] == cmath.exp(1e300j)
+        assert PskConstellation(phases=(0.0, -0.5 * math.pi)).state_points[1] == -1j
 
     def test_bpsk_convention(self):
         """Hypothesis 0 sits at phase pi, hypothesis 1 at phase 0."""
         con = bpsk()
         assert con.phases == (math.pi, 0.0)
-        assert con.state_point(0) == pytest.approx(-1.0 + 0.0j, abs=1e-15)
-        assert con.state_point(1) == pytest.approx(1.0 + 0.0j, abs=1e-15)
+        assert con.state_points[0] == pytest.approx(-1.0 + 0.0j, abs=1e-15)
+        assert con.state_points[1] == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     def test_uniform_psk_phases(self):
         """Uniform M-PSK places phases at multiples of 2*pi/M."""
@@ -160,15 +160,16 @@ class TestPskConstellation:
     def test_state_points_on_unit_circle(self):
         """Every state point has unit modulus."""
         con = uniform_psk(8)
-        for m in range(con.num_states):
-            assert abs(con.state_point(m)) == pytest.approx(1.0, abs=1e-15)
+        assert len(con.state_points) == con.num_states
+        for point in con.state_points:
+            assert abs(point) == pytest.approx(1.0, abs=1e-15)
 
     def test_quarter_turn_points_are_exact(self):
         """Phases at multiples of pi/2 give exactly 1, i, -1 and -i."""
-        assert [bpsk().state_point(m) for m in range(2)] == [-1.0, 1.0]
-        assert [uniform_psk(4).state_point(m) for m in range(4)] == [1, 1j, -1, -1j]
-        assert uniform_psk(8).state_point(6) == -1j
-        assert uniform_psk(16).state_point(12) == -1j
+        assert bpsk().state_points == (-1.0, 1.0)
+        assert uniform_psk(4).state_points == (1, 1j, -1, -1j)
+        assert uniform_psk(8).state_points[6] == -1j
+        assert uniform_psk(16).state_points[12] == -1j
 
 
 class TestSignalScale:

@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import peak_traced_bytes
 from pskexp import exponent, receiver
 from pskexp.constellation import (
+    DISK_TOL,
     OperatingRatios,
     SignalScale,
     bpsk,
@@ -169,7 +170,7 @@ class TestOpenLoopPolicy:
                 constellation=BPSK,
                 ratios=RATIOS_09,
             )
-        with pytest.raises(ValueError, match="energy"):
+        with pytest.raises(ValueError, match="second moment"):
             OpenLoopPolicy(
                 displacements=(1.0 + 0.0j, 1.0 + 0.0j),
                 scale=scale,
@@ -232,7 +233,7 @@ class TestRealizePolicy:
         pol = realize_policy(q, scale, BPSK, RATIOS_09)
         mags = sorted(abs(d) for d in pol.displacements)
         assert mags == [0.0] + [1.0] * 9
-        assert pol.mean_energy() == pytest.approx(0.9, abs=1e-15)
+        assert pol.type_distribution().second_moment() == pytest.approx(0.9, abs=1e-15)
         assert pol.type_distribution().total_variation(q) == pytest.approx(0.0, abs=1e-15)
 
     def test_energy_repair_on_coarse_slicing(self):
@@ -242,7 +243,7 @@ class TestRealizePolicy:
         pol = realize_policy(q, scale, BPSK, RATIOS_09)
         mags = sorted(abs(d) for d in pol.displacements)
         assert mags == [0.0, 1.0, 1.0]
-        assert pol.mean_energy() == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert pol.type_distribution().second_moment() == pytest.approx(2.0 / 3.0, abs=1e-15)
         moves = getattr(pol, "_repair_moves")
         assert moves == 1
         tv = pol.type_distribution().total_variation(q)
@@ -284,7 +285,7 @@ class TestRealizePolicy:
         scale = SignalScale(alpha_sq=2.0, slices=4, grid_k=1)
         pol = realize_policy(q, scale, BPSK, RATIOS_09)
         assert all(d == complex(math.sqrt(0.9)) for d in pol.displacements)
-        assert pol.mean_energy() == pytest.approx(0.9, abs=1e-12)
+        assert pol.type_distribution().second_moment() == pytest.approx(0.9, abs=1e-12)
 
     @settings(deadline=None)
     @given(
@@ -292,17 +293,24 @@ class TestRealizePolicy:
         v1=st.floats(min_value=0.0, max_value=0.7),
         v2=st.floats(min_value=0.71, max_value=1.0),
         slices=st.integers(min_value=3, max_value=50),
+        tight=st.booleans(),
     )
+    # At the least budget this q meets, the realized type's energy lies ulps
+    # from the bound: the repair must stop on the float the policy checks.
+    @example(w=0.645, v1=0.0, v2=0.3048287045668617, slices=200, tight=True)
     def test_invariants_and_type_distance(
-        self, w: float, v1: float, v2: float, slices: int
+        self, w: float, v1: float, v2: float, slices: int, tight: bool
     ):
-        """Realized policies keep both invariants and stay TV-close to q."""
-        energy = (1.0 - w) * v1**2 + w * v2**2
-        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=energy + 1e-12)
+        """Realized policies keep both invariants and stay TV-close to q,
+        also when the budget is the least q meets (``tight``)."""
         q = ControlDistribution.from_arrays([v1, v2], [1.0 - w, w])
+        energy = q.second_moment()
+        r_ce = energy / (1.0 + DISK_TOL) if tight else energy + 1e-12
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=r_ce)
+        assume(ratios.within_budget(energy))
         scale = SignalScale(alpha_sq=2.0, slices=slices, grid_k=1)
         pol = realize_policy(q, scale, BPSK, ratios)
-        assert pol.mean_energy() <= ratios.r_ce + 1e-12
+        assert pol.type_distribution().second_moment() <= ratios.r_ce + 1e-12
         assert max(abs(d) for d in pol.displacements) <= ratios.r_ca + 1e-12
         moves = getattr(pol, "_repair_moves")
         # Match atoms only at float jitter, so that a repaired slot near a
