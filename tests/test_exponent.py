@@ -91,6 +91,21 @@ PINNED_BINARY_CENSUS = json.loads(
     (Path(__file__).with_name("pinned_binary_census.json")).read_text()
 )
 
+#: ``optimize_general`` solves away from the r_ca = 1, M in {4, 8, 16}, K in
+#: {20, 40} axis of the other M-ary pins, bit for bit: per key
+#: ``mary_range_census_id(m, grid_k, r_ca, r_sn, fraction)``, with r_ce =
+#: fraction * r_ca**2, the record of ``mary_range_census_record``.
+MARY_RANGE_CENSUS_KEYS = [
+    (m, grid_k, r_ca, r_sn, fraction)
+    for m in (3, 5, 6, 8)
+    for grid_k in (6, 12)
+    for r_ca in (0.8, 1.5, 3.0)
+    for r_sn, fraction in ((1e-4, 0.3), (0.05, 0.9))
+]
+PINNED_MARY_RANGE_CENSUS = json.loads(
+    (Path(__file__).with_name("pinned_mary_range_census.json")).read_text()
+)
+
 #: A control LP whose Bland pivots gain nothing over a whole refactorization
 #: interval before it reaches its optimum: the second LP of (16, 0.001, 0.5,
 #: grid_k 40), by its 120 pair tilts (it rebuilds bit for bit through
@@ -131,6 +146,43 @@ def binary_census_record(r_sn: float, r_ca: float, fraction: float) -> dict:
     print(json.dumps({t.binary_census_id(*k): t.binary_census_record(*k) for k
     in t.BINARY_CENSUS_KEYS}, indent=1))" > tests/pinned_binary_census.json``."""
     sol = optimize_binary(OperatingRatios(r_sn, r_ca, fraction * r_ca * r_ca))
+    return {
+        "beta": sol.beta.hex(),
+        "q_star": [
+            f"{p.real.hex()} {p.imag.hex()} {w.hex()}" for p, w in sol.q_star.atoms
+        ],
+        "per_pair": [
+            f"{l} {m} {s.hex()} {v.hex()}" for (l, m), s, v in sol.per_pair
+        ],
+    }
+
+
+def mary_range_census_id(
+    m: int, grid_k: int, r_ca: float, r_sn: float, fraction: float
+) -> str:
+    """A ``MARY_RANGE_CENSUS_KEYS`` key as a test id and
+    ``pinned_mary_range_census.json`` key."""
+    return f"psk{m}-k{grid_k}-{r_ca!r}-{r_sn!r}-{fraction!r}"
+
+
+def mary_range_census_record(
+    m: int, grid_k: int, r_ca: float, r_sn: float, fraction: float
+) -> dict:
+    """beta, ``q_star``'s atoms ("re im weight") and ``per_pair`` ("l m
+    s_star value") in hex of ``optimize_general`` on ``uniform_psk(m)`` at
+    r_ce = fraction * r_ca**2, as ``pinned_mary_range_census.json`` holds
+    them, or ``{"error": message}`` for a solve that raises.  No LP pivots:
+    an LP solved in several rounds of row generation may pivot differently
+    and reach the same optimum.  Re-derive the file with
+    ``PYTHONPATH=src:tests python -c "import json, test_exponent as t;
+    print(json.dumps({t.mary_range_census_id(*k): t.mary_range_census_record(*k)
+    for k in t.MARY_RANGE_CENSUS_KEYS}, indent=1))" >
+    tests/pinned_mary_range_census.json``."""
+    ratios = OperatingRatios(r_sn, r_ca, fraction * r_ca * r_ca)
+    try:
+        sol = optimize_general(uniform_psk(m), ratios, grid_k=grid_k)
+    except (ValueError, RuntimeError) as error:
+        return {"error": str(error)}
     return {
         "beta": sol.beta.hex(),
         "q_star": [
@@ -894,6 +946,19 @@ class TestOptimizeGeneral:
         assert sol.per_pair == tuple(
             ((l, m), s, v) for l, m, s, v in case["per_pair"]
         )
+
+    @pytest.mark.parametrize(
+        "key", MARY_RANGE_CENSUS_KEYS, ids=lambda key: mary_range_census_id(*key)
+    )
+    def test_range_solve_is_pinned(self, key):
+        """Each solve of the M-ary range census (M 3 to 8, K 6 and 12, r_ca
+        0.8 to 3) gives, bit for bit, the beta, ``q_star`` and ``per_pair``
+        of ``pinned_mary_range_census.json``, or the same error.  It pins
+        what the program computes, right or wrong: a change that moves a
+        solve re-derives the file (see ``mary_range_census_record``) and
+        names the solve in CHANGES.md."""
+        record = PINNED_MARY_RANGE_CENSUS[mary_range_census_id(*key)]
+        assert mary_range_census_record(*key) == record
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_reports_convergence_diagnostics(self, m):
