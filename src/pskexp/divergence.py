@@ -12,14 +12,13 @@ which is the closed form of ``-log sum_y p0(y)**s * p1(y)**(1-s)`` for
 Poisson laws.  The rates are finite and positive: every mean the package
 forms comes from ``normalized_rates`` with the dark ratio ``r_sn > 0``.
 ``chernoff_values`` is the package's one evaluator of ``C_s``, without
-cancellation between the rates (``pair_chernoff_values`` runs it over the
-pairs of a rate table, and the optimizers and ``convexity_margin`` call
-it).  This module also maximizes mixtures of it over ``s`` with one
+cancellation between the rates (the optimizers and ``convexity_margin``
+call it).  This module also maximizes mixtures of it over ``s`` with one
 safeguarded Newton solver (``max_chernoff_mixtures``; ``max_chernoff`` is
 its case of two rates); ``s_star_log`` gives a single pair's maximizer in
-closed form.  The two pair kernels take a table of rates and the indices of
-each pair's two rows, and walk the pairs in row blocks of at most
-``BLOCK_ELEMENTS`` elements, so their working set does not grow with the
+closed form.  ``max_chernoff_mixtures`` takes a table of rates and the
+indices of each pair's two rows, and walks the pairs in row blocks of at
+most ``BLOCK_ELEMENTS`` elements, so its working set does not grow with the
 number of pairs.
 ``golden_section_max`` is a scalar search, used by the binary optimizer's
 polish.  The textbook closed form and the independent series, KL and
@@ -67,10 +66,10 @@ TINY = np.finfo(float).tiny
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 100
 
-#: Elements of a (pairs, n) rate array the pair kernels hold at once: longer
-#: tables are walked in blocks of ``BLOCK_ELEMENTS // n`` pair rows (at
-#: least one).  Every row is computed on its own, so the block size changes
-#: no result, only the size of the temporaries.
+#: Elements of a (pairs, n) rate array ``max_chernoff_mixtures`` holds at
+#: once: longer tables are walked in blocks of ``BLOCK_ELEMENTS // n`` pair
+#: rows (at least one).  Every row is computed on its own, so the block size
+#: changes no result, only the size of the temporaries.
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -146,30 +145,6 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     of at most ``BLOCK_ELEMENTS`` elements (at least one row)."""
     step = max(1, BLOCK_ELEMENTS // max(width, 1))
     return [slice(start, start + step) for start in range(0, rows, step)]
-
-
-def pair_chernoff_values(
-    table: np.ndarray, lefts: Sequence[int], rights: Sequence[int], tilts: np.ndarray
-) -> np.ndarray:
-    """``C_s`` of every pair of rows of a ``(states, n)`` rate table, such as
-    ``normalized_rates`` gives: row p of the ``(pairs, n)`` result is
-    ``chernoff_values(table[lefts[p]], table[rights[p]], tilts[p])``.
-
-    Bit for bit equal to ``chernoff_values(table[lefts], table[rights],
-    tilts[:, None])``, but computed in row blocks of at most
-    ``BLOCK_ELEMENTS`` elements, so the result is the only array as large as
-    the pair set.
-    """
-    table = np.asarray(table, dtype=float)
-    lefts = np.asarray(lefts, dtype=int)
-    rights = np.asarray(rights, dtype=int)
-    tilts = np.asarray(tilts, dtype=float)
-    values = np.empty((len(lefts), table.shape[1]))
-    for rows in _row_blocks(len(lefts), table.shape[1]):
-        values[rows] = chernoff_values(
-            table[lefts[rows]], table[rights[rows]], tilts[rows, None]
-        )
-    return values
 
 
 def _expm1_minus_x(x: np.ndarray) -> np.ndarray:

@@ -58,7 +58,6 @@ from .divergence import (
     chernoff_values,
     golden_section_max,
     max_chernoff_mixtures,
-    pair_chernoff_values,
     s_star_log,
 )
 from .simplex import linprog
@@ -383,15 +382,16 @@ def optimize_general(
     maximizer, found for all pairs in one ``max_chernoff_mixtures`` call on
     the table's columns with positive weight, with (b) a linear
     program maximizing the worst pair's fixed-tilt objective over grid
-    weights under the energy constraint.  Both take the table and the pairs'
-    row indices, and walk the pairs in bounded row blocks, so no (pairs,
-    grid) array is built but the LP's coefficients.  The LP is solved by
-    row generation (Hettich & Kortanek, "Semi-infinite programming", SIAM
+    weights under the energy constraint.  The LP is solved by row
+    generation (Hettich & Kortanek, "Semi-infinite programming", SIAM
     Review 35(3), 1993): ``linprog`` (looked up on this module at call time,
     so a wrapper put there sees every LP) solves it on the M pair rows
-    lowest at the current weights, then again with every row its solution
-    puts below the solved rows' minimum, until there is none; a relaxation
-    whose optimum meets every row is the full LP's optimum.  An LP solution
+    lowest at the current weights (the tilt step's own pair values), then
+    again with every row its solution puts below the solved rows' minimum,
+    until there is none; a relaxation whose optimum meets every row is the
+    full LP's optimum.  Only the solved rows are built over the whole grid;
+    the other pairs are priced on the LP solution's support alone, so no
+    (pairs, grid) array is ever formed.  An LP solution
     over the budget (by rounding, a few 1e-15 on the benchmark's points) is
     mixed with the origin, grid point 0, just enough to meet it; then its
     weights at or below ``DROP_TOL`` are zeroed, the one place where LP
@@ -412,8 +412,8 @@ def optimize_general(
     """
     grid = control_grid(grid_k, ratios)
     pairs = constellation.pairs()
-    lefts = [l for l, _ in pairs]
-    rights = [m for _, m in pairs]
+    lefts = np.array([l for l, _ in pairs])
+    rights = np.array([m for _, m in pairs])
     grid_energy = np.abs(grid) ** 2
     rate_table = normalized_rates(grid, constellation, ratios.r_sn)
 
@@ -435,20 +435,37 @@ def optimize_general(
 
     for iterations in range(1, MAX_ITERATIONS + 1):
         # LP over (Q, t): maximize t with E_Q[C_{s_pair}] >= t per pair,
-        # on the pair rows that bind, from the M lowest at x.
+        # on the pair rows that bind, from the M lowest at x (the tilt
+        # step's values, E_x[C_{s_pair}]).
         tilts = np.array([pv.s_star for pv in per_pair])
-        coeffs = pair_chernoff_values(rate_table, lefts, rights, tilts)
+        values = np.array([pv.value for pv in per_pair])
         violated = np.zeros(len(pairs), dtype=bool)
-        violated[np.argsort(coeffs @ x, kind="stable")[: constellation.num_states]] = True
+        violated[np.argsort(values, kind="stable")[: constellation.num_states]] = True
         active = np.zeros_like(violated)
         solves = []
         while violated.any():
             active |= violated
-            lp = linprog(coeffs[active], grid_energy, ratios.r_ce)
+            lp = linprog(
+                chernoff_values(
+                    rate_table[lefts[active]],
+                    rate_table[rights[active]],
+                    tilts[active, None],
+                ),
+                grid_energy,
+                ratios.r_ce,
+            )
             if not lp.success:
                 raise ControlLPError(f"control LP failed: {lp.message}")
             solves.append(lp)
-            values = coeffs @ lp.x
+            # Every pair row on the solution's support, columns taken first.
+            on = lp.x > 0.0
+            support_rates = rate_table[:, on]
+            values = (
+                chernoff_values(
+                    support_rates[lefts], support_rates[rights], tilts[:, None]
+                )
+                @ lp.x[on]
+            )
             violated = ~active & (values < values[active].min())
         rounds.append(len(solves))
         rows.append(int(np.count_nonzero(active)))

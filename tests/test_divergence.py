@@ -25,7 +25,6 @@ from pskexp.divergence import (
     golden_section_max,
     max_chernoff,
     max_chernoff_mixtures,
-    pair_chernoff_values,
     s_star_log,
 )
 
@@ -396,8 +395,8 @@ def blocked_table():
 
 
 class TestPairKernelBlocks:
-    """The pair kernels walk a rate table in row blocks, bit for bit equal
-    to one pass over all pairs."""
+    """``max_chernoff_mixtures`` walks a rate table in row blocks, bit for
+    bit equal to one pass over all pairs."""
 
     def test_pairs_span_several_blocks_and_one_bisects(self):
         """The table needs several blocks, and pair (2, 3)'s first Newton
@@ -409,15 +408,6 @@ class TestPairKernelBlocks:
         d1 = l0 - l1 - math.sqrt(l0 * l1) * x
         d2 = -math.sqrt(l0 * l1) * x * x
         assert not 0.0 < 0.5 - d1 / d2 < 0.5
-
-    @pytest.mark.parametrize("budget", [1, divergence.BLOCK_ELEMENTS, 1 << 40])
-    def test_chernoff_table_equals_one_pass(self, monkeypatch, budget):
-        table, lefts, rights = blocked_table()
-        tilts = np.linspace(0.0, 1.0, len(lefts))
-        want = chernoff_values(table[lefts], table[rights], tilts[:, None])
-        monkeypatch.setattr(divergence, "BLOCK_ELEMENTS", budget)
-        got = pair_chernoff_values(table, lefts, rights, tilts)
-        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("budget", [1, divergence.BLOCK_ELEMENTS])
     def test_mixture_tilts_equal_one_pass(self, monkeypatch, budget):

@@ -858,13 +858,25 @@ class TestOptimizeGeneral:
     def test_sixteen_psk_working_set(self):
         """The 16-PSK solve at K = 40, 120 pairs by 1601 grid points, peaks
         below 8 MiB of allocations (21 MiB with (pairs, grid) temporaries):
-        its pair kernels walk the rate table in row blocks, so the LP's
-        coefficients are the only array that spans every pair."""
+        its tilt steps walk the rate table in row blocks, and its LPs build
+        only the pair rows they solve."""
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
         peak = peak_traced_bytes(
             lambda: optimize_general(uniform_psk(16), ratios, grid_k=40)
         )
         assert peak <= 8 * 2**20
+
+    def test_thirty_two_psk_working_set(self):
+        """The 32-PSK solve at K = 40, 496 pairs by 1601 grid points, peaks
+        below 8 MB of allocations (14.9 MiB when every ascent step built
+        the (pairs, grid) table of LP coefficients): each LP builds only the
+        pair rows it solves, and the other pairs are priced on the LP
+        solution's support."""
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.9)
+        peak = peak_traced_bytes(
+            lambda: optimize_general(uniform_psk(32), ratios, grid_k=40)
+        )
+        assert peak < 8e6
 
     def test_sixty_four_psk_working_set(self):
         """The 64-PSK solve at K = 20, 2016 pairs by 401 grid points, peaks
@@ -1044,32 +1056,55 @@ def solve_with_basis(coeffs, energy, budget):
     return res, bases[-1]
 
 
-@pytest.fixture(scope="module")
-def ascent_steps():
-    """Every ascent step of ``optimize_general`` on ``LP_CASES``: the pair
-    rows of its control LP, and the LPs it solved on the rows that bind, as
-    ``((coeffs, energy, budget), result, final basis)``."""
-    steps = []
-    pair_values = exponent.pair_chernoff_values
+def ascent_steps_of(m, r_sn, r_ce, grid_k, solve):
+    """Every ascent step of ``optimize_general`` at (m, r_sn, r_ce, grid_k)
+    with r_ca = 1, as ``(tilts, records)``: the pair tilts of its control
+    LP, taken from the tilt step before it (a wrapper on
+    ``exponent.max_chernoff_mixtures``), and one record per LP it solved on
+    the pair rows that bind.  ``solve(coeffs, energy, budget)`` solves each
+    LP and returns ``(result, record)``.  The capture must see one tilt
+    vector per ascent step, and as many LPs in each as the step's rounds."""
+    steps, fresh = [], []
+    tilt_step = exponent.max_chernoff_mixtures
 
-    def capture_rows(*args):
-        coeffs = pair_values(*args)
-        steps.append((coeffs, []))
-        return coeffs
+    def capture_tilts(*args):
+        optima = tilt_step(*args)
+        fresh[:] = [[pv.s_star for pv in optima]]
+        return optima
 
     def capture(coeffs, energy, budget):
-        res, basis = solve_with_basis(coeffs, energy, budget)
-        steps[-1][1].append(((coeffs, energy, budget), res, basis))
+        if fresh:
+            steps.append((fresh.pop(), []))
+        res, record = solve(coeffs, energy, budget)
+        steps[-1][1].append(record)
         return res
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exponent, "pair_chernoff_values", capture_rows)
+        patch.setattr(exponent, "max_chernoff_mixtures", capture_tilts)
         patch.setattr(exponent, "linprog", capture)
-        for m, r_sn, r_ce, grid_k in LP_CASES:
-            optimize_general(
-                uniform_psk(m), OperatingRatios(r_sn, 1.0, r_ce), grid_k=grid_k
-            )
+        sol = optimize_general(
+            uniform_psk(m), OperatingRatios(r_sn, 1.0, r_ce), grid_k=grid_k
+        )
+    assert [len(records) for _, records in steps] == sol.diagnostics["lp_rounds"]
     return steps
+
+
+@pytest.fixture(scope="module")
+def ascent_steps():
+    """Every ascent step of ``optimize_general`` on ``LP_CASES``: the pair
+    rows of its control LP, rebuilt at the step's tilts by ``control_lp``,
+    and the LPs it solved on the rows that bind, as ``((coeffs, energy,
+    budget), result, final basis)``."""
+
+    def solve(coeffs, energy, budget):
+        res, basis = solve_with_basis(coeffs, energy, budget)
+        return res, ((coeffs, energy, budget), res, basis)
+
+    return [
+        (control_lp(m, r_sn, r_ce, grid_k, tilts)[0], solves)
+        for m, r_sn, r_ce, grid_k in LP_CASES
+        for tilts, solves in ascent_steps_of(m, r_sn, r_ce, grid_k, solve)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -1244,24 +1279,9 @@ class TestControlLP:
         optimal.  At grid_k 40 one of each kind ends on the repeated-basis
         exit 1.08e-11 relative below its optimum, past the 1e-11 bound; the
         block-triangular basis inverse ended that full LP at the same t."""
-        tilts, lps = [], []
-        pair_values = exponent.pair_chernoff_values
-
-        def capture_tilts(table, lefts, rights, s):
-            tilts.append(s)
-            return pair_values(table, lefts, rights, s)
-
-        def capture(coeffs, energy, budget):
-            lps.append((coeffs, energy, budget))
-            return linprog(coeffs, energy, budget)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exponent, "pair_chernoff_values", capture_tilts)
-            patch.setattr(exponent, "linprog", capture)
-            optimize_general(
-                uniform_psk(4), OperatingRatios(0.1, 1.0, 0.9), grid_k=grid_k
-            )
-        lps += [control_lp(4, 0.1, 0.9, grid_k, s) for s in tilts]
+        steps = ascent_steps_of(4, 0.1, 0.9, grid_k, lambda *lp: (linprog(*lp), lp))
+        lps = [lp for _, own in steps for lp in own]
+        lps += [control_lp(4, 0.1, 0.9, grid_k, tilts) for tilts, _ in steps]
         for lp in lps:
             self.assert_reaches_certified_optimum(lp)
 
