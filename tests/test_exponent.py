@@ -189,7 +189,7 @@ def mary_range_census_record(
             f"{p.real.hex()} {p.imag.hex()} {w.hex()}" for p, w in sol.q_star.atoms
         ],
         "per_pair": [
-            f"{l} {m} {s.hex()} {v.hex()}" for (l, m), s, v in sol.per_pair
+            f"{i} {j} {s.hex()} {v.hex()}" for (i, j), s, v in sol.per_pair
         ],
     }
 
