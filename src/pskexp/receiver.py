@@ -331,6 +331,16 @@ def exact_error_small(policy: OpenLoopPolicy) -> ExactErrorResult:
     """
     group_rates, multiplicity, totals = _group_policy(policy)
     num_states, num_groups = group_rates.shape
+    # Each group's y_max is at least its largest mean, so this lower bound
+    # on the cells refuses a huge box before its log-pmf tables are built.
+    least = math.prod(
+        math.floor(mean) + 1 for mean in (group_rates * multiplicity).max(axis=0)
+    )
+    if least > MAX_BOX_CELLS:
+        raise ValueError(
+            f"truncation box has at least {least} cells (limit {MAX_BOX_CELLS}); "
+            "reduce the number of distinct displacements or the rates"
+        )
     log_pmfs = [
         _group_log_pmf(group_rates[:, g] * multiplicity[g])
         for g in range(num_groups)

@@ -1,6 +1,5 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 
-import hashlib
 import json
 import math
 import os
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 
 import pskexp
+from pins import OUTPUTS
 from pskexp.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -873,42 +873,27 @@ class TestRange:
         """Every grid point answers as a range case does."""
         assert_answers(*range_grid_results[line])
 
-
-PINNED_OUTPUTS_PATH = Path(__file__).with_name("pinned_outputs.json")
-
-
-def pinned_outputs(lines):
-    """Each command line's exit code, stdout sha256 and stderr, as
-    ``pinned_outputs.json`` holds them.  Re-derive the file with
-    ``PYTHONPATH=src:tests python -c "import json, test_cli as t; print(
-    json.dumps(t.pinned_outputs(list(json.loads(
-    t.PINNED_OUTPUTS_PATH.read_text()))), indent=1))" >
-    tests/pinned_outputs.json``."""
-    return {
-        line: {
-            "exit_code": code,
-            "stdout_sha256": hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
-            "stderr": stderr,
-        }
-        for line, (code, stdout, stderr) in run_lines(lines).items()
-    }
+    def test_exact_oracle_refuses_a_huge_box(self):
+        """Under the same cap, the exact oracle refuses a one-group BPSK
+        policy at alpha_sq 1e8 (a mean of 4e8 counts) with its box error."""
+        probe = (
+            "from pskexp.constellation import OperatingRatios, SignalScale, bpsk\n"
+            "from pskexp.receiver import OpenLoopPolicy, exact_error_small\n"
+            "exact_error_small(OpenLoopPolicy((1 + 0j,), SignalScale(1e8, 1, 1),\n"
+            "                  bpsk(), OperatingRatios(0.01, 1.0, 1.0)))\n"
+        )
+        last = run_capped(["-c", probe]).stderr.splitlines()[-1]
+        assert last.startswith("ValueError: truncation box has at least")
 
 
 class TestPinnedOutputs:
     """What the CLI prints, pinned line by line."""
 
     def test_every_line_prints_its_pinned_output(self):
-        """Every command line of ``pinned_outputs.json`` (the benchmark's
-        CLI operations, README's examples, range edges, subnormal dark
-        ratios and the options no other line uses) exits, prints and warns
-        as the file holds.  Like the other ``pinned_*.json`` files, it pins
-        what the program prints on the machine that derived it, right or
-        wrong: a change that moves a line re-derives the file (see
-        ``pinned_outputs``) and names the line in CHANGES.md."""
-        pinned = json.loads(PINNED_OUTPUTS_PATH.read_text())
-        got = pinned_outputs(list(pinned))
-        moved = {line: got[line] for line in pinned if got[line] != pinned[line]}
-        assert moved == {}
+        """Every command line of ``pinned_outputs.json`` (``pins.OUTPUTS``)
+        exits, prints and warns as the file holds, on the machine that
+        derived it."""
+        assert OUTPUTS.moved() == []
 
 
 #: Command lines whose output must not depend on the number of BLAS threads:

@@ -2,7 +2,6 @@
 
 import json
 import math
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +17,7 @@ from oracles import (
     peak_traced_bytes,
     zero_dark_margin,
 )
+from pins import BINARY_CENSUS, GENERAL, MARY_RANGE_CENSUS, TESTS, solve_psk
 from pskexp import exponent, simplex
 from pskexp.constellation import (
     OperatingRatios,
@@ -62,57 +62,17 @@ HIGH_SNR_FULL_VALUE = 3.02079770393544019  # point mass at v = 1, r_sn = 1e-6
 NULLING_VALUE_R_1E_50 = 3.80232596315642149  # point mass at v = 1, r_sn = 1e-50
 NULLING_VALUE_R_1E_300 = 3.95642741605791551  # point mass at v = 1, r_sn = 1e-300
 
-#: ``optimize_general`` solutions recorded with the Newton tilt solver and
-#: exact state points at multiples of pi/2: per case (m, r_sn, r_ce, grid_k)
-#: with r_ca = 1, ``beta``, the atoms of ``q_star`` as [re, im, weight] and
-#: ``per_pair`` as [l, m, s_star, value].
-PINNED_GENERAL = json.loads(
-    (Path(__file__).with_name("pinned_general_solutions.json")).read_text()
-)
-
 #: ``optimize_binary`` betas recorded with the L-BFGS-B polish the in-package
 #: one replaced, on 64 seeded points (r_sn log-uniform in [1e-6, 0.1], r_ca
 #: in {1, 1.25}, r_ce uniform in [0.05, 1]) and verify's ten r_sn = 1e-6
 #: budgets.
-PINNED_BINARY = json.loads(
-    (Path(__file__).with_name("pinned_binary_betas.json")).read_text()
-)
-
-#: ``optimize_binary`` solves over the accepted range, bit for bit: per key
-#: ``binary_census_id(r_sn, r_ca, fraction)``, with r_ce = fraction * r_ca**2,
-#: the record of ``binary_census_record``.
-BINARY_CENSUS_KEYS = [
-    (r_sn, r_ca, fraction)
-    for r_sn in (1e-300, 1e-6, 0.01, 1.0, 1e6, 1e12)
-    for r_ca in (1e-6, 1.0, 1.25, 1e3, 1e10)
-    for fraction in (0.0, 1e-300, 0.1, 0.5, 0.9, 1.0)
-]
-PINNED_BINARY_CENSUS = json.loads(
-    (Path(__file__).with_name("pinned_binary_census.json")).read_text()
-)
-
-#: ``optimize_general`` solves away from the r_ca = 1, M in {4, 8, 16}, K in
-#: {20, 40} axis of the other M-ary pins, bit for bit: per key
-#: ``mary_range_census_id(m, grid_k, r_ca, r_sn, fraction)``, with r_ce =
-#: fraction * r_ca**2, the record of ``mary_range_census_record``.
-MARY_RANGE_CENSUS_KEYS = [
-    (m, grid_k, r_ca, r_sn, fraction)
-    for m in (3, 5, 6, 8)
-    for grid_k in (6, 12)
-    for r_ca in (0.8, 1.5, 3.0)
-    for r_sn, fraction in ((1e-4, 0.3), (0.05, 0.9))
-]
-PINNED_MARY_RANGE_CENSUS = json.loads(
-    (Path(__file__).with_name("pinned_mary_range_census.json")).read_text()
-)
+PINNED_BINARY = json.loads((TESTS / "pinned_binary_betas.json").read_text())
 
 #: A control LP whose Bland pivots gain nothing over a whole refactorization
 #: interval before it reaches its optimum: the second LP of (16, 0.001, 0.5,
 #: grid_k 40), by its 120 pair tilts (it rebuilds bit for bit through
 #: ``control_lp``).
-PINNED_STALL_LP = json.loads(
-    (Path(__file__).with_name("pinned_stall_lp_tilts.json")).read_text()
-)
+PINNED_STALL_LP = json.loads((TESTS / "pinned_stall_lp_tilts.json").read_text())
 
 #: Pair tilts of the ping-pong LP (4-PSK, r_sn 0.1, r_ce 0.9, grid_k 20) as
 #: ``optimize_general`` reached them when it solved each LP on all pair
@@ -130,68 +90,6 @@ PING_PONG_TILTS = [
 def bpsk_rates(v: float, r: float) -> RatePair:
     """Normalized BPSK rate pair at real displacement v and dark ratio r."""
     return RatePair(*normalized_rates(v, BPSK, r).tolist())
-
-
-def binary_census_id(r_sn: float, r_ca: float, fraction: float) -> str:
-    """A ``BINARY_CENSUS_KEYS`` key as a test id and
-    ``pinned_binary_census.json`` key."""
-    return f"{r_sn!r}-{r_ca!r}-{fraction!r}"
-
-
-def binary_census_record(r_sn: float, r_ca: float, fraction: float) -> dict:
-    """beta, ``q_star``'s atoms ("re im weight") and ``per_pair`` ("l m
-    s_star value") in hex of ``optimize_binary`` at r_ce = fraction *
-    r_ca**2, as ``pinned_binary_census.json`` holds them.  Re-derive the file
-    with ``PYTHONPATH=src:tests python -c "import json, test_exponent as t;
-    print(json.dumps({t.binary_census_id(*k): t.binary_census_record(*k) for k
-    in t.BINARY_CENSUS_KEYS}, indent=1))" > tests/pinned_binary_census.json``."""
-    sol = optimize_binary(OperatingRatios(r_sn, r_ca, fraction * r_ca * r_ca))
-    return {
-        "beta": sol.beta.hex(),
-        "q_star": [
-            f"{p.real.hex()} {p.imag.hex()} {w.hex()}" for p, w in sol.q_star.atoms
-        ],
-        "per_pair": [
-            f"{l} {m} {s.hex()} {v.hex()}" for (l, m), s, v in sol.per_pair
-        ],
-    }
-
-
-def mary_range_census_id(
-    m: int, grid_k: int, r_ca: float, r_sn: float, fraction: float
-) -> str:
-    """A ``MARY_RANGE_CENSUS_KEYS`` key as a test id and
-    ``pinned_mary_range_census.json`` key."""
-    return f"psk{m}-k{grid_k}-{r_ca!r}-{r_sn!r}-{fraction!r}"
-
-
-def mary_range_census_record(
-    m: int, grid_k: int, r_ca: float, r_sn: float, fraction: float
-) -> dict:
-    """beta, ``q_star``'s atoms ("re im weight") and ``per_pair`` ("l m
-    s_star value") in hex of ``optimize_general`` on ``uniform_psk(m)`` at
-    r_ce = fraction * r_ca**2, as ``pinned_mary_range_census.json`` holds
-    them, or ``{"error": message}`` for a solve that raises.  No LP pivots:
-    an LP solved in several rounds of row generation may pivot differently
-    and reach the same optimum.  Re-derive the file with
-    ``PYTHONPATH=src:tests python -c "import json, test_exponent as t;
-    print(json.dumps({t.mary_range_census_id(*k): t.mary_range_census_record(*k)
-    for k in t.MARY_RANGE_CENSUS_KEYS}, indent=1))" >
-    tests/pinned_mary_range_census.json``."""
-    ratios = OperatingRatios(r_sn, r_ca, fraction * r_ca * r_ca)
-    try:
-        sol = optimize_general(uniform_psk(m), ratios, grid_k=grid_k)
-    except (ValueError, RuntimeError) as error:
-        return {"error": str(error)}
-    return {
-        "beta": sol.beta.hex(),
-        "q_star": [
-            f"{p.real.hex()} {p.imag.hex()} {w.hex()}" for p, w in sol.q_star.atoms
-        ],
-        "per_pair": [
-            f"{i} {j} {s.hex()} {v.hex()}" for (i, j), s, v in sol.per_pair
-        ],
-    }
 
 
 def reference_golden_section_max(f, lo, hi, tol=GOLDEN_TOL, max_iter=GOLDEN_MAX_ITER):
@@ -773,29 +671,15 @@ class TestOptimizeBinary:
         assert sol.beta >= case["beta"] - 1e-9
         sol.q_star.validate_feasible(ratios)
 
-    @pytest.mark.parametrize(
-        "key", BINARY_CENSUS_KEYS, ids=lambda key: binary_census_id(*key)
-    )
+    @pytest.mark.parametrize("key", BINARY_CENSUS.keys, ids=BINARY_CENSUS.id)
     def test_binary_solve_is_pinned(self, key):
         """Each census solve gives, bit for bit, the beta, ``q_star`` and
-        ``per_pair`` of ``pinned_binary_census.json``.  It pins what the
-        program computes, right or wrong: a change that moves a solve
-        re-derives the file (see ``binary_census_record``) and names the
-        solve in CHANGES.md."""
-        record = PINNED_BINARY_CENSUS[binary_census_id(*key)]
-        assert binary_census_record(*key) == record
+        ``per_pair`` of ``pinned_binary_census.json`` (``pins.BINARY_CENSUS``)."""
+        assert BINARY_CENSUS.record(key) == BINARY_CENSUS.pinned[BINARY_CENSUS.id(key)]
 
     @pytest.mark.parametrize(
         "r_sn, r_ca, r_ce, beta, atoms",
         [
-            (0.01, 1.0, 0.9, 1.982407222466247, ((0.9486832980505138 + 0j, 1.0),)),
-            (
-                1e-6, 1.0, 0.9, 2.718760193079166,
-                (
-                    (0j, 0.09994312847953879),
-                    (0.9999684062081695 + 0j, 0.9000568715204612),
-                ),
-            ),
             (
                 1e-3, 1.25, 0.6, 1.5063153334606858,
                 (
@@ -811,17 +695,13 @@ class TestOptimizeBinary:
                     (0.9983885819924303 + 0j, 0.30096919283705215),
                 ),
             ),
-            (1e-2, 1.0, 1.0, 2.1459576982729676, ((1 + 0j, 1.0),)),
         ],
         # The names the pins were first recorded under, kept when a pin is
         # re-derived (its beta or atoms moved since).
         ids=[
-            "0.01-1.0-0.9-1.9824072224662472-atoms0",
-            "1e-06-1.0-0.9-2.7187601930788743-atoms1",
             "0.001-1.25-0.6-1.5063153334606845-atoms2",
             "0.05-1.25-0.95-1.7258776919357353-atoms3",
             "0.0001-1.0-0.3-0.8201024142035344-atoms4",
-            "0.01-1.0-1.0-2.145957698272967-atoms5",
         ],
     )
     def test_pinned_solutions(self, r_sn, r_ca, r_ce, beta, atoms):
@@ -939,38 +819,22 @@ class TestOptimizeGeneral:
         assert sol.certified
         assert exponent_of(sol.q_star, uniform_psk(m), ratios) == sol.beta
 
-    @pytest.mark.parametrize(
-        "case", PINNED_GENERAL, ids=lambda c: f"psk{c['m']}-k{c['grid_k']}"
-    )
-    def test_pinned_solutions(self, case):
-        """beta, q_star and per_pair are exactly those recorded before, and
-        q_star carries no LP dust: every weight is above ``DROP_TOL``."""
-        sol = optimize_general(
-            uniform_psk(case["m"]),
-            OperatingRatios(r_sn=case["r_sn"], r_ca=1.0, r_ce=case["r_ce"]),
-            grid_k=case["grid_k"],
-        )
-        assert np.all(sol.q_star.weights > exponent.DROP_TOL)
-        assert sol.beta == case["beta"]
-        assert sol.q_star.atoms == tuple(
-            (complex(re, im), w) for re, im, w in case["atoms"]
-        )
-        assert sol.per_pair == tuple(
-            ((l, m), s, v) for l, m, s, v in case["per_pair"]
-        )
+    @pytest.mark.parametrize("key", GENERAL.keys, ids=GENERAL.id)
+    def test_pinned_solutions(self, key):
+        """beta, q_star and per_pair are, bit for bit, those of
+        ``pinned_general_solutions.json`` (``pins.GENERAL``), and q_star
+        carries no LP dust: every weight is above ``DROP_TOL``."""
+        assert GENERAL.record(key) == GENERAL.pinned[GENERAL.id(key)]
+        assert np.all(solve_psk(*key).q_star.weights > exponent.DROP_TOL)
 
-    @pytest.mark.parametrize(
-        "key", MARY_RANGE_CENSUS_KEYS, ids=lambda key: mary_range_census_id(*key)
-    )
+    @pytest.mark.parametrize("key", MARY_RANGE_CENSUS.keys, ids=MARY_RANGE_CENSUS.id)
     def test_range_solve_is_pinned(self, key):
         """Each solve of the M-ary range census (M 3 to 8, K 6 and 12, r_ca
         0.8 to 3) gives, bit for bit, the beta, ``q_star`` and ``per_pair``
-        of ``pinned_mary_range_census.json``, or the same error.  It pins
-        what the program computes, right or wrong: a change that moves a
-        solve re-derives the file (see ``mary_range_census_record``) and
-        names the solve in CHANGES.md."""
-        record = PINNED_MARY_RANGE_CENSUS[mary_range_census_id(*key)]
-        assert mary_range_census_record(*key) == record
+        of ``pinned_mary_range_census.json``, or the same error
+        (``pins.MARY_RANGE_CENSUS``)."""
+        record = MARY_RANGE_CENSUS.pinned[MARY_RANGE_CENSUS.id(key)]
+        assert MARY_RANGE_CENSUS.record(key) == record
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_reports_convergence_diagnostics(self, m):
@@ -1016,7 +880,8 @@ class TestOptimizeGeneral:
 #: -9e-11 (8, 0.005, 0.9) and a long run of Bland pivots that gain nothing
 #: (16, 0.001, 0.5; that LP is also pinned by its tilts, ``PINNED_STALL_LP``),
 #: all at grid_k = 40.
-LP_CASES = [(c["m"], c["r_sn"], c["r_ce"], c["grid_k"]) for c in PINNED_GENERAL] + [
+LP_CASES = [
+    *GENERAL.keys,
     (8, 0.05, 0.95, 40),
     (8, 0.01, 0.95, 40),
     (8, 0.005, 0.9, 40),
