@@ -20,8 +20,14 @@ closed form.  ``max_chernoff_mixtures`` takes a table of rates and the
 indices of each pair's two rows, and walks the pairs in row blocks of at
 most ``BLOCK_ELEMENTS`` elements, so its working set does not grow with the
 number of pairs.
-``golden_section_max`` is a scalar search, used by the binary optimizer's
-polish.  The textbook closed form and the independent series, KL and
+``max_chernoff_slopes`` gives a pair's closed-form maximum with its
+logarithmic derivative along a path of rates, by the envelope theorem, and
+``polish_max`` maximizes a piecewise smooth function from such slopes with
+``brent_root``, a bracketed root finder: they are the binary optimizer's
+polish.  ``golden_section_max``, the scalar search they replaced, is no
+longer called by the package; it stays importable here and from
+``pskexp.exponent`` because ``bench/tracing.py`` binds it under both names.
+The textbook closed form and the independent series, KL and
 tilted-rate oracles the tests check this module against live in
 ``tests/oracles.py``.
 
@@ -53,10 +59,21 @@ import numpy as np
 #: divergence identically zero and the maximizer conventionally 1/2.
 EQUAL_RATE_RTOL = 1e-14
 
-#: ``golden_section_max`` stops once its bracket is this narrow, or after
-#: this many steps.
+#: ``golden_section_max`` (no longer called by the package) stops once its
+#: bracket is this narrow, or after this many steps.
 GOLDEN_TOL = 1e-10
 GOLDEN_MAX_ITER = 200
+
+#: ``brent_root`` stops once its bracket is this narrow relative to its
+#: best end: a few ulps.
+BRENT_RTOL = 2.0 * np.finfo(float).eps
+
+#: Evaluations ``polish_max`` allows its root searches, past its cuts.
+POLISH_EVALUATIONS = 24
+
+#: Largest argument ``max_chernoff_slopes`` passes to ``expm1``, so that
+#: its factors stay finite.
+EXP_CAP = 700.0
 
 #: Smallest normal float: a rate ratio below it is not taken as a quotient.
 TINY = np.finfo(float).tiny
@@ -249,7 +266,8 @@ def golden_section_max(
 ) -> tuple[float, float]:
     """Maximize a unimodal function of one float on [lo, hi] by golden-section
     search, to ``GOLDEN_TOL`` in the argument or ``GOLDEN_MAX_ITER`` steps;
-    returns ``(x, f(x))`` at the located maximum."""
+    returns ``(x, f(x))`` at the located maximum.  Kept for the benchmark's
+    tracer: no package code calls it."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -268,6 +286,123 @@ def golden_section_max(
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def max_chernoff_slopes(
+    lambda0: np.ndarray,
+    lambda1: np.ndarray,
+    dlambda0: np.ndarray,
+    dlambda1: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each rate pair's maximum over the tilt, ``P = max_s C_s(lambda0,
+    lambda1)``, computed as ``chernoff_values(lambda0, lambda1, s_star_log)``
+    computes it, and its logarithmic derivative ``P'/P`` along the rates'
+    derivatives ``(dlambda0, dlambda1)`` (``inf`` where ``P`` is 0).
+
+    By the envelope theorem ``P'`` is the derivative of ``C_t(small, big)``
+    at the maximizing tilt held fixed: ``dC/dsmall * dsmall + dC/dbig *
+    dbig`` on the oriented rates of ``_oriented``, with ``dC/dsmall =
+    -t*expm1((t - 1)*x)`` and ``dC/dbig = -(1 - t)*expm1(t*x)``, each
+    without cancellation as the rates merge.  ``(t - 1)*x >= 0`` is capped
+    at ``EXP_CAP``, which it passes only where ``small/big <
+    exp(-EXP_CAP)``: BPSK rates reach that only at ``v = 1`` with a dark
+    ratio below about 1e-305, where ``dsmall = 0``.
+    """
+    small, big, x, flip = _oriented(
+        np.asarray(lambda0, dtype=float), np.asarray(lambda1, dtype=float)
+    )
+    t = s_star_log(x)
+    shrink = np.expm1(t * x)
+    value = np.maximum(t * (small - big) - big * shrink, 0.0)
+    grow = np.expm1(np.minimum((t - 1.0) * x, EXP_CAP))
+    slope = -t * grow * np.where(flip, dlambda1, dlambda0) - (
+        1.0 - t
+    ) * shrink * np.where(flip, dlambda0, dlambda1)
+    return value, np.divide(slope, value, out=np.full_like(value, np.inf), where=value > 0.0)
+
+
+def brent_root(
+    g: Callable[[float], float],
+    a: float,
+    b: float,
+    ga: float,
+    gb: float,
+    max_evaluations: int,
+) -> float:
+    """A root of ``g`` between ``a`` and ``b``, where ``g`` takes the values
+    ``ga`` and ``gb`` of opposite signs, by Brent's method (inverse quadratic
+    or secant steps, bisection where they stall), to ``BRENT_RTOL`` relative
+    or after ``max_evaluations`` calls of ``g``.  An infinite end value is
+    taken as its sign: the step is then a bisection.  Returns the end of the
+    last bracket where ``|g|`` is smaller."""
+    c, gc = a, ga
+    step = prev = b - a
+    evaluations = 0
+    while True:
+        if (gb > 0.0) == (gc > 0.0):
+            c, gc = a, ga
+            step = prev = b - a
+        if abs(gc) < abs(gb):
+            a, b, c = b, c, b
+            ga, gb, gc = gb, gc, gb
+        tol = 0.5 * BRENT_RTOL * abs(b)
+        half = 0.5 * (c - b)
+        if gb == 0.0 or abs(half) <= tol or evaluations == max_evaluations:
+            return b
+        if abs(prev) >= tol and abs(gb) < abs(ga) and math.isfinite(ga + gc):
+            s = gb / ga
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = ga / gc, gb / gc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev * q)):
+                prev, step = step, p / q
+            else:
+                prev = step = half
+        else:
+            prev = step = half
+        a, ga = b, gb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        gb = g(b)
+        evaluations += 1
+
+
+def polish_max(
+    slopes: Callable[[list[float]], list[tuple[float, float, float]]],
+    cuts: list[float],
+) -> tuple[list[tuple[float, float]], int]:
+    """Candidates for the maximum of a function ``f >= 0`` on the span of the
+    sorted ``cuts``, smooth between consecutive cuts.
+
+    ``slopes(points)`` gives ``(f, below, above)`` at each point: ``f`` and
+    its log-derivative just below and just above it (``inf`` where ``f`` is
+    0).  On each piece where the log-derivative falls from positive to
+    negative, ``brent_root`` finds its root.  Returns each cut and each root
+    with its ``f``, and the number of points evaluated: the cuts, and at
+    most ``POLISH_EVALUATIONS`` more.
+    """
+    seen: dict[float, float] = {}
+    count = len(cuts)
+
+    def above(x: float) -> float:
+        nonlocal count
+        count += 1
+        ((seen[x], _, slope),) = slopes([x])
+        return slope
+
+    sides = slopes(cuts)
+    seen.update((x, side[0]) for x, side in zip(cuts, sides))
+    roots = []
+    for a, b, (_, _, ga), (_, gb, _) in zip(cuts, cuts[1:], sides, sides[1:]):
+        if ga > 0.0 > gb:
+            budget = POLISH_EVALUATIONS + len(cuts) - count
+            roots.append(brent_root(above, a, b, ga, gb, budget))
+    return [(x, seen[x]) for x in cuts + roots], count
 
 
 def s_star_log(x: float | np.ndarray) -> float | np.ndarray:

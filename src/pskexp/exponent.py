@@ -10,15 +10,9 @@ and the best open-loop exponent is the supremum of beta(Q) over all
 distributions Q supported on the control disk of radius ``r_ca`` with second
 moment at most ``r_ce``.  This module optimizes that objective:
 
-* ``optimize_binary`` solves the BPSK case exactly.  By the phase symmetry
-  of the binary constellation the support can be restricted to real
-  displacements in [0, r_ca].  With P(v) the point-mass exponent at v,
-  max_s E_Q[C_s] <= E_Q[P(V)] bounds every Q by the upper concave envelope
-  of ``v**2 -> P(v)`` at the energy budget, and the origin (whose rates
-  agree, so it adds nothing to any C_s) mixed with one point v attains
-  ``min(1, r_ce/v**2) * P(v)``.  The envelope is carried by the origin and
-  at most one other point, so one 1-D search over v solves the problem,
-  with the package's own parts.
+* ``optimize_binary`` solves the BPSK case exactly: by the phase symmetry
+  and the concave envelope of the point-mass exponent, one atom mixed with
+  the origin is optimal, so one 1-D search over that atom solves it.
 
 * ``optimize_general`` handles any PSK constellation by coordinate ascent on
   a discretized control grid, held as the grid's rate table and a weight
@@ -56,8 +50,10 @@ from .constellation import (
 from .divergence import (
     ChernoffOptimum,
     chernoff_values,
-    golden_section_max,
+    golden_section_max,  # unused here; bench/tracing.py spans this binding
     max_chernoff_mixtures,
+    max_chernoff_slopes,
+    polish_max,
     s_star_log,
 )
 from .simplex import linprog
@@ -304,13 +300,13 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
     Past v = max(2, 8*sqrt(r_ce/f(kink))) nothing beats the kink
     min(sqrt(r_ce), r_ca), so the search ends there or at ``r_ca``,
     whichever is smaller: its edge.  f is evaluated on a v-grid of cells
-    ``V_GRID_STEP`` wide (at most ``V_GRID_CELLS`` of them, wider on longer
-    spans), its best grid point is polished by
-    ``golden_section_max`` over the cells on either side, and the kink and
-    the edge are then taken exactly whenever either is at least as good.
-    ``diagnostics`` name the winner (``interior``, ``end-point`` or
-    ``disk-edge``) and count the scalar evaluations of f
-    (``point_evaluations``).
+    ``V_GRID_STEP`` wide (at most ``V_GRID_CELLS``, wider on longer spans),
+    at v = 1 and at the kink; ``polish_max`` searches the cells beside the
+    best grid point, cut at the kink and at v = 1, where (log f)' = P'/P -
+    2/v (2/v above sqrt(r_ce) only) jumps or nearly does.  The best
+    candidate wins, the kink and then the edge on ties; ``diagnostics`` name
+    it (``interior``, ``end-point`` or ``disk-edge``) and count the
+    evaluations of f off the grid (``point_evaluations``).
     """
     constellation = bpsk()
     pair = (0, 1)
@@ -330,43 +326,52 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
     if ce <= 0.0:
         return finish(ControlDistribution.point_mass(0.0), {"budget": "zero"})
 
-    def objective(v):
-        """f(v), for a float or an array: each rate pair's value at its
-        closed-form tilt."""
-        rates0, rates1 = normalized_rates(v, constellation, r)
-        return ce / np.maximum(v * v, ce) * chernoff_values(rates0, rates1, s_star_log)
-
-    evaluations = 0
-
-    def evaluate(v: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return float(objective(v))
-
     sqrt_ce = math.sqrt(ce)
+
+    def slopes(vs: list[float]) -> list[tuple[float, float, float]]:
+        """f and (log f)' = P'/P, less 2/v above sqrt(r_ce), just below and
+        just above each v of ``vs``."""
+        v = np.array(vs)
+        rates0, rates1 = normalized_rates(v, constellation, r)
+        ps, logs = max_chernoff_slopes(rates0, rates1, 2.0 * (v - 1.0), 2.0 * (v + 1.0))
+        return [
+            (ce / max(x * x, ce) * p, d - (2.0 / x if x > sqrt_ce else 0.0),
+             d - (2.0 / x if x >= sqrt_ce else 0.0))
+            for x, p, d in zip(vs, ps.tolist(), logs.tolist())
+        ]
+
     kink = min(sqrt_ce, ca)
-    kink_value = evaluate(kink)
     # For v >= 2, P(v) <= KL(Lambda1||Lambda0) <= (4v)**2/(v-1)**2 <= 64
     # (KL below chi-square), so f(v) <= 64*r_ce/v**2: below f(kink) past
-    # 8*sqrt(r_ce/f(kink)).
-    edge = ca
-    if kink_value > 0.0:
-        edge = min(ca, max(2.0, 8.0 * math.sqrt(ce / kink_value)))
+    # 8*sqrt(r_ce/f(kink)).  Up to r_ca = 2 the edge is r_ca whatever f(kink).
+    edge, evaluations = ca, 0
+    if ca > 2.0:
+        evaluations, ((kink_value, _, _),) = 1, slopes([kink])
+        if kink_value > 0.0:
+            edge = min(ca, max(2.0, 8.0 * math.sqrt(ce / kink_value)))
     cells = min(V_GRID_CELLS, max(2, int(round(edge / V_GRID_STEP))))
-    vgrid = np.linspace(0.0, edge, cells + 1)
-    k = int(np.argmax(objective(vgrid)))
-    lo, hi = vgrid[max(k - 1, 0)], vgrid[min(k + 1, len(vgrid) - 1)]
-    v, value = golden_section_max(evaluate, float(lo), float(hi))
-    winner = "interior"
-    for name, end, end_value in (
-        ("end-point", kink, kink_value),
-        ("disk-edge", edge, evaluate(edge)),
+    # The grid, then v = 1 and the kink, each at its closed-form tilt.
+    points = np.append(np.linspace(0.0, edge, cells + 1), [min(1.0, edge), kink])
+    rates0, rates1 = normalized_rates(points, constellation, r)
+    values = ce / np.maximum(points * points, ce) * chernoff_values(rates0, rates1, s_star_log)
+    k = int(np.argmax(values[: cells + 1]))
+    grid, values = points.tolist(), values.tolist()
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, cells)]
+    cuts = sorted({lo, hi, *(c for c in (kink, 1.0) if lo < c < hi)})
+    found, count = polish_max(slopes, cuts)
+    v, value = grid[k], values[k]
+    for end, end_value in (
+        (grid[-2], values[-2]),
+        *found,
+        (kink, values[-1]),
+        (edge, values[cells]),
     ):
         if end_value >= value:
-            v, value, winner = end, end_value, name
+            v, value = end, end_value
+    winner = "disk-edge" if v == edge else "end-point" if v == kink else "interior"
     w = min(1.0, ce / (v * v)) if v > sqrt_ce else 1.0
     q = ControlDistribution.from_arrays([0.0, v], [1.0 - w, w])
-    return finish(q, {"winner": winner, "point_evaluations": evaluations})
+    return finish(q, {"winner": winner, "point_evaluations": evaluations + count})
 
 
 def optimize_general(
@@ -587,12 +592,11 @@ def verify_claims() -> dict:
     ratio_grid = np.linspace(1e-6, 1.0 - 1e-6, 2001)
     tilt_values = s_star_log(np.log(ratio_grid))
     constellation = bpsk()
-    pair_tilts = []
-    for v in np.linspace(0.05, 1.0, 20):
-        q = ControlDistribution.point_mass(complex(min(v, math.sqrt(ratios_low.r_ce))))
-        pair_tilts.append(
-            pair_exponent(q, (0, 1), constellation, ratios_low).s_star
-        )
+    # 20 point masses, each one pair of rows (2i, 2i + 1) of a one-atom table.
+    points = np.minimum(np.linspace(0.05, 1.0, 20), math.sqrt(ratios_low.r_ce))
+    table = normalized_rates(points, constellation, ratios_low.r_sn).T.reshape(-1, 1)
+    tilts = max_chernoff_mixtures(table, range(0, 40, 2), range(1, 40, 2), [1.0])
+    pair_tilts = [pv.s_star for pv in tilts]
     tilt_ok = (
         bool(np.all((tilt_values > 0.0) & (tilt_values < 0.5)))
         and bool(np.all(np.diff(tilt_values) > 0.0))

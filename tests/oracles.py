@@ -8,7 +8,8 @@ log-pmf it sums, the Poisson KL divergence and the geometric tilted rate.
 None of them is on a path the CLI runs; the
 divergence and acceptance tests check the cancellation-free form and the
 tilt solver in ``pskexp.divergence`` against them.  ``zero_dark_margin``
-is ``pskexp.exponent.convexity_margin`` at r = 0 in its own closed form.
+is ``pskexp.exponent.convexity_margin`` at r = 0 in its own closed form,
+and ``mp_point_exponent`` the BPSK point-mass exponent in mpmath.
 ``highs_control_lp`` solves ``pskexp.exponent.linprog``'s LP with scipy's
 HiGHS, and ``certified_control_lp`` finds its exact optimum in mpmath, for
 the tests of the in-package simplex.  ``peak_traced_bytes`` measures a call's peak
@@ -153,6 +154,15 @@ def zero_dark_margin(s, v):
     return 4.0 * s * (1.0 - 2.0 * s) * v + (1.0 - v) ** (2.0 * (1.0 - s)) * (
         (1.0 + v) ** (2.0 * s) - (1.0 - v) ** (2.0 * s)
     )
+
+
+def mp_point_exponent(v, r):
+    """P(v) = max_s C_s((1 - v)**2 + r, (1 + v)**2 + r), the BPSK point-mass
+    exponent, at the closed-form tilt and mpmath's working precision."""
+    lam0, lam1 = (1 - v) ** 2 + r, (1 + v) ** 2 + r
+    x = mp.log(lam0 / lam1)
+    s = mp.log(mp.expm1(x) / x) / x
+    return s * lam0 + (1 - s) * lam1 - lam0**s * lam1 ** (1 - s)
 
 
 def highs_control_lp(coeffs, energy, budget: float) -> float:

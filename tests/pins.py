@@ -5,6 +5,9 @@ wrong; a change that moves a record re-derives the file and pastes the
 
     PYTHONPATH=src python tests/pins.py --check   # one line per moved record
     PYTHONPATH=src python tests/pins.py --write   # re-derive every file
+
+Both end with one line per file: how many of its records moved, and the
+largest relative fall and rise of beta among them.
 """
 
 import argparse
@@ -54,11 +57,26 @@ class Pin:
     def derive(self) -> dict:
         return {self.id(key): self.record(key) for key in self.keys}
 
-    def moved(self) -> list[str]:
-        """This file's ``--check`` lines: "file id: change" per moved record."""
-        old, new = self.pinned, self.derive()
+    def moved(self, new: dict | None = None) -> list[str]:
+        """This file's ``--check`` lines: "file id: change" per record that
+        moved from the file to ``new`` (by default derived afresh)."""
+        old, new = self.pinned, self.derive() if new is None else new
         lines = ((key, change(old.get(key), new.get(key))) for key in {**old, **new})
         return [f"{self.path.name} {key}: {line}" for key, line in lines if line]
+
+    def summary(self, new: dict) -> str:
+        """This file's closing ``--check`` line: how many records moved to
+        ``new``, and the largest relative fall and rise of beta among them."""
+        old = self.pinned
+        keys = [key for key in {**old, **new} if old.get(key) != new.get(key)]
+        shifts = [(beta_shift(old.get(key), new.get(key)), key) for key in keys]
+        falls = [shift for shift in shifts if shift[0] is not None and shift[0] < 0.0]
+        rises = [shift for shift in shifts if shift[0] is not None and shift[0] > 0.0]
+        return "; ".join([
+            f"{self.path.name}: {len(keys)} of {len(new)} records moved",
+            "largest beta fall {:+.2e} ({})".format(*min(falls)) if falls else "no beta fell",
+            "largest beta rise {:+.2e} ({})".format(*max(rises)) if rises else "no beta rose",
+        ])
 
 
 def solve_record(solution) -> dict:
@@ -178,6 +196,15 @@ def _outcome(record: dict) -> str:
     return f"beta {float.fromhex(record['beta'])!r}"
 
 
+def beta_shift(old: dict | None, new: dict | None) -> float | None:
+    """beta's relative change between two solve records, or None unless
+    both hold a beta."""
+    if not (old and new and "beta" in old and "beta" in new):
+        return None
+    a, b = float.fromhex(old["beta"]), float.fromhex(new["beta"])
+    return (b - a) / a if a else (float("inf") if b else 0.0)
+
+
 def change(old: dict | None, new: dict | None) -> str | None:
     """How a record moved, in one line, or None if it did not."""
     if old == new:
@@ -188,9 +215,8 @@ def change(old: dict | None, new: dict | None) -> str | None:
         moved = [f"{f} {old[f]!r} → {new[f]!r}" for f in old if old[f] != new[f]]
         return "; ".join(moved)
     line = f"{_outcome(old)} → {_outcome(new)}"
-    if "beta" in old and "beta" in new:
-        a, b = float.fromhex(old["beta"]), float.fromhex(new["beta"])
-        relative = (b - a) / a if a else (float("inf") if b else 0.0)
+    relative = beta_shift(old, new)
+    if relative is not None:
         notes = [f"{relative:+.2e} relative"]
         notes += [f"{f} moved" for f in old if f != "beta" and old[f] != new.get(f)]
         line += f" ({'; '.join(notes)})"
@@ -203,12 +229,13 @@ def main(argv=None) -> int:
     action.add_argument("--check", action="store_true", help="exit 1 if a record moved")
     action.add_argument("--write", action="store_true", help="re-derive every file")
     args = parser.parse_args(argv)
-    moved = [line for pin in PINS for line in pin.moved()]
-    for line in moved:
+    derived = [pin.derive() for pin in PINS]
+    moved = [line for pin, new in zip(PINS, derived) for line in pin.moved(new)]
+    for line in moved + [pin.summary(new) for pin, new in zip(PINS, derived)]:
         print(line)
     if args.write:
-        for pin in PINS:
-            pin.path.write_text(json.dumps(pin.derive(), indent=1) + "\n")
+        for pin, new in zip(PINS, derived):
+            pin.path.write_text(json.dumps(new, indent=1) + "\n")
     return int(args.check and bool(moved))
 
 

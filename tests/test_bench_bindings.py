@@ -4,16 +4,14 @@ pskexp would break benchmark runs, so check both here."""
 
 import importlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import pskexp
 from pins import BENCH, CENSUS, load_bench_module, solve_psk
 from pskexp import OperatingRatios, optimize_binary
+from test_cli import child_env
 
 
 @pytest.mark.parametrize("key", CENSUS.keys, ids=CENSUS.id)
@@ -55,12 +53,9 @@ def test_crosscheck_runs():
     """bench/crosscheck.py runs against this pskexp and prints one JSON
     document, so an API change that breaks it fails here first."""
     crosscheck = BENCH / "crosscheck.py"
-    src = str(Path(pskexp.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, str(crosscheck), "--seed", "1", "--trials", "100"],
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=300,

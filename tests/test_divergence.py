@@ -14,17 +14,25 @@ from oracles import (
     chernoff_s_decimal,
     chernoff_s_series,
     kl_poisson,
+    mp_point_exponent,
     poisson_log_pmf,
     tilted_rate,
 )
 from pskexp import divergence
+from scipy.optimize import brentq
+
 from pskexp.divergence import (
+    BRENT_RTOL,
     EQUAL_RATE_RTOL,
+    POLISH_EVALUATIONS,
     ChernoffOptimum,
+    brent_root,
     chernoff_values,
     golden_section_max,
     max_chernoff,
     max_chernoff_mixtures,
+    max_chernoff_slopes,
+    polish_max,
     s_star_log,
 )
 
@@ -292,6 +300,127 @@ class TestGoldenSection:
         """Handles maxima at a bracket endpoint."""
         x, _ = golden_section_max(lambda t: t, 0.0, 1.0)
         assert x == pytest.approx(1.0, abs=1e-9)
+
+
+def bpsk_log_slope_mp(v, r):
+    """(log P)'(v) of the BPSK point-mass exponent at 50 digits, by mpmath's
+    numerical derivative of P at its closed-form tilt (no envelope theorem)."""
+    with mp.workdps(50):
+        return mp.diff(lambda u: mp.log(mp_point_exponent(u, r)), mp.mpf(v))
+
+
+class TestMaxChernoffSlopes:
+    """Validate P = max_s C_s and its logarithmic derivative."""
+
+    def test_value_is_chernoff_values_at_the_closed_form_tilt(self):
+        """P is bit for bit what ``chernoff_values`` gives at ``s_star_log``,
+        in either orientation of the rates."""
+        rng = np.random.default_rng(7)
+        l0, l1 = rng.uniform(1e-3, 5.0, (2, 200))
+        value, _ = max_chernoff_slopes(l0, l1, 1.0, -1.0)
+        assert np.array_equal(value, chernoff_values(l0, l1, s_star_log))
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 0.01, 1.0])
+    @pytest.mark.parametrize("v", [1e-3, 0.3, 0.93, 1.0 - 1e-7, 1.0, 1.5, 40.0])
+    def test_log_slope_matches_mpmath(self, v, r):
+        """P'/P along BPSK's rates, (v - 1)**2 + r and (v + 1)**2 + r, is the
+        mpmath derivative to 1e-10 relative, and swapping the rates with
+        their derivatives changes nothing."""
+        lam0, lam1 = (v - 1.0) ** 2 + r, (v + 1.0) ** 2 + r
+        want = float(bpsk_log_slope_mp(v, mp.mpf(r)))
+        _, got = max_chernoff_slopes(lam0, lam1, 2.0 * (v - 1.0), 2.0 * (v + 1.0))
+        _, swapped = max_chernoff_slopes(lam1, lam0, 2.0 * (v + 1.0), 2.0 * (v - 1.0))
+        assert float(got) == pytest.approx(want, rel=1e-10)
+        assert swapped == got
+
+    def test_equal_rates_give_zero_and_an_infinite_slope(self):
+        """Where P is 0 its log-derivative is inf, with no warning."""
+        value, slope = max_chernoff_slopes(np.array([2.0]), np.array([2.0]), -2.0, 2.0)
+        assert value.tolist() == [0.0] and slope.tolist() == [math.inf]
+
+    def test_rate_below_exp_range_stays_finite(self):
+        """A subnormal rate (BPSK at v = 1 with r_sn 5e-324) passes no
+        overflow, even with numpy raising on it."""
+        with np.errstate(over="raise"):
+            value, slope = max_chernoff_slopes(5e-324, 4.0, 0.0, 4.0)
+        assert value == chernoff_values(5e-324, 4.0, s_star_log)
+        assert 0.0 < float(slope) < math.inf
+
+
+class TestBrentRoot:
+    """Validate the bracketed root finder."""
+
+    @pytest.mark.parametrize(
+        "g, a, b",
+        [
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: 1e-9 / (1.0 - x) - 1.0, 0.5, 1.0 - 1e-15),
+        ],
+    )
+    def test_matches_scipy_brentq(self, g, a, b):
+        """The root is scipy's ``brentq`` root (at its finest relative
+        tolerance, 4 eps) to a few ulps."""
+        want = brentq(g, a, b, xtol=1e-300, rtol=2 * BRENT_RTOL)
+        got = brent_root(g, a, b, g(a), g(b), 100)
+        assert got == pytest.approx(want, rel=4 * BRENT_RTOL)
+
+    def test_infinite_end_bisects(self):
+        """An infinite end value counts as its sign."""
+        got = brent_root(lambda x: 0.25 - x, 0.0, 1.0, math.inf, -0.75, 100)
+        assert got == pytest.approx(0.25, rel=4 * BRENT_RTOL)
+
+    def test_stops_after_its_evaluations(self):
+        """No more than ``max_evaluations`` calls of g."""
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return math.cos(x) - x
+
+        brent_root(g, 0.0, 1.0, 1.0, math.cos(1.0) - 1.0, 3)
+        assert len(calls) == 3
+
+
+class TestPolishMax:
+    """Validate the piecewise maximizer behind the binary optimizer."""
+
+    @staticmethod
+    def slopes(points):
+        """f(x) = x**1.7 * exp(-x) * min(1, 0.5/x): (log f)' = 1.7/x - 1,
+        less 1/x above the kink at 0.5, so f rises to the kink and peaks
+        at 0.7 past it."""
+        return [
+            (x**1.7 * math.exp(-x) * min(1.0, 0.5 / x), 1.7 / x - 1.0 - (x > 0.5) / x,
+             1.7 / x - 1.0 - (x >= 0.5) / x)
+            for x in points
+        ]
+
+    def test_cut_with_a_root_and_a_kink(self):
+        """Cuts 0.4, 0.5 and 0.9: no root below the kink, the root 0.7
+        above it, found in a few evaluations."""
+        found, count = polish_max(self.slopes, [0.4, 0.5, 0.9])
+        xs = [x for x, _ in found]
+        assert xs[:3] == [0.4, 0.5, 0.9]
+        assert xs[3:] == [pytest.approx(0.7, rel=4 * BRENT_RTOL)]
+        assert 3 < count <= 3 + 10
+
+    def test_no_root_on_a_rising_piece(self):
+        """Where the log-derivative does not fall through 0 nothing is
+        searched: only the cuts are evaluated."""
+        found, count = polish_max(self.slopes, [0.1, 0.3])
+        assert [x for x, _ in found] == [0.1, 0.3] and count == 2
+
+    def test_caps_its_evaluations(self):
+        """A root search stops after ``POLISH_EVALUATIONS`` evaluations, here
+        on a log-derivative whose sign is scrambled at every float."""
+
+        def jagged(points):
+            signs = [1.0 - 2.0 * (int(x * 2**52) * 2654435761 % 7 < 3) for x in points]
+            return [(1.0, -sign, -sign) for sign in signs]
+
+        found, count = polish_max(jagged, [0.0, 1.0])
+        assert len(found) == 3 and count == 2 + POLISH_EVALUATIONS
 
 
 class TestMaxChernoff:
