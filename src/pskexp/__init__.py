@@ -22,7 +22,6 @@ from .constellation import (
 from .divergence import (
     ChernoffOptimum,
     chernoff_values,
-    golden_section_max,
     max_chernoff,
     max_chernoff_mixtures,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "convexity_margin",
     "exact_error_small",
     "exponent_of",
-    "golden_section_max",
     "helstrom_binary",
     "homodyne_binary",
     "max_chernoff",

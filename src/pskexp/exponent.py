@@ -58,15 +58,6 @@ from .divergence import (
 )
 from .simplex import linprog
 
-#: LP weights at or below this are zeroed by ``optimize_general``: the
-#: simplex leaves that much dust on grid points, and a zero weight is what
-#: ``from_arrays`` drops.
-DROP_TOL = 1e-12
-
-#: Distance within which ``ControlDistribution.total_variation`` counts two
-#: atoms as one location.
-TV_MATCH_TOL = 1e-4
-
 #: Cell width of the v-grid ``optimize_binary`` searches before its polish,
 #: and its cell count cap, which widens the cells only on edges past 65.5.
 V_GRID_STEP = 1e-3
@@ -77,8 +68,8 @@ MAX_ITERATIONS = 50
 IMPROVEMENT_TOL = 1e-9
 
 #: Reference points of ``verify_claims``: vanishing dark counts, where
-#: time-sharing is optimal, and finite dark counts, where an interior point
-#: mass beats it.
+#: time-sharing is optimal to 1e-4 relative, and finite dark counts, where an
+#: interior point mass beats it.
 VERIFY_RATIOS_HIGH = OperatingRatios(r_sn=1e-6, r_ca=1.0, r_ce=0.9)
 VERIFY_RATIOS_LOW = OperatingRatios(r_sn=1e-2, r_ca=1.0, r_ce=0.9)
 
@@ -185,33 +176,6 @@ class ControlDistribution:
             raise ValueError(
                 f"second moment {self.second_moment()!r} exceeds budget {ratios.r_ce!r}"
             )
-
-    def total_variation(self, other: "ControlDistribution") -> float:
-        """Total variation distance, identifying atoms within ``TV_MATCH_TOL``.
-
-        Exact TV between finitely supported measures is discontinuous in
-        atom locations (nearby but distinct atoms count as disjoint), which
-        makes it useless for comparing numerically optimized supports.
-        Atoms closer than ``TV_MATCH_TOL`` (on the unit-normalized control
-        scale) are therefore treated as one location.  It absorbs float- and
-        polish-level jitter while still separating genuinely distinct support
-        points such as 0.949 vs 1.0.
-        """
-        entries = [(p, w, 0.0) for p, w in self.atoms]
-        entries += [(p, 0.0, w) for p, w in other.atoms]
-        entries.sort(key=lambda e: (e[0].real, e[0].imag))
-        tv = 0.0
-        group_self = group_other = 0.0
-        anchor = entries[0][0]
-        for point, w_self, w_other in entries:
-            if abs(point - anchor) > TV_MATCH_TOL:
-                tv += abs(group_self - group_other)
-                group_self = group_other = 0.0
-                anchor = point
-            group_self += w_self
-            group_other += w_other
-        tv += abs(group_self - group_other)
-        return 0.5 * tv
 
 
 @dataclass(frozen=True)
@@ -398,9 +362,8 @@ def optimize_general(
     the other pairs are priced on the LP solution's support alone, so no
     (pairs, grid) array is ever formed.  An LP solution
     over the budget (by rounding, a few 1e-15 on the benchmark's points) is
-    mixed with the origin, grid point 0, just enough to meet it; then its
-    weights at or below ``DROP_TOL`` are zeroed, the one place where LP
-    dust leaves the solve.
+    mixed with the origin, grid point 0, just enough to meet it, the one
+    change made to LP output: every positive weight, however small, stays.
     The simplex breaks ties by the lowest grid index, so among
     symmetry-equivalent optima ``q_star`` is the one that rule reaches, the
     same on every run and for any number of BLAS threads.
@@ -482,7 +445,6 @@ def optimize_general(
             w0 = (energy - ratios.r_ce) / energy
             x = (1.0 - w0) * x
             x[0] += w0
-        x = np.where(x > DROP_TOL, x, 0.0)
         per_pair, beta = tilt_step(x)
         if beta > best_beta:
             best_x, best_beta = x, beta
@@ -557,8 +519,10 @@ def verify_claims() -> dict:
     (3) at ``VERIFY_RATIOS_LOW`` the optimizer strictly beats time-sharing
         by at least ``MIN_MARGIN`` and lands near
         ``EXPECTED_COUNTEREXAMPLE``;
-    (4) at ``VERIFY_RATIOS_HIGH`` (vanishing dark counts) the optimizer
-        returns time-sharing for every budget on a 0.1-step grid.
+    (4) at ``VERIFY_RATIOS_HIGH`` (vanishing dark counts) time-sharing is
+        exponent-optimal to 1e-4: for every budget on a 0.1-step grid the
+        optimizer beats it by at most that relative gap, and never loses to
+        it by more than rounding (1e-12 relative).
 
     The reference points and thresholds are the module constants, read at
     call time.  Failed checks are reported, never raised.  Returns the
@@ -646,20 +610,19 @@ def verify_claims() -> dict:
         )
     )
 
-    # (4) vanishing dark counts: time-sharing is returned across budgets.
-    worst_tv = 0.0
+    # (4) vanishing dark counts: time-sharing is exponent-optimal to 1e-4.
+    gaps = []
     for r_ce in np.arange(0.1, 1.001, 0.1):
         budget_ratios = replace(VERIFY_RATIOS_HIGH, r_ce=float(r_ce))
-        sol = optimize_binary(budget_ratios)
-        tv = sol.q_star.total_variation(
-            ControlDistribution.time_sharing(float(r_ce))
-        )
-        worst_tv = max(worst_tv, tv)
+        beta = optimize_binary(budget_ratios).beta
+        ts = ControlDistribution.time_sharing(budget_ratios.r_ce)
+        ts_value = pair_exponent(ts, (0, 1), constellation, budget_ratios).value
+        gaps.append((beta - ts_value) / beta)
     checks.append(
         dict(
             name="vanishing-dark-time-sharing",
-            passed=worst_tv <= 1e-2,
-            details={"worst_total_variation": worst_tv},
+            passed=max(gaps) <= 1e-4 and min(gaps) >= -1e-12,
+            details={"worst_relative_gap": max(gaps)},
         )
     )
 

@@ -10,6 +10,9 @@ divergence and acceptance tests check the cancellation-free form and the
 tilt solver in ``pskexp.divergence`` against them.  ``zero_dark_margin``
 is ``pskexp.exponent.convexity_margin`` at r = 0 in its own closed form,
 and ``mp_point_exponent`` the BPSK point-mass exponent in mpmath.
+``total_variation`` compares two control distributions, matching atoms
+within a tolerance, for the tests of the optimizers' and the realized
+policies' supports.
 ``highs_control_lp`` solves ``pskexp.exponent.linprog``'s LP with scipy's
 HiGHS, and ``certified_control_lp`` finds its exact optimum in mpmath, for
 the tests of the in-package simplex.  ``peak_traced_bytes`` measures a call's peak
@@ -163,6 +166,35 @@ def mp_point_exponent(v, r):
     x = mp.log(lam0 / lam1)
     s = mp.log(mp.expm1(x) / x) / x
     return s * lam0 + (1 - s) * lam1 - lam0**s * lam1 ** (1 - s)
+
+
+def total_variation(p, q, match_tol=1e-4) -> float:
+    """Total variation distance between two ``ControlDistribution``s,
+    identifying atoms within ``match_tol``.
+
+    Exact TV between finitely supported measures is discontinuous in
+    atom locations (nearby but distinct atoms count as disjoint), which
+    makes it useless for comparing numerically optimized supports.
+    Atoms closer than ``match_tol`` (on the unit-normalized control
+    scale) are therefore treated as one location.  The default absorbs
+    float- and polish-level jitter while still separating genuinely
+    distinct support points such as 0.949 vs 1.0.
+    """
+    entries = [(point, w, 0.0) for point, w in p.atoms]
+    entries += [(point, 0.0, w) for point, w in q.atoms]
+    entries.sort(key=lambda e: (e[0].real, e[0].imag))
+    tv = 0.0
+    group_p = group_q = 0.0
+    anchor = entries[0][0]
+    for point, w_p, w_q in entries:
+        if abs(point - anchor) > match_tol:
+            tv += abs(group_p - group_q)
+            group_p = group_q = 0.0
+            anchor = point
+        group_p += w_p
+        group_q += w_q
+    tv += abs(group_p - group_q)
+    return 0.5 * tv
 
 
 def highs_control_lp(coeffs, energy, budget: float) -> float:

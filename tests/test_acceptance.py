@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import RatePair, chernoff_s, chernoff_s_series, kl_poisson, tilted_rate
+from oracles import (
+    RatePair,
+    chernoff_s,
+    chernoff_s_series,
+    kl_poisson,
+    tilted_rate,
+    total_variation,
+)
 from pskexp.baselines import homodyne_binary, theorem_bound
 from pskexp.constellation import OperatingRatios, SignalScale, bpsk
 from pskexp.divergence import chernoff_values, max_chernoff, s_star_log
@@ -103,7 +110,7 @@ class TestAcceptance:
         for r_ce in budgets:
             solution = optimize_binary(OperatingRatios(1e-6, 1.0, r_ce))
             sharing = ControlDistribution.time_sharing(r_ce)
-            worst_tv = max(worst_tv, solution.q_star.total_variation(sharing))
+            worst_tv = max(worst_tv, total_variation(solution.q_star, sharing))
             log_bounds.append(
                 math.log(theorem_bound(solution.beta, 2.0, 2))
             )

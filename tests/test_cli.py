@@ -695,8 +695,14 @@ class TestStartup:
 #: row went into the simplex, 128-PSK took 17.5 s and 1.5 GiB, and 300-PSK
 #: asked for a 15 GiB LP matrix.  The 200-slice ``simulate`` line realized a
 #: policy whose repair loop and constructor judged its energy with two
-#: formulas a rounding step apart, and the constructor refused it.  The three
-#: strict xfails are M-ary inputs a seeded random sweep found still exiting 1.
+#: formulas a rounding step apart, and the constructor refused it.  The last
+#: three lines are M-ary inputs a seeded random sweep found exiting 1.  The
+#: 8-PSK K 20 line failed its own budget once LP weights at or below 1e-12
+#: were dropped and the rest renormalized; every weight is kept now, which
+#: mends it.  The 8-PSK K 8 line ended "control LP failed: infeasible" on a
+#: singular basis; it passes only because keeping every weight changes the
+#: ascent's path, and a singular basis is still possible (ROADMAP item 3).
+#: The 6-PSK line, a strict xfail, still ends "control LP failed: unbounded".
 RANGE_CASES = [
     ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9", EXIT_OK),
     ("exponent --psk 4 --r-sn 0.1 --r-ce 0.9 --grid-k 40", EXIT_OK),
@@ -716,15 +722,10 @@ RANGE_CASES = [
     ("exponent --r-sn 0.01 --r-ca 1e160 --r-ce 1e307", EXIT_USAGE),
     ("exponent --r-sn 0.01 --r-ca 1.7e308 --r-ce 1e300", EXIT_USAGE),
     ("simulate --r-sn 0.02 --r-ce 0.2173001549950041 --slices 200 --trials 1000", EXIT_OK),
-    pytest.param(
+    (
         "exponent --psk 8 --grid-k 8 --r-sn 0.12816468504764403 --r-ca 0.8 "
         "--r-ce 0.454842841827529",
         EXIT_OK,
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="the basis inverse divides by zero, numpy warnings reach "
-            "stderr, and the run ends 'control LP failed: infeasible'",
-        ),
     ),
     pytest.param(
         "exponent --psk 6 --grid-k 6 --r-sn 0.00825309190163809 --r-ca 1.5 "
@@ -734,16 +735,10 @@ RANGE_CASES = [
             strict=True, reason="control LP failed: unbounded"
         ),
     ),
-    pytest.param(
+    (
         "exponent --psk 8 --grid-k 20 --r-sn 0.0030132021032696628 --r-ca 0.8 "
         "--r-ce 0.5710660303238018",
         EXIT_OK,
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="second moment 0.5710660303244186 exceeds budget "
-            "0.5710660303238018: dropping LP dust after the budget fix and "
-            "renormalizing lifts the energy past the 1e-12 slack",
-        ),
     ),
 ]
 
@@ -762,6 +757,10 @@ RANGE_GRID = [
     for r_ca in (1e-6, 1.0, 1e10)
     for r_ce in (1e-12 * r_ca**2, 0.9 * min(1.0, r_ca**2), r_ca**2)
 ]
+
+#: A 4-PSK budget of 1e-12 at r_ca 1: the LP optimum, 5.86e-13, rests on
+#: two outer-ring weights of 3.5e-13 and 1.5e-13.
+TINY_BUDGET_LINE = "exponent --psk 4 --grid-k 8 --r-sn 1e-8 --r-ce 1e-12"
 
 #: Address space and wall time each range case may use.
 RANGE_ADDRESS_SPACE = 3 << 30
@@ -872,6 +871,28 @@ class TestRange:
     def test_grid_answers_without_a_traceback(self, line, range_grid_results):
         """Every grid point answers as a range case does."""
         assert_answers(*range_grid_results[line])
+
+    def test_small_budgets_keep_their_answer(self, range_grid_results):
+        """Every 4-PSK ``exponent`` grid line with r_sn <= 1 prints beta > 0,
+        and so does ``TINY_BUDGET_LINE``.  Where the budget is tiny against the
+        grid's rings the LP optima sit on weights below 1e-12, which were
+        once dropped: the r_ca 1, r_ce 1e-12 lines at r_sn 1e-300 and 1e-8,
+        the r_ca 1e10, r_ce 0.9 lines at r_sn 1e-300, 1e-8 and 1, and
+        ``TINY_BUDGET_LINE`` printed beta 0.0.  r_sn 1e12 is rounding-limited (ROADMAP item 9) and
+        exempt."""
+        lines = [
+            line
+            for line in RANGE_GRID
+            if line.startswith("exponent --psk 4")
+            and float(line.split("--r-sn ")[1].split()[0]) <= 1.0
+        ]
+        results = {**range_grid_results, **run_lines([TINY_BUDGET_LINE])}
+        zero = [
+            line
+            for line in [*lines, TINY_BUDGET_LINE]
+            if not json.loads(results[line][1])["beta"] > 0.0
+        ]
+        assert len(lines) == 27 and zero == []
 
     def test_exact_oracle_refuses_a_huge_box(self):
         """Under the same cap, the exact oracle refuses a one-group BPSK

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import peak_traced_bytes
-from pskexp import exponent, receiver
+from oracles import peak_traced_bytes, total_variation
+from pskexp import receiver
 from pskexp.constellation import (
     DISK_TOL,
     OperatingRatios,
@@ -234,7 +234,7 @@ class TestRealizePolicy:
         mags = sorted(abs(d) for d in pol.displacements)
         assert mags == [0.0] + [1.0] * 9
         assert pol.type_distribution().second_moment() == pytest.approx(0.9, abs=1e-15)
-        assert pol.type_distribution().total_variation(q) == pytest.approx(0.0, abs=1e-15)
+        assert total_variation(pol.type_distribution(), q) == pytest.approx(0.0, abs=1e-15)
 
     def test_energy_repair_on_coarse_slicing(self):
         """Three slices cannot carry 0.9 mass at 1; repair moves one slot."""
@@ -246,7 +246,7 @@ class TestRealizePolicy:
         assert pol.type_distribution().second_moment() == pytest.approx(2.0 / 3.0, abs=1e-15)
         moves = getattr(pol, "_repair_moves")
         assert moves == 1
-        tv = pol.type_distribution().total_variation(q)
+        tv = total_variation(pol.type_distribution(), q)
         assert tv <= (1.0 + moves) / 3.0 + 1e-12
 
     @pytest.mark.parametrize(
@@ -315,9 +315,7 @@ class TestRealizePolicy:
         moves = getattr(pol, "_repair_moves")
         # Match atoms only at float jitter, so that a repaired slot near a
         # distinct atom (the origin's sink, say) still counts as moved.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exponent, "TV_MATCH_TOL", 1e-12)
-            tv = pol.type_distribution().total_variation(q)
+        tv = total_variation(pol.type_distribution(), q, match_tol=1e-12)
         assert tv <= (1.0 + moves) / slices + 1e-12
 
 
