@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from pskexp import OperatingRatios, optimize_binary, optimize_general, uniform_psk
+from pskexp import (
+    OperatingRatios,
+    SignalScale,
+    exponent_of,
+    optimize_binary,
+    optimize_general,
+    realize_policy,
+    uniform_psk,
+)
 
 TESTS = Path(__file__).resolve().parent
 BENCH = TESTS.parent / "bench"
@@ -140,6 +148,27 @@ def mary_range_record(key) -> dict:
         return {"error": str(error)}
 
 
+def realized_record(key) -> dict:
+    """``realize_policy`` on a solve's ``q_star`` at N slices: the realized
+    type's exponent and atoms ("re im weight"), in hex, and its repair
+    moves.  K None is the binary optimizer's ``q_star``."""
+    m, r_sn, r_ce, grid_k, slices = key
+    ratios = OperatingRatios(r_sn, 1.0, r_ce)
+    if grid_k is None:
+        q = optimize_binary(ratios).q_star
+    else:
+        q = solve_psk(m, r_sn, r_ce, grid_k).q_star
+    scale = SignalScale(alpha_sq=2.0, slices=slices, grid_k=grid_k or 1)
+    constellation = uniform_psk(m)
+    policy = realize_policy(q, scale, constellation, ratios)
+    realized = policy.type_distribution()
+    return {
+        "beta": exponent_of(realized, constellation, ratios).hex(),
+        "type": [f"{p.real.hex()} {p.imag.hex()} {w.hex()}" for p, w in realized.atoms],
+        "repair_moves": policy._repair_moves,
+    }
+
+
 #: The benchmark's CLI operations, README's examples, range edges,
 #: subnormal dark ratios and the options no other line uses.
 OUTPUTS = Pin(
@@ -187,7 +216,28 @@ GENERAL = Pin(
     lambda key: f"psk{key[0]}-k{key[3]}",
     lambda key: solve_record(solve_psk(*key)),
 )
-PINS = (OUTPUTS, CENSUS, BINARY_CENSUS, MARY_RANGE_CENSUS, GENERAL)
+#: (M, r_sn, r_ce, K, N) at r_ca 1: the census solves, 4-PSK at K 20 and
+#: binary census solves (K None), each realized on N slices.
+REALIZED = Pin(
+    TESTS / "pinned_realized_types.json",
+    tuple(
+        [(*key, 40, n) for key in CENSUS.keys for n in (50, 200, 1000)]
+        + [(4, 0.01, 0.9, 20, n) for n in (1, 7, 50, 200, 1000)]
+        + [
+            (2, r_sn, fraction, None, n)
+            for r_sn, fraction in [
+                *((r_sn, f) for r_sn in (1e-6, 0.01, 1.0) for f in (0.1, 0.5, 0.9)),
+                (0.01, 1e-300),
+            ]
+            for n in (1, 7, 50, 200)
+        ]
+    ),
+    lambda key: "psk{}-{!r}-{!r}-{}-n{}".format(
+        *key[:3], "binary" if key[3] is None else f"k{key[3]}", key[4]
+    ),
+    realized_record,
+)
+PINS = (OUTPUTS, CENSUS, BINARY_CENSUS, MARY_RANGE_CENSUS, GENERAL, REALIZED)
 
 
 def _outcome(record: dict) -> str:

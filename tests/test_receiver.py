@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import peak_traced_bytes, total_variation
+from pins import REALIZED
 from pskexp import receiver
 from pskexp.constellation import (
     DISK_TOL,
@@ -317,6 +318,13 @@ class TestRealizePolicy:
         # distinct atom (the origin's sink, say) still counts as moved.
         tv = total_variation(pol.type_distribution(), q, match_tol=1e-12)
         assert tv <= (1.0 + moves) / slices + 1e-12
+
+    @pytest.mark.parametrize("key", REALIZED.keys, ids=REALIZED.id)
+    def test_realization_is_pinned(self, key):
+        """Each census, 4-PSK and binary ``q_star`` realizes on N slices to
+        the type, exponent and repair moves of ``pinned_realized_types.json``,
+        bit for bit (``pins.REALIZED``)."""
+        assert REALIZED.record(key) == REALIZED.pinned[REALIZED.id(key)]
 
 
 class TestMlDecide:
