@@ -295,9 +295,9 @@ def max_chernoff_slopes(
     dlambda1: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each rate pair's maximum over the tilt, ``P = max_s C_s(lambda0,
-    lambda1)``, computed as ``chernoff_values(lambda0, lambda1, s_star_log)``
-    computes it, and its logarithmic derivative ``P'/P`` along the rates'
-    derivatives ``(dlambda0, dlambda1)`` (``inf`` where ``P`` is 0).
+    lambda1)``, from ``chernoff_values`` on the oriented rates at the
+    closed-form tilt, and its logarithmic derivative ``P'/P`` along the
+    rates' derivatives ``(dlambda0, dlambda1)`` (``inf`` where ``P`` is 0).
 
     By the envelope theorem ``P'`` is the derivative of ``C_t(small, big)``
     at the maximizing tilt held fixed: ``dC/dsmall * dsmall + dC/dbig *
@@ -312,8 +312,8 @@ def max_chernoff_slopes(
         np.asarray(lambda0, dtype=float), np.asarray(lambda1, dtype=float)
     )
     t = s_star_log(x)
+    value = chernoff_values(small, big, t)
     shrink = np.expm1(t * x)
-    value = np.maximum(t * (small - big) - big * shrink, 0.0)
     grow = np.expm1(np.minimum((t - 1.0) * x, EXP_CAP))
     slope = -t * grow * np.where(flip, dlambda1, dlambda0) - (
         1.0 - t

@@ -182,24 +182,35 @@ class ControlDistribution:
 class ExponentSolution:
     """Result of an exponent optimization.
 
-    ``beta`` always equals the minimum of the per-pair values and is a
-    certified achievability lower bound whenever ``certified`` is set (the
-    reported ``q_star`` is feasible and attains it).
+    Built by ``certify`` from every pair's exponent on ``q_star`` itself,
+    so ``beta``, the least of them, is a certified achievability lower
+    bound: ``q_star`` is feasible and attains it.
     """
 
-    beta: float
     q_star: ControlDistribution
     per_pair: tuple[tuple[tuple[int, int], float, float], ...]
     method: str
-    certified: bool
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        values = [value for _, _, value in self.per_pair]
-        if abs(self.beta - min(values)) > 1e-10:
-            raise ValueError("beta must equal the minimum per-pair value")
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
+
+    @property
+    def beta(self) -> float:
+        return min(value for _, _, value in self.per_pair)
+
+    @classmethod
+    def certify(
+        cls, q: ControlDistribution, constellation: PskConstellation,
+        ratios: OperatingRatios, method: str, diagnostics: dict,
+    ) -> "ExponentSolution":
+        """``q`` as a solution, with ``per_pair`` from ``pair_exponents`` on
+        every pair of ``constellation``: the one builder of solutions."""
+        pairs = constellation.pairs()
+        values = pair_exponents(q, pairs, constellation, ratios)
+        per_pair = tuple((pair, pv.s_star, pv.value) for pair, pv in zip(pairs, values))
+        return cls(q, per_pair, method, diagnostics)
 
 
 def pair_exponents(
@@ -273,18 +284,11 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
     evaluations of f off the grid (``point_evaluations``).
     """
     constellation = bpsk()
-    pair = (0, 1)
     r, ca, ce = ratios.r_sn, ratios.r_ca, ratios.r_ce
 
     def finish(q: ControlDistribution, diagnostics: dict) -> ExponentSolution:
-        pv = pair_exponent(q, pair, constellation, ratios)
-        return ExponentSolution(
-            beta=pv.value,
-            q_star=q,
-            per_pair=((pair, pv.s_star, pv.value),),
-            method="binary-exact-grid",
-            certified=True,
-            diagnostics=diagnostics,
+        return ExponentSolution.certify(
+            q, constellation, ratios, "binary-exact-grid", diagnostics
         )
 
     if ce <= 0.0:
@@ -368,9 +372,8 @@ def optimize_general(
     symmetry-equivalent optima ``q_star`` is the one that rule reaches, the
     same on every run and for any number of BLAS threads.
     Every iterate is feasible and the true objective is non-decreasing along
-    the iteration; the best iterate's weights become ``q_star``, and its
-    ``pair_exponents`` give ``per_pair`` and ``beta``, a certified
-    achievability bound.
+    the iteration; the best iterate's weights become ``q_star``, certified
+    by ``ExponentSolution.certify``.
     Not guaranteed globally optimal for more than two hypotheses.  An LP
     that ends without a solution raises ``ControlLPError``.
     ``diagnostics`` holds the iteration count, the convergence flag and, per
@@ -453,24 +456,13 @@ def optimize_general(
             break
         beta_prev = beta
 
+    diagnostics = dict(
+        iterations=iterations, converged=converged, lp_pivots=pivots,
+        lp_refactorizations=refactorizations, lp_rounds=rounds, lp_rows=rows,
+    )
     q_star = ControlDistribution.from_arrays(grid, best_x)
-    per_pair = pair_exponents(q_star, pairs, constellation, ratios)
-    return ExponentSolution(
-        beta=min(pv.value for pv in per_pair),
-        q_star=q_star,
-        per_pair=tuple(
-            (pair, pv.s_star, pv.value) for pair, pv in zip(pairs, per_pair)
-        ),
-        method="general-coordinate-ascent",
-        certified=True,
-        diagnostics={
-            "iterations": iterations,
-            "converged": converged,
-            "lp_pivots": pivots,
-            "lp_refactorizations": refactorizations,
-            "lp_rounds": rounds,
-            "lp_rows": rows,
-        },
+    return ExponentSolution.certify(
+        q_star, constellation, ratios, "general-coordinate-ascent", diagnostics
     )
 
 

@@ -118,36 +118,27 @@ def realize_policy(
 ) -> OpenLoopPolicy:
     """Round a control distribution to a feasible N-slice policy.
 
-    Slot counts come from largest-remainder apportionment of N*weight.
-    Rounding up a heavy atom can overshoot the energy budget, so a repair
-    loop then moves one slot at a time from the highest-|v| atom to the
-    lowest-|v| atom (adding 0 as a sink atom if absent) until the realized
-    type's second moment, the number ``OpenLoopPolicy`` checks, is within
-    budget.  The slot comes from the highest-|v| ring's atom with the most
-    slots (ties to the earlier atom), so the repair does not turn on the
-    canonical order of a rotated or reflected q; ties among remainders
-    still do.  The realized type differs from q by at most 1/N per
-    apportionment step plus 1/N per repair move, and every policy the loop
-    accepts constructs.
+    One pass: slot counts come from largest-remainder apportionment of
+    N*weight (ties to the earlier atom).  Rounding up a heavy atom can
+    overshoot the energy budget, so a repair loop then moves one slot at a
+    time from the highest-|v| atom to the lowest-|v| one, the origin,
+    appended to q's atoms with no share (where q has it, the first copy
+    takes the slots), until the realized type's second moment, the number
+    ``OpenLoopPolicy`` checks, is within budget.  The slot comes from the
+    highest-|v| ring's atom with the most slots (ties to the earlier atom),
+    so the repair does not turn on the canonical order of a rotated or
+    reflected q; ties among remainders still do.  The realized type differs
+    from q by at most 1/N per apportionment step plus 1/N per repair move,
+    and every policy the loop accepts constructs.
     """
     q.validate_feasible(ratios)
-    n = scale.slices
-    points = list(q.points)
-    weights = q.weights
-    shares = weights * n
+    points = np.append(q.points, 0j)
+    shares = np.append(q.weights, 0.0) * scale.slices
     counts = np.floor(shares).astype(int)
-    remainders = shares - counts
-    shortfall = n - int(counts.sum())
-    # Ties on remainders resolve toward the earlier (canonically sorted) atom.
-    order = sorted(range(len(points)), key=lambda i: (-remainders[i], i))
-    for i in order[:shortfall]:
-        counts[i] += 1
+    order = np.lexsort((np.arange(len(points)), counts - shares))
+    counts[order[: scale.slices - int(counts.sum())]] += 1
 
-    energies = np.abs(np.array(points)) ** 2
-    if not np.any(energies == 0.0):
-        points.append(0.0 + 0.0j)
-        energies = np.append(energies, 0.0)
-        counts = np.append(counts, 0)
+    energies = np.abs(points) ** 2
     repair_moves = 0
     while not ratios.within_budget(
         ControlDistribution.from_arrays(points, counts).second_moment()
@@ -162,11 +153,8 @@ def realize_policy(
         counts[dst] += 1
         repair_moves += 1
 
-    displacements: list[complex] = []
-    for point, count in zip(points, counts):
-        displacements.extend([point] * int(count))
     policy = OpenLoopPolicy(
-        displacements=tuple(displacements),
+        displacements=tuple(np.repeat(points, counts)),
         scale=scale,
         constellation=constellation,
         ratios=ratios,

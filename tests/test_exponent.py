@@ -316,29 +316,28 @@ class TestControlDistribution:
 class TestExponentSolution:
     """Validate the optimizer result container."""
 
-    def test_enforces_beta_consistency(self):
-        """beta must equal the minimum per-pair value."""
-        q = ControlDistribution.point_mass(0.5)
-        with pytest.raises(ValueError, match="minimum"):
-            ExponentSolution(
-                beta=1.0,
-                q_star=q,
-                per_pair=(((0, 1), 0.3, 2.0),),
-                method="test",
-                certified=True,
-            )
-
     def test_enforces_nonnegative_beta(self):
         """Negative exponents are rejected."""
         q = ControlDistribution.point_mass(0.5)
         with pytest.raises(ValueError, match="nonnegative"):
-            ExponentSolution(
-                beta=-1.0,
-                q_star=q,
-                per_pair=(((0, 1), 0.3, -1.0),),
-                method="test",
-                certified=True,
-            )
+            ExponentSolution(q_star=q, per_pair=(((0, 1), 0.3, -1.0),), method="test")
+
+    def test_certify_evaluates_every_pair_on_q(self):
+        """``certify`` on a hand-made 4-PSK q gives, bit for bit, the
+        ``pair_exponents`` of every pair as ``per_pair``, and beta equal to
+        ``exponent_of``."""
+        con = uniform_psk(4)
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.5)
+        q = ControlDistribution.from_arrays(
+            [0.0, 0.6, 0.5j, -0.4 - 0.3j], [0.4, 0.3, 0.2, 0.1]
+        )
+        sol = ExponentSolution.certify(q, con, ratios, "test", {"note": 1})
+        expected = pair_exponents(q, con.pairs(), con, ratios)
+        assert sol.per_pair == tuple(
+            (pair, pv.s_star, pv.value) for pair, pv in zip(con.pairs(), expected)
+        )
+        assert sol.beta == exponent_of(q, con, ratios)
+        assert (sol.q_star, sol.method, sol.diagnostics) == (q, "test", {"note": 1})
 
 
 class TestPairExponent:
@@ -488,7 +487,7 @@ class TestOptimizeBinary:
         sol = optimize_binary(RATIOS_LOW)
         assert sol.beta >= COUNTEREXAMPLE_VALUE - 1e-3
         assert sol.beta > TIME_SHARING_09_VALUE + 0.04
-        assert sol.certified
+        assert sol.beta == exponent_of(sol.q_star, BPSK, RATIOS_LOW)
         # The optimum concentrates essentially at the budget-saturating
         # single point sqrt(0.9).
         near = ControlDistribution.point_mass(COUNTEREXAMPLE_POINT)
@@ -768,7 +767,7 @@ class TestOptimizeGeneral:
         general = optimize_general(BPSK, RATIOS_LOW, grid_k=40)
         assert general.beta <= exact.beta + 1e-9
         assert general.beta == pytest.approx(exact.beta, abs=1e-3)
-        assert general.certified
+        assert general.beta == exponent_of(general.q_star, BPSK, RATIOS_LOW)
 
     def test_beats_uniform_feasible_start(self):
         """Coordinate ascent never ends below a trivial feasible mixture."""
@@ -822,7 +821,8 @@ class TestOptimizeGeneral:
         ratios = OperatingRatios(r_sn=0.01, r_ca=1e5, r_ce=0.9)
         sol = optimize_general(uniform_psk(4), ratios)
         sol.q_star.validate_feasible(ratios)
-        assert sol.certified and sol.beta > 0.0
+        assert sol.beta == exponent_of(sol.q_star, uniform_psk(4), ratios)
+        assert sol.beta > 0.0
 
     def test_wide_disk_budget(self):
         """At r_ce = 9e9 the solution's second moment, a rounding step over
@@ -863,7 +863,6 @@ class TestOptimizeGeneral:
         ratios = OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=r_ce)
         sol = optimize_general(uniform_psk(m), ratios, grid_k=40)
         sol.q_star.validate_feasible(ratios)
-        assert sol.certified
         assert exponent_of(sol.q_star, uniform_psk(m), ratios) == sol.beta
 
     @pytest.mark.parametrize("key", GENERAL.keys, ids=GENERAL.id)
