@@ -63,9 +63,11 @@ from .simplex import linprog
 V_GRID_STEP = 1e-3
 V_GRID_CELLS = 2**16
 
-#: Coordinate-ascent cap and stopping gain of ``optimize_general``.
+#: Coordinate-ascent cap of ``optimize_general``, and its stopping gain
+#: relative to the best beta so far: scale-free, so a solve whose beta is
+#: far below 1 does not stop after its first LP.
 MAX_ITERATIONS = 50
-IMPROVEMENT_TOL = 1e-9
+IMPROVEMENT_TOL = 1e-8
 
 #: Reference points of ``verify_claims``: vanishing dark counts, where
 #: time-sharing is optimal to 1e-4 relative, and finite dark counts, where an
@@ -399,7 +401,6 @@ def optimize_general(
     x = feasible / np.count_nonzero(feasible)
     per_pair, beta = tilt_step(x)
     best_x, best_beta = x, beta
-    beta_prev = beta
     converged = False
     iterations = 0
     pivots, refactorizations, rounds, rows = [], [], [], []
@@ -449,12 +450,11 @@ def optimize_general(
             x = (1.0 - w0) * x
             x[0] += w0
         per_pair, beta = tilt_step(x)
+        converged = beta - best_beta <= IMPROVEMENT_TOL * best_beta
         if beta > best_beta:
             best_x, best_beta = x, beta
-        if beta - beta_prev < IMPROVEMENT_TOL:
-            converged = True
+        if converged:
             break
-        beta_prev = beta
 
     diagnostics = dict(
         iterations=iterations, converged=converged, lp_pivots=pivots,

@@ -845,6 +845,16 @@ class TestOptimizeGeneral:
         assert sol.beta == pytest.approx(beta, rel=1e-12)
         assert max(sol.diagnostics["lp_pivots"]) < 100
 
+    def test_small_beta_keeps_ascending(self):
+        """The ascent's stop is relative to beta: at ``exponent --psk 4
+        --grid-k 8 --r-sn 1e-8 --r-ce 1e-12`` it climbs past its first LP,
+        to 6.622317533345856e-13 after 4 iterations (an absolute 1e-9 stop
+        ended there with 5.857157316453083e-13)."""
+        ratios = OperatingRatios(r_sn=1e-8, r_ca=1.0, r_ce=1e-12)
+        sol = optimize_general(uniform_psk(4), ratios, grid_k=8)
+        assert sol.diagnostics["iterations"] > 1
+        assert sol.beta >= 6.6e-13
+
     def test_zero_budget_quaternary(self):
         """r_ce = 0 pins the policy at the origin with zero exponent."""
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.0)
