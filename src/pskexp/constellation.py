@@ -91,15 +91,13 @@ class PskConstellation:
             raise ValueError("a constellation needs at least 2 hypotheses")
         if not all(math.isfinite(p) for p in self.phases):
             raise ValueError(f"phases must be finite, got {self.phases!r}")
-        # Phases must be pairwise distinct modulo 2*pi.
-        reduced = [p % (2.0 * math.pi) for p in self.phases]
-        for i in range(len(reduced)):
-            for j in range(i + 1, len(reduced)):
-                diff = abs(reduced[i] - reduced[j])
-                if min(diff, 2.0 * math.pi - diff) < 1e-12:
-                    raise ValueError(
-                        f"phases {i} and {j} coincide modulo 2*pi"
-                    )
+        # Phases must be pairwise distinct modulo 2*pi: sorted, each is
+        # checked against the next, and the last against the first.
+        reduced = sorted((p % (2.0 * math.pi), i) for i, p in enumerate(self.phases))
+        for (a, i), (b, j) in zip(reduced, reduced[1:] + reduced[:1]):
+            diff = abs(a - b)
+            if min(diff, 2.0 * math.pi - diff) < 1e-12:
+                raise ValueError(f"phases {min(i, j)} and {max(i, j)} coincide modulo 2*pi")
 
     @property
     def num_states(self) -> int:
