@@ -19,9 +19,11 @@ moment at most ``r_ce``.  This module optimizes that objective:
   vector over the grid: per-pair tilt maximization (all pairs at once, one
   ``max_chernoff_mixtures`` call) alternates with a linear program over the
   weights, solved by the package's revised simplex (``linprog``) on the
-  pair rows that bind.  Every iterate is feasible, so the result is always
-  a certified achievability lower bound, but for more than two hypotheses
-  no global optimality is claimed.
+  pair rows that bind.  For more than two hypotheses no global optimality
+  is claimed.
+
+Both return through ``ExponentSolution.certify``: every pair's exponent is
+evaluated on the returned ``q_star``, so beta is a certified lower bound.
 
 * ``convexity_margin`` and ``verify_claims`` check the structural facts
   behind the optimizer: convexity of the pairwise divergence in the control

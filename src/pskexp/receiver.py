@@ -135,7 +135,7 @@ def realize_policy(
     points = np.append(q.points, 0j)
     shares = np.append(q.weights, 0.0) * scale.slices
     counts = np.floor(shares).astype(int)
-    order = np.lexsort((np.arange(len(points)), counts - shares))
+    order = np.argsort(counts - shares, kind="stable")
     counts[order[: scale.slices - int(counts.sum())]] += 1
 
     energies = np.abs(points) ** 2

@@ -128,8 +128,8 @@ class TestPskConstellation:
             PskConstellation(phases=(0.3, 1.0, 0.3 + 2.0 * math.pi))
 
     def test_large_constellation_constructs(self):
-        """The phase check sorts once: 1000-PSK constructs (its pairwise
-        check took 252 ms)."""
+        """The phase check sorts once, so 1000-PSK constructs in about a
+        millisecond (comparing every pair took 0.1 to 0.25 s)."""
         assert uniform_psk(1000).num_states == 1000
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
