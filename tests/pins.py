@@ -170,7 +170,8 @@ def realized_record(key) -> dict:
 
 
 #: The benchmark's CLI operations, README's examples, range edges,
-#: subnormal dark ratios and the options no other line uses.
+#: subnormal dark ratios, the options no other line uses, and one large-M
+#: solve (64-PSK at K 8: 2016 pairs).
 OUTPUTS = Pin(
     TESTS / "pinned_outputs.json",
     tuple(json.loads((TESTS / "pinned_outputs.json").read_text())),
