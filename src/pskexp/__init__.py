@@ -20,7 +20,6 @@ from .constellation import (
     uniform_psk,
 )
 from .divergence import (
-    ChernoffOptimum,
     chernoff_values,
     max_chernoff,
     max_chernoff_mixtures,
@@ -48,7 +47,6 @@ from .receiver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChernoffOptimum",
     "ControlDistribution",
     "ExactErrorResult",
     "ExponentSolution",

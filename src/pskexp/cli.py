@@ -288,8 +288,10 @@ def cmd_exponent(args: argparse.Namespace) -> int:
         "beta": solution.beta,
         "q_star": solution.q_star.records(),
         "per_pair": [
-            {"pair": list(pair), "s_star": s_star, "value": value}
-            for pair, s_star, value in solution.per_pair
+            {"pair": pair, "s_star": s_star, "value": value}
+            for pair, s_star, value in zip(
+                solution.pairs.tolist(), solution.tilts.tolist(), solution.values.tolist()
+            )
         ],
         "method": solution.method,
         "certified": True,

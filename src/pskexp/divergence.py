@@ -17,8 +17,9 @@ call it).  This module also maximizes mixtures of it over ``s`` with one
 safeguarded Newton solver (``max_chernoff_mixtures``; ``max_chernoff`` is
 its case of two rates); ``s_star_log`` gives a single pair's maximizer in
 closed form.  ``max_chernoff_mixtures`` takes a table of rates and the
-indices of each pair's two rows, and walks the pairs in row blocks of at
-most ``BLOCK_ELEMENTS`` elements, so its working set does not grow with the
+indices of each pair's two rows, returns the pairs' tilts and maxima as
+float arrays, and walks the pairs in row blocks of at most
+``BLOCK_ELEMENTS`` elements, so its working set does not grow with the
 number of pairs.
 ``max_chernoff_slopes`` gives a pair's closed-form maximum with its
 logarithmic derivative along a path of rates, by the envelope theorem, and
@@ -51,7 +52,7 @@ Facts relied on elsewhere and tested:
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,13 +89,6 @@ NEWTON_MAX_ITER = 100
 #: rows (at least one).  Every row is computed on its own, so the block size
 #: changes no result, only the size of the temporaries.
 BLOCK_ELEMENTS = 1 << 15
-
-
-class ChernoffOptimum(NamedTuple):
-    """Maximizing tilt and value of a Chernoff divergence or of a mixture."""
-
-    s_star: float
-    value: float
 
 
 def _oriented(lambda0: np.ndarray, lambda1: np.ndarray):
@@ -179,7 +173,7 @@ def max_chernoff_mixtures(
     lefts: Sequence[int],
     rights: Sequence[int],
     weights: np.ndarray,
-) -> list[ChernoffOptimum]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Maximize ``F_p(s) = sum_a weights[a] * C_s(table[lefts[p], a],
     table[rights[p], a])`` over s in [0, 1] for every pair p of rows of a
     ``(states, atoms)`` rate table, such as ``normalized_rates`` gives.
@@ -198,25 +192,27 @@ def max_chernoff_mixtures(
     ``F_p'``, is replaced by bisection.  Each pair stops on its own step
     (``NEWTON_TOL``), so its result does not depend on the other pairs: the
     pairs are solved in row blocks of at most ``BLOCK_ELEMENTS`` elements,
-    and inputs that fit one block are solved in one pass.  A pair whose
-    rates agree atom by atom to within ``EQUAL_RATE_RTOL`` has ``F_p = 0``
-    and returns (1/2, 0) by convention.  Rates must be positive.  Values are
+    and inputs that fit one block are solved in one pass.  Returns float
+    arrays ``(tilts, values)`` in pair order.  A pair whose rates agree atom
+    by atom to within ``EQUAL_RATE_RTOL`` has ``F_p = 0`` and gets exactly
+    (1/2, 0) by convention.  Rates must be positive.  Values are
     ``weights``-dot-products of ``chernoff_values`` rows at the tilts.
     """
     table = np.asarray(table, dtype=float)
     lefts = np.asarray(lefts, dtype=int)
     rights = np.asarray(rights, dtype=int)
     w = np.asarray(weights, dtype=float)
-    return [
-        optimum
-        for rows in _row_blocks(len(lefts), table.shape[1])
-        for optimum in _max_mixture_rows(table[lefts[rows]], table[rights[rows]], w)
-    ]
+    tilts, values = np.empty(len(lefts)), np.empty(len(lefts))
+    for rows in _row_blocks(len(lefts), table.shape[1]):
+        tilts[rows], values[rows] = _max_mixture_rows(
+            table[lefts[rows]], table[rights[rows]], w
+        )
+    return tilts, values
 
 
 def _max_mixture_rows(
     l0: np.ndarray, l1: np.ndarray, w: np.ndarray
-) -> list[ChernoffOptimum]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``max_chernoff_mixtures`` on ``(rows, atoms)`` arrays of the pairs'
     left and right rates, all rows at once."""
     _, big, x, flip = _oriented(l0, l1)
@@ -247,18 +243,15 @@ def _max_mixture_rows(
         s = np.where(active, step, s)
         active &= ~done
     values = np.sum(w * chernoff_values(l0, l1, s[:, None]), axis=1)
-    return [
-        ChernoffOptimum(s_star=float(t), value=float(v) if ok else 0.0)
-        for t, v, ok in zip(s, values, live)
-    ]
+    return s, np.where(live, values, 0.0)
 
 
-def max_chernoff(lambda0: float, lambda1: float) -> ChernoffOptimum:
+def max_chernoff(lambda0: float, lambda1: float) -> tuple[float, float]:
     """Maximize ``C_s(lambda0, lambda1)`` of two rates over the tilt ``s``:
-    ``max_chernoff_mixtures`` on one pair of one-atom rows.  For equal rates
-    it is identically zero and ``s_star = 1/2`` by convention."""
-    (optimum,) = max_chernoff_mixtures([[lambda0], [lambda1]], [0], [1], [1.0])
-    return optimum
+    ``(s_star, value)`` by ``max_chernoff_mixtures`` on one-atom rows.  For
+    equal rates it is identically zero and ``s_star = 1/2`` by convention."""
+    (s_star,), (value,) = max_chernoff_mixtures([[lambda0], [lambda1]], [0], [1], [1.0])
+    return float(s_star), float(value)
 
 
 def golden_section_max(

@@ -23,7 +23,8 @@ moment at most ``r_ce``.  This module optimizes that objective:
   is claimed.
 
 Both return through ``ExponentSolution.certify``: every pair's exponent is
-evaluated on the returned ``q_star``, so beta is a certified lower bound.
+evaluated on the returned ``q_star``, held as arrays of tilts and values
+(``pair_exponents``), so beta is a certified lower bound.
 
 * ``convexity_margin`` and ``verify_claims`` check the structural facts
   behind the optimizer: convexity of the pairwise divergence in the control
@@ -50,7 +51,6 @@ from .constellation import (
     normalized_rates,
 )
 from .divergence import (
-    ChernoffOptimum,
     chernoff_values,
     golden_section_max,  # unused here; bench/tracing.py spans this binding
     max_chernoff_mixtures,
@@ -182,39 +182,47 @@ class ControlDistribution:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExponentSolution:
     """Result of an exponent optimization.
 
     Built by ``certify`` from every pair's exponent on ``q_star`` itself,
     so ``beta``, the least of them, is a certified achievability lower
-    bound: ``q_star`` is feasible and attains it.
+    bound: ``q_star`` is feasible and attains it.  Row p of the (P, 2) int
+    array ``pairs`` is a pair (l, m), with its maximizing tilt and exponent
+    at ``tilts[p]`` and ``values[p]``; the three are kept as read-only
+    copies.  Solutions compare by identity.
     """
 
     q_star: ControlDistribution
-    per_pair: tuple[tuple[tuple[int, int], float, float], ...]
+    pairs: np.ndarray
+    tilts: np.ndarray
+    values: np.ndarray
     method: str
-    diagnostics: dict = field(default_factory=dict, compare=False)
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("pairs", "tilts", "values"):
+            array = np.array(getattr(self, name))
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
 
     @property
     def beta(self) -> float:
-        return min(value for _, _, value in self.per_pair)
+        return float(self.values.min())
 
     @classmethod
     def certify(
         cls, q: ControlDistribution, constellation: PskConstellation,
         ratios: OperatingRatios, method: str, diagnostics: dict,
     ) -> "ExponentSolution":
-        """``q`` as a solution, with ``per_pair`` from ``pair_exponents`` on
-        every pair of ``constellation``: the one builder of solutions."""
-        pairs = constellation.pairs()
-        values = pair_exponents(q, pairs, constellation, ratios)
-        per_pair = tuple((pair, pv.s_star, pv.value) for pair, pv in zip(pairs, values))
-        return cls(q, per_pair, method, diagnostics)
+        """``q`` as a solution, from ``pair_exponents`` on every pair of
+        ``constellation``: the one builder of solutions."""
+        pairs = np.array(constellation.pairs())
+        tilts, values = pair_exponents(q, pairs, constellation, ratios)
+        return cls(q, pairs, tilts, values, method, diagnostics)
 
 
 def pair_exponents(
@@ -222,21 +230,20 @@ def pair_exponents(
     pairs: Sequence[tuple[int, int]],
     constellation: PskConstellation,
     ratios: OperatingRatios,
-) -> list[ChernoffOptimum]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Maximize s -> E_Q[C_s(Lambda_l(V), Lambda_m(V))] over s in [0, 1]
-    for every hypothesis pair (l, m) in ``pairs``.
+    for every hypothesis pair (l, m) in ``pairs`` (tuples or a (P, 2) array).
 
     One ``max_chernoff_mixtures`` call on the ``(states, atoms)`` rate table
-    of ``q``'s atoms solves all pairs; each pair's result is the one it gets
-    alone, and a pair whose rates agree at every atom returns (1/2, 0).
-    ``q`` is validated and each state's rates are computed once for all
-    pairs.
+    of ``q``'s atoms solves all pairs and gives its ``(tilts, values)``
+    arrays; each pair's entries are the ones it gets alone, and a pair whose
+    rates agree at every atom gets (1/2, 0).  ``q`` is validated and each
+    state's rates are computed once for all pairs.
     """
     q.validate_feasible(ratios)
     table = normalized_rates(q.points, constellation, ratios.r_sn)
-    return max_chernoff_mixtures(
-        table, [l for l, _ in pairs], [m for _, m in pairs], q.weights
-    )
+    lefts, rights = np.transpose(pairs)
+    return max_chernoff_mixtures(table, lefts, rights, q.weights)
 
 
 def pair_exponent(
@@ -244,9 +251,10 @@ def pair_exponent(
     pair: tuple[int, int],
     constellation: PskConstellation,
     ratios: OperatingRatios,
-) -> ChernoffOptimum:
-    """One pair's mixture exponent: ``pair_exponents`` for a single pair."""
-    return pair_exponents(q, [pair], constellation, ratios)[0]
+) -> tuple[float, float]:
+    """One pair's ``(s_star, value)``: ``pair_exponents`` for a single pair."""
+    (s_star,), (value,) = pair_exponents(q, [pair], constellation, ratios)
+    return float(s_star), float(value)
 
 
 def exponent_of(
@@ -255,10 +263,8 @@ def exponent_of(
     ratios: OperatingRatios,
 ) -> float:
     """Worst hypothesis pair's exponent: min over pairs of the pair values."""
-    return min(
-        pv.value
-        for pv in pair_exponents(q, constellation.pairs(), constellation, ratios)
-    )
+    _, values = pair_exponents(q, constellation.pairs(), constellation, ratios)
+    return float(values.min())
 
 
 def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
@@ -386,22 +392,18 @@ def optimize_general(
     refactorizations (``lp_refactorizations``) summed over the rounds.
     """
     grid = control_grid(grid_k, ratios)
-    pairs = constellation.pairs()
-    lefts = np.array([l for l, _ in pairs])
-    rights = np.array([m for _, m in pairs])
+    lefts, rights = np.array(constellation.pairs()).T
     grid_energy = np.abs(grid) ** 2
     rate_table = normalized_rates(grid, constellation, ratios.r_sn)
 
-    def tilt_step(x: np.ndarray) -> tuple[list[ChernoffOptimum], float]:
+    def tilt_step(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         support = x > 0.0
-        per_pair = max_chernoff_mixtures(
-            rate_table[:, support], lefts, rights, x[support]
-        )
-        return per_pair, min(pv.value for pv in per_pair)
+        return max_chernoff_mixtures(rate_table[:, support], lefts, rights, x[support])
 
     feasible = ratios.within_budget(grid_energy)
     x = feasible / np.count_nonzero(feasible)
-    per_pair, beta = tilt_step(x)
+    tilts, values = tilt_step(x)
+    beta = float(values.min())
     best_x, best_beta = x, beta
     converged = False
     iterations = 0
@@ -411,9 +413,7 @@ def optimize_general(
         # LP over (Q, t): maximize t with E_Q[C_{s_pair}] >= t per pair,
         # on the pair rows that bind, from the M lowest at x (the tilt
         # step's values, E_x[C_{s_pair}]).
-        tilts = np.array([pv.s_star for pv in per_pair])
-        values = np.array([pv.value for pv in per_pair])
-        violated = np.zeros(len(pairs), dtype=bool)
+        violated = np.zeros(len(lefts), dtype=bool)
         violated[np.argsort(values, kind="stable")[: constellation.num_states]] = True
         active = np.zeros_like(violated)
         solves = []
@@ -451,7 +451,8 @@ def optimize_general(
             w0 = (energy - ratios.r_ce) / energy
             x = (1.0 - w0) * x
             x[0] += w0
-        per_pair, beta = tilt_step(x)
+        tilts, values = tilt_step(x)
+        beta = float(values.min())
         converged = beta - best_beta <= IMPROVEMENT_TOL * best_beta
         if beta > best_beta:
             best_x, best_beta = x, beta
@@ -553,12 +554,11 @@ def verify_claims() -> dict:
     # 20 point masses, each one pair of rows (2i, 2i + 1) of a one-atom table.
     points = np.minimum(np.linspace(0.05, 1.0, 20), math.sqrt(ratios_low.r_ce))
     table = normalized_rates(points, constellation, ratios_low.r_sn).T.reshape(-1, 1)
-    tilts = max_chernoff_mixtures(table, range(0, 40, 2), range(1, 40, 2), [1.0])
-    pair_tilts = [pv.s_star for pv in tilts]
+    pair_tilts, _ = max_chernoff_mixtures(table, range(0, 40, 2), range(1, 40, 2), [1.0])
     tilt_ok = (
         bool(np.all((tilt_values > 0.0) & (tilt_values < 0.5)))
         and bool(np.all(np.diff(tilt_values) > 0.0))
-        and all(0.0 < s <= 0.5 for s in pair_tilts)
+        and bool(np.all((pair_tilts > 0.0) & (pair_tilts <= 0.5)))
     )
     checks.append(
         dict(
@@ -566,7 +566,7 @@ def verify_claims() -> dict:
             passed=tilt_ok,
             details={
                 "ratio_tilt_range": [float(tilt_values.min()), float(tilt_values.max())],
-                "pair_tilt_range": [float(min(pair_tilts)), float(max(pair_tilts))],
+                "pair_tilt_range": [float(pair_tilts.min()), float(pair_tilts.max())],
             },
         )
     )
@@ -574,15 +574,15 @@ def verify_claims() -> dict:
     # (3) finite-dark counterexample: interior mass beats time-sharing.
     solution = optimize_binary(ratios_low)
     ts = ControlDistribution.time_sharing(ratios_low.r_ce)
-    ts_value = pair_exponent(ts, (0, 1), constellation, ratios_low).value
+    _, ts_value = pair_exponent(ts, (0, 1), constellation, ratios_low)
     margin = solution.beta - ts_value
-    kennedy = max_chernoff(*normalized_rates(1.0, constellation, ratios_low.r_sn))
+    _, kennedy = max_chernoff(*normalized_rates(1.0, constellation, ratios_low.r_sn))
     notes.append(
         "full-budget point exponent at r_sn="
-        f"{ratios_low.r_sn:g} is {kennedy.value:.4f} by the stationarity "
+        f"{ratios_low.r_sn:g} is {kennedy:.4f} by the stationarity "
         f"identity (the value 2.1359 sometimes quoted for r_sn=0.01 is "
-        f"inconsistent: {ratios_low.r_ce:g} x {kennedy.value:.4f} = "
-        f"{ratios_low.r_ce * kennedy.value:.4f} matches the time-sharing "
+        f"inconsistent: {ratios_low.r_ce:g} x {kennedy:.4f} = "
+        f"{ratios_low.r_ce * kennedy:.4f} matches the time-sharing "
         "reference, 2.1359 does not)"
     )
     checks.append(
@@ -610,7 +610,7 @@ def verify_claims() -> dict:
         budget_ratios = replace(VERIFY_RATIOS_HIGH, r_ce=float(r_ce))
         beta = optimize_binary(budget_ratios).beta
         ts = ControlDistribution.time_sharing(budget_ratios.r_ce)
-        ts_value = pair_exponent(ts, (0, 1), constellation, budget_ratios).value
+        _, ts_value = pair_exponent(ts, (0, 1), constellation, budget_ratios)
         gaps.append((beta - ts_value) / beta)
     checks.append(
         dict(

@@ -91,7 +91,12 @@ def solve_record(solution) -> dict:
     """beta, ``q_star``'s atoms ("re im weight") and ``per_pair`` ("l m
     s_star value") of a solve, in hex."""
     atoms = [f"{p.real.hex()} {p.imag.hex()} {w.hex()}" for p, w in solution.q_star.atoms]
-    pairs = [f"{l} {m} {s.hex()} {v.hex()}" for (l, m), s, v in solution.per_pair]
+    pairs = [
+        f"{l} {m} {s.hex()} {v.hex()}"
+        for (l, m), s, v in zip(
+            solution.pairs.tolist(), solution.tilts.tolist(), solution.values.tolist()
+        )
+    ]
     return {"beta": solution.beta.hex(), "q_star": atoms, "per_pair": pairs}
 
 

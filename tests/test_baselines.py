@@ -146,12 +146,12 @@ class TestFixedDisplacementExponent:
         # A symmetry-breaking complex displacement separates every pair.
         v = 0.3 + 0.4j
         got = point_mass_exponent(v, con, ratios)
-        per_pair = [
-            pair_exponent(ControlDistribution.point_mass(v), pair, con, ratios).value
+        values = [
+            pair_exponent(ControlDistribution.point_mass(v), pair, con, ratios)[1]
             for pair in con.pairs()
         ]
         assert got > 0.0
-        assert got == pytest.approx(min(per_pair), rel=1e-12)
+        assert got == pytest.approx(min(values), rel=1e-12)
 
     def test_rejects_constraint_violations(self):
         """Disk and budget preconditions are enforced."""

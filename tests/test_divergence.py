@@ -25,7 +25,6 @@ from pskexp.divergence import (
     BRENT_RTOL,
     EQUAL_RATE_RTOL,
     POLISH_EVALUATIONS,
-    ChernoffOptimum,
     brent_root,
     chernoff_values,
     golden_section_max,
@@ -74,10 +73,9 @@ class TestRatePair:
     def test_degenerate_detection(self):
         """Rates equal up to relative rounding get the (1/2, 0) convention;
         rates just apart are solved."""
-        degenerate = ChernoffOptimum(s_star=0.5, value=0.0)
-        assert max_chernoff(5.0, 5.0) == degenerate
-        assert max_chernoff(5.0, 5.0 * (1.0 + 0.5 * EQUAL_RATE_RTOL)) == degenerate
-        assert max_chernoff(5.0, 5.0001).value > 0.0
+        assert max_chernoff(5.0, 5.0) == (0.5, 0.0)
+        assert max_chernoff(5.0, 5.0 * (1.0 + 0.5 * EQUAL_RATE_RTOL)) == (0.5, 0.0)
+        assert max_chernoff(5.0, 5.0001)[1] > 0.0
 
 
 class TestPoissonLogPmf:
@@ -252,7 +250,7 @@ class TestChernoffValues:
         got = chernoff_values(l0, l1, s_star_log)
         assert got.tobytes() == chernoff_values(l1, l0, s_star_log).tobytes()
         for value, a, b in zip(got, l0, l1):
-            assert value == pytest.approx(max_chernoff(a, b).value, rel=1e-12)
+            assert value == pytest.approx(max_chernoff(a, b)[1], rel=1e-12)
 
 
 class TestChernoffSeries:
@@ -427,36 +425,37 @@ class TestMaxChernoff:
     """Validate the maximization over the tilt."""
 
     def test_degenerate_convention(self):
-        """Equal rates return (1/2, 0) exactly."""
+        """Equal rates return (1/2, 0) exactly, as a tuple of Python floats."""
         opt = max_chernoff(5.0, 5.0)
-        assert opt == ChernoffOptimum(s_star=0.5, value=0.0)
+        assert opt == (0.5, 0.0)
+        assert type(opt) is tuple and [type(x) for x in opt] == [float, float]
 
     def test_low_snr_extremal_pair(self):
         """Frozen optimum of the near-extremal low-SNR pair."""
-        opt = max_chernoff(PAIR_LOW.lambda0, PAIR_LOW.lambda1)
-        assert opt.value == pytest.approx(PAIR_LOW_MAX, abs=1e-10)
-        assert opt.s_star == pytest.approx(PAIR_LOW_S_STAR, abs=1e-8)
+        s_star, value = max_chernoff(PAIR_LOW.lambda0, PAIR_LOW.lambda1)
+        assert value == pytest.approx(PAIR_LOW_MAX, abs=1e-10)
+        assert s_star == pytest.approx(PAIR_LOW_S_STAR, abs=1e-8)
 
     def test_full_displacement_pair(self):
         """Frozen optimum of the full-displacement pair."""
-        opt = max_chernoff(PAIR_FULL.lambda0, PAIR_FULL.lambda1)
-        assert opt.value == pytest.approx(PAIR_FULL_MAX, abs=1e-10)
-        assert opt.s_star == pytest.approx(PAIR_FULL_S_STAR, abs=1e-8)
+        s_star, value = max_chernoff(PAIR_FULL.lambda0, PAIR_FULL.lambda1)
+        assert value == pytest.approx(PAIR_FULL_MAX, abs=1e-10)
+        assert s_star == pytest.approx(PAIR_FULL_S_STAR, abs=1e-8)
 
     def test_stationarity_identity(self):
         """At s*, C_{s*} = s*l0 + (1-s*)l1 - (l1-l0)/log(l1/l0)."""
         l0, l1 = PAIR_FULL.lambda0, PAIR_FULL.lambda1
-        opt = max_chernoff(PAIR_FULL.lambda0, PAIR_FULL.lambda1)
-        closed = opt.s_star * l0 + (1.0 - opt.s_star) * l1 - (l1 - l0) / math.log(l1 / l0)
-        assert opt.value == pytest.approx(closed, abs=1e-8)
+        s_star, value = max_chernoff(PAIR_FULL.lambda0, PAIR_FULL.lambda1)
+        closed = s_star * l0 + (1.0 - s_star) * l1 - (l1 - l0) / math.log(l1 / l0)
+        assert value == pytest.approx(closed, abs=1e-8)
 
     @given(l0=positive_rates, l1=positive_rates)
     def test_value_dominates_interior_samples(self, l0: float, l1: float):
         """The reported maximum is >= C_s at sampled tilts."""
         pair = RatePair(l0, l1)
-        opt = max_chernoff(pair.lambda0, pair.lambda1)
+        _, value = max_chernoff(pair.lambda0, pair.lambda1)
         for s in (0.2, 0.5, 0.8):
-            assert opt.value >= chernoff_s(pair, s) - 1e-12
+            assert value >= chernoff_s(pair, s) - 1e-12
 
 
 @st.composite
@@ -545,9 +544,10 @@ class TestPairKernelBlocks:
         monkeypatch.setattr(divergence, "BLOCK_ELEMENTS", 1 << 40)
         want = max_chernoff_mixtures(table, lefts, rights, weights)
         monkeypatch.setattr(divergence, "BLOCK_ELEMENTS", budget)
-        got = max_chernoff_mixtures(table, lefts, rights, weights)
-        assert got == want
-        assert got[0] == got[9] == ChernoffOptimum(s_star=0.5, value=0.0)
+        tilts, values = max_chernoff_mixtures(table, lefts, rights, weights)
+        assert (tilts.tobytes(), values.tobytes()) == tuple(a.tobytes() for a in want)
+        assert tilts[[0, 9]].tolist() == [0.5, 0.5]
+        assert values[[0, 9]].tolist() == [0.0, 0.0]
 
 
 class TestMaxChernoffMixtures:
@@ -556,7 +556,7 @@ class TestMaxChernoffMixtures:
     @given(problem=bpsk_rows())
     def test_left_half_when_lambda0_is_below_lambda1(self, problem):
         """s* lies in (0, 1/2] whenever every atom has lambda0 <= lambda1."""
-        ((s_star, value),) = solve_rows(*problem)
+        (s_star,), (value,) = solve_rows(*problem)
         assert 0.0 < s_star <= 0.5
         assert value >= 0.0
 
@@ -568,8 +568,8 @@ class TestMaxChernoffMixtures:
         forward = solve_rows(l0, l1, weights)
         backward = solve_rows(l1, l0, weights)
         scales = np.maximum(l0, l1) @ weights
-        for (s, value), (s_swapped, value_swapped), scale in zip(
-            forward, backward, scales
+        for s, value, s_swapped, value_swapped, scale in zip(
+            *forward, *backward, scales
         ):
             assert s_swapped == pytest.approx(1.0 - s, abs=1e-9)
             assert value_swapped == pytest.approx(value, rel=1e-9, abs=1e-15 * scale)
@@ -579,15 +579,16 @@ class TestMaxChernoffMixtures:
         """Each row's result is bit for bit the one it gets alone."""
         l0, l1, weights = problem
         alone = [
-            solve_rows(l0[i : i + 1], l1[i : i + 1], weights)[0]
+            solve_rows(l0[i : i + 1], l1[i : i + 1], weights)
             for i in range(len(l0))
         ]
-        assert solve_rows(l0, l1, weights) == alone
+        # Side by side, the lone (tilts, values) form the (2, rows) result.
+        assert np.array_equal(np.hstack(alone), solve_rows(l0, l1, weights))
 
     @given(ratio=st.floats(min_value=1e-300, max_value=1.0 - 1e-9))
     def test_point_mass_matches_the_ratio_form(self, ratio):
         """A single atom's tilt is the closed form S(l0/l1)."""
-        assert max_chernoff(ratio, 1.0).s_star == pytest.approx(
+        assert max_chernoff(ratio, 1.0)[0] == pytest.approx(
             s_star_log(math.log(ratio)), abs=1e-10
         )
 
@@ -596,9 +597,9 @@ class TestMaxChernoffMixtures:
         live row."""
         l0 = np.array([[1.0, 2.0], [1.0, 2.0]])
         l1 = np.array([[1.0, 2.0], [1.5, 2.0]])
-        flat, live = solve_rows(l0, l1, [0.5, 0.5])
-        assert flat == ChernoffOptimum(s_star=0.5, value=0.0)
-        assert live.value > 0.0
+        tilts, values = solve_rows(l0, l1, [0.5, 0.5])
+        assert (tilts[0], values[0]) == (0.5, 0.0)
+        assert values[1] > 0.0
 
 
 class TestSStarRatio:
@@ -630,8 +631,8 @@ class TestSStarRatio:
     def test_consistent_with_direct_maximization(self):
         """S(l0/l1) matches the golden-section maximizer argument."""
         for l0, l1 in [(0.01, 4.01), (0.5, 3.0), (1.0, 1.2), (0.0126334, 3.8073666)]:
-            opt = max_chernoff(l0, l1)
-            assert s_star_log(math.log(l0 / l1)) == pytest.approx(opt.s_star, abs=1e-6)
+            s_star, _ = max_chernoff(l0, l1)
+            assert s_star_log(math.log(l0 / l1)) == pytest.approx(s_star, abs=1e-6)
 
     def test_log_form_matches_and_reaches_below_the_normal_range(self):
         """s_star_log gives a float the value it gives the same x in an
@@ -694,8 +695,8 @@ class TestTiltedRate:
 
     def test_full_pair_at_optimum(self):
         """Tilted rate at s* equals (l1 - l0)/log(l1/l0) = 4/log(401)."""
-        opt = max_chernoff(PAIR_FULL.lambda0, PAIR_FULL.lambda1)
-        got = tilted_rate(PAIR_FULL, opt.s_star)
+        s_star, _ = max_chernoff(PAIR_FULL.lambda0, PAIR_FULL.lambda1)
+        got = tilted_rate(PAIR_FULL, s_star)
         assert got == pytest.approx(PAIR_FULL_TILTED, abs=1e-8)
         assert got == pytest.approx(4.0 / math.log(401.0), abs=1e-8)
 
@@ -718,4 +719,4 @@ class TestTiltedRate:
             value = chernoff_s(pair, s)
             assert d0 == pytest.approx(d1, abs=1e-9)
             assert d0 == pytest.approx(value, abs=1e-9)
-            assert value == pytest.approx(max_chernoff(lo, hi).value, abs=1e-9)
+            assert value == pytest.approx(max_chernoff(lo, hi)[1], abs=1e-9)

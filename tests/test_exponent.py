@@ -32,7 +32,6 @@ from pskexp.divergence import (
     EQUAL_RATE_RTOL,
     GOLDEN_MAX_ITER,
     GOLDEN_TOL,
-    ChernoffOptimum,
     chernoff_values,
     max_chernoff_mixtures,
     s_star_log,
@@ -129,8 +128,8 @@ def mp_golden_max(f, lo, hi, steps):
 
 
 def reference_pair_exponent(q, pair, constellation, ratios):
-    """One pair's tilt solve on its own: scalar golden search over
-    ``np.dot(weights, chernoff_values(rates_l, rates_m, s))``.
+    """One pair's tilt solve on its own, ``(s_star, value)``: scalar golden
+    search over ``np.dot(weights, chernoff_values(rates_l, rates_m, s))``.
 
     Oracle for ``pair_exponents``, which solves all pairs with Newton steps
     and must reach the same values.
@@ -141,14 +140,14 @@ def reference_pair_exponent(q, pair, constellation, ratios):
     rates_l, rates_m = table[l], table[m]
     scale = np.maximum(rates_l, rates_m)
     if np.all(np.abs(rates_l - rates_m) <= EQUAL_RATE_RTOL * scale):
-        return ChernoffOptimum(s_star=0.5, value=0.0)
+        return 0.5, 0.0
     weights = q.weights
 
     def objective(s):
         return float(np.dot(weights, chernoff_values(rates_l, rates_m, s)))
 
     s_star, value = reference_golden_section_max(objective, 0.0, 1.0)
-    return ChernoffOptimum(s_star=s_star, value=max(value, 0.0))
+    return s_star, max(value, 0.0)
 
 
 @st.composite
@@ -320,24 +319,48 @@ class TestExponentSolution:
         """Negative exponents are rejected."""
         q = ControlDistribution.point_mass(0.5)
         with pytest.raises(ValueError, match="nonnegative"):
-            ExponentSolution(q_star=q, per_pair=(((0, 1), 0.3, -1.0),), method="test")
+            ExponentSolution(
+                q_star=q, pairs=[(0, 1)], tilts=[0.3], values=[-1.0], method="test"
+            )
 
     def test_certify_evaluates_every_pair_on_q(self):
         """``certify`` on a hand-made 4-PSK q gives, bit for bit, the
-        ``pair_exponents`` of every pair as ``per_pair``, and beta equal to
-        ``exponent_of``."""
+        ``pair_exponents`` of every pair as ``tilts`` and ``values``, and
+        beta equal to ``exponent_of``."""
         con = uniform_psk(4)
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.5)
         q = ControlDistribution.from_arrays(
             [0.0, 0.6, 0.5j, -0.4 - 0.3j], [0.4, 0.3, 0.2, 0.1]
         )
         sol = ExponentSolution.certify(q, con, ratios, "test", {"note": 1})
-        expected = pair_exponents(q, con.pairs(), con, ratios)
-        assert sol.per_pair == tuple(
-            (pair, pv.s_star, pv.value) for pair, pv in zip(con.pairs(), expected)
-        )
+        tilts, values = pair_exponents(q, con.pairs(), con, ratios)
+        assert sol.pairs.tolist() == [list(pair) for pair in con.pairs()]
+        assert sol.tilts.tobytes() == tilts.tobytes()
+        assert sol.values.tobytes() == values.tobytes()
         assert sol.beta == exponent_of(q, con, ratios)
         assert (sol.q_star, sol.method, sol.diagnostics) == (q, "test", {"note": 1})
+
+    def test_per_pair_arrays(self):
+        """Row i of ``pairs`` is ``constellation.pairs()[i]``, ``beta`` is a
+        Python float equal to the least of ``values``, and the stored arrays
+        are read-only copies: writing into them raises, and writing into the
+        caller's arrays leaves the record as it was."""
+        con = uniform_psk(5)
+        ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=0.5)
+        q = ControlDistribution.from_arrays([0.0, 0.6, 0.5j], [0.4, 0.3, 0.3])
+        sol = ExponentSolution.certify(q, con, ratios, "test", {})
+        assert sol.pairs.shape == (len(con.pairs()), 2)
+        for i, pair in enumerate(con.pairs()):
+            assert tuple(sol.pairs[i].tolist()) == pair
+        assert type(sol.beta) is float
+        assert sol.beta == sol.values.min()
+        for array in (sol.pairs, sol.tilts, sol.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        values = np.array([0.25, 0.5])
+        mine = ExponentSolution(q, [(0, 1), (0, 2)], [0.4, 0.3], values, "test")
+        values[0] = -1.0
+        assert mine.values.tolist() == [0.25, 0.5] and mine.beta == 0.25
 
 
 class TestPairExponent:
@@ -348,42 +371,46 @@ class TestPairExponent:
         got = pair_exponent(
             ControlDistribution.point_mass(0.0), (0, 1), BPSK, RATIOS_LOW
         )
-        assert got == ChernoffOptimum(s_star=0.5, value=0.0)
+        assert got == (0.5, 0.0)
 
     def test_full_displacement_point_mass(self):
         """Frozen optimum of the rate pair (0.01, 4.01)."""
         ratios = OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=1.0)
-        got = pair_exponent(ControlDistribution.point_mass(1.0), (0, 1), BPSK, ratios)
-        assert got.value == pytest.approx(FULL_POINT_VALUE, abs=1e-9)
-        assert got.s_star == pytest.approx(FULL_POINT_S_STAR, abs=1e-6)
+        s_star, value = pair_exponent(
+            ControlDistribution.point_mass(1.0), (0, 1), BPSK, ratios
+        )
+        assert value == pytest.approx(FULL_POINT_VALUE, abs=1e-9)
+        assert s_star == pytest.approx(FULL_POINT_S_STAR, abs=1e-6)
 
     def test_time_sharing_mixture_value(self):
         """Mixing with the origin scales the objective by the mass at 1."""
-        got = pair_exponent(
+        s_star, value = pair_exponent(
             ControlDistribution.time_sharing(0.9), (0, 1), BPSK, RATIOS_LOW
         )
-        assert got.value == pytest.approx(TIME_SHARING_09_VALUE, abs=1e-9)
+        assert value == pytest.approx(TIME_SHARING_09_VALUE, abs=1e-9)
         # The origin atom contributes zero at every s, so the maximizing
         # tilt coincides with the full-displacement one.
-        assert got.s_star == pytest.approx(FULL_POINT_S_STAR, abs=1e-6)
+        assert s_star == pytest.approx(FULL_POINT_S_STAR, abs=1e-6)
 
     def test_mixture_value_is_weighted_chernoff(self):
         """At fixed s the mixture objective is the weighted sum of C_s."""
         q = ControlDistribution.from_arrays([0.2, 0.8], [0.5, 0.5])
-        got = pair_exponent(q, (0, 1), BPSK, RATIOS_LOW)
-        direct = 0.5 * chernoff_s(bpsk_rates(0.2, 0.01), got.s_star) + 0.5 * chernoff_s(
-            bpsk_rates(0.8, 0.01), got.s_star
+        s_star, value = pair_exponent(q, (0, 1), BPSK, RATIOS_LOW)
+        direct = 0.5 * chernoff_s(bpsk_rates(0.2, 0.01), s_star) + 0.5 * chernoff_s(
+            bpsk_rates(0.8, 0.01), s_star
         )
-        assert got.value == pytest.approx(direct, rel=1e-12)
+        assert value == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("v", [1e-5, 1e-6, 1e-7])
     def test_nearly_equal_rates_match_the_ratio_form(self, v):
         """A point mass near the origin keeps s* inside (0, 1/2], at the
         closed-form tilt of its rate ratio."""
-        got = pair_exponent(ControlDistribution.point_mass(v), (0, 1), BPSK, RATIOS_LOW)
+        s_star, _ = pair_exponent(
+            ControlDistribution.point_mass(v), (0, 1), BPSK, RATIOS_LOW
+        )
         rates = bpsk_rates(v, 0.01)
-        assert got.s_star <= 0.5
-        assert got.s_star == pytest.approx(
+        assert s_star <= 0.5
+        assert s_star == pytest.approx(
             s_star_log(math.log(rates.lambda0 / rates.lambda1)), abs=1e-9
         )
 
@@ -395,8 +422,8 @@ class TestPairExponent:
         """The nulled rate is r_sn itself, so the exponent at v = 1 keeps
         growing as r_sn shrinks instead of freezing at a floor."""
         ratios = OperatingRatios(r_sn=r_sn, r_ca=1.0, r_ce=1.0)
-        got = pair_exponent(ControlDistribution.point_mass(1.0), (0, 1), BPSK, ratios)
-        assert got.value == pytest.approx(value, abs=1e-12)
+        _, got = pair_exponent(ControlDistribution.point_mass(1.0), (0, 1), BPSK, ratios)
+        assert got == pytest.approx(value, abs=1e-12)
 
     def test_infeasible_distribution_rejected(self):
         """The distribution must satisfy the operating constraints."""
@@ -423,13 +450,14 @@ class TestPairExponents:
         con = uniform_psk(m)
         ratios = OperatingRatios(r_sn=10.0**log_r, r_ca=1.0, r_ce=1.0)
         pairs = con.pairs()
-        got = pair_exponents(q, pairs, con, ratios)
-        want = [reference_pair_exponent(q, pair, con, ratios) for pair in pairs]
-        for pv, ref in zip(got, want):
-            assert pv.value == pytest.approx(ref.value, abs=1e-9)
-            assert pv.value >= ref.value - 1e-15
+        tilts, values = pair_exponents(q, pairs, con, ratios)
+        want = [reference_pair_exponent(q, pair, con, ratios)[1] for pair in pairs]
+        for value, ref in zip(values, want):
+            assert value == pytest.approx(ref, abs=1e-9)
+            assert value >= ref - 1e-15
         if np.all(q.points == 0):
-            assert got == [ChernoffOptimum(s_star=0.5, value=0.0)] * len(pairs)
+            assert tilts.tolist() == [0.5] * len(pairs)
+            assert values.tolist() == [0.0] * len(pairs)
 
     @given(
         q=mixtures(),
@@ -442,14 +470,15 @@ class TestPairExponents:
             [complex(abs(p.real), p.imag) for p in q.points], q.weights
         )
         ratios = OperatingRatios(r_sn=10.0**log_r, r_ca=1.0, r_ce=1.0)
-        assert 0.0 < pair_exponent(q, (0, 1), BPSK, ratios).s_star <= 0.5
+        assert 0.0 < pair_exponent(q, (0, 1), BPSK, ratios)[0] <= 0.5
 
     def test_any_pair_order_and_subset(self):
         """Each pair's value does not depend on which pairs share the call."""
         con = uniform_psk(4)
         q = ControlDistribution.from_arrays([0.0, 0.6, 0.8j, -0.5], [1, 2, 3, 4])
         pairs = [(2, 3), (0, 1), (1, 3)]
-        got = pair_exponents(q, pairs, con, RATIOS_LOW)
+        tilts, values = pair_exponents(q, pairs, con, RATIOS_LOW)
+        got = list(zip(tilts.tolist(), values.tolist()))
         assert got == [pair_exponent(q, pair, con, RATIOS_LOW) for pair in pairs]
 
 
@@ -514,8 +543,8 @@ class TestOptimizeBinary:
         assert exponent_of(sol.q_star, BPSK, RATIOS_LOW) == pytest.approx(
             sol.beta, abs=1e-9
         )
-        ((pair, s_star, value),) = sol.per_pair
-        assert pair == (0, 1)
+        (pair,), (s_star,), (value,) = sol.pairs.tolist(), sol.tilts, sol.values
+        assert pair == [0, 1]
         assert 0.0 < s_star <= 0.5
         assert value == pytest.approx(sol.beta, abs=1e-12)
 
@@ -681,8 +710,8 @@ class TestOptimizeBinary:
                 [weights * ((atoms - 1.0) ** 2 + r), weights * ((atoms + 1.0) ** 2 + r)]
             )
             n = len(atoms)
-            mixtures = max_chernoff_mixtures(table, range(n), range(n, 2 * n), np.ones(2))
-            best = max(m.value for m in mixtures)
+            _, values = max_chernoff_mixtures(table, range(n), range(n, 2 * n), np.ones(2))
+            best = values.max()
             assert sol.beta >= best - 1e-12, (r, ca, ce, sol.beta - best)
 
     @pytest.mark.slow
@@ -987,9 +1016,9 @@ def ascent_steps_of(m, r_sn, r_ce, grid_k, solve):
     tilt_step = exponent.max_chernoff_mixtures
 
     def capture_tilts(*args):
-        optima = tilt_step(*args)
-        fresh[:] = [[pv.s_star for pv in optima]]
-        return optima
+        tilts, values = tilt_step(*args)
+        fresh[:] = [tilts.tolist()]
+        return tilts, values
 
     def capture(coeffs, energy, budget):
         if fresh:
@@ -1416,5 +1445,5 @@ class TestFeasibilityProperties:
         """The maximized pair value is >= the objective at any fixed tilt."""
         # v stays below sqrt(0.9) so the point mass respects the budget.
         q = ControlDistribution.point_mass(v)
-        got = pair_exponent(q, (0, 1), BPSK, RATIOS_LOW)
-        assert got.value >= chernoff_s(bpsk_rates(v, 0.01), s) - 1e-10
+        _, value = pair_exponent(q, (0, 1), BPSK, RATIOS_LOW)
+        assert value >= chernoff_s(bpsk_rates(v, 0.01), s) - 1e-10

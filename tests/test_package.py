@@ -17,3 +17,11 @@ def test_root_leaves_out_the_scalar_search():
     it for the benchmark's tracer."""
     assert not hasattr(pskexp, "golden_section_max")
     assert pskexp.exponent.golden_section_max is pskexp.divergence.golden_section_max
+
+
+def test_per_pair_record_type_is_gone():
+    """Per-pair results are arrays: no ``ChernoffOptimum`` record type is
+    exported from the root or defined in ``pskexp.divergence``."""
+    assert "ChernoffOptimum" not in pskexp.__all__
+    assert not hasattr(pskexp, "ChernoffOptimum")
+    assert not hasattr(pskexp.divergence, "ChernoffOptimum")
