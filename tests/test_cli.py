@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: cannot write {out}: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
         assert list((tmp_path / "sub").iterdir()) == []
+
+
+    @pytest.mark.parametrize(
+        "umask, mode",
+        [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+        ids=["umask022", "umask077", "umask002"],
+    )
+    def test_out_file_gets_the_mode_a_plain_write_gives(self, tmp_path, umask, mode):
+        """--out leaves a file with mode 0666 less the umask, as ``open``
+        would, not the temp file's 0600."""
+        out = tmp_path / "o.json"
+        old = os.umask(umask)
+        try:
+            code = main(["exponent", "--r-sn", "0.01", "--r-ce", "0", "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert code == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 class TestSnrFlag:
