@@ -19,9 +19,12 @@ def test_root_leaves_out_the_scalar_search():
     assert pskexp.exponent.golden_section_max is pskexp.divergence.golden_section_max
 
 
-def test_per_pair_record_type_is_gone():
-    """Per-pair results are arrays: no ``ChernoffOptimum`` record type is
-    exported from the root or defined in ``pskexp.divergence``."""
-    assert "ChernoffOptimum" not in pskexp.__all__
-    assert not hasattr(pskexp, "ChernoffOptimum")
-    assert not hasattr(pskexp.divergence, "ChernoffOptimum")
+def test_divergence_exports_functions_only():
+    """Per-pair results are arrays, so ``pskexp.divergence`` defines no
+    record type, and the root exports only its three functions."""
+    module = pskexp.divergence
+    assert [v for v in vars(module).values() if isinstance(v, type)] == []
+    from_divergence = [
+        name for name in pskexp.__all__ if getattr(pskexp, name).__module__ == module.__name__
+    ]
+    assert from_divergence == ["chernoff_values", "max_chernoff", "max_chernoff_mixtures"]
