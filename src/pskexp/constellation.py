@@ -59,11 +59,11 @@ class OperatingRatios:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.r_sn) or self.r_sn <= 0.0:
-            raise ValueError(f"r_sn must be positive, got {self.r_sn!r}")
+            raise ValueError(f"r_sn must be positive and finite, got {self.r_sn!r}")
         if not math.isfinite(self.r_ca) or self.r_ca <= 0.0:
-            raise ValueError(f"r_ca must be positive, got {self.r_ca!r}")
+            raise ValueError(f"r_ca must be positive and finite, got {self.r_ca!r}")
         if not math.isfinite(self.r_ce) or self.r_ce < 0.0:
-            raise ValueError(f"r_ce must be nonnegative, got {self.r_ce!r}")
+            raise ValueError(f"r_ce must be finite and nonnegative, got {self.r_ce!r}")
         # A budget whose point mass, at sqrt(r_ce), leaves the disk is beyond
         # r_ca**2: unusable, so it flags a misconfigured run.
         if not self.in_disk(math.sqrt(self.r_ce)):
@@ -103,10 +103,11 @@ class PskConstellation:
     def num_states(self) -> int:
         return len(self.phases)
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """All unordered hypothesis pairs (l, m) with l < m."""
-        M = self.num_states
-        return [(l, m) for l in range(M) for m in range(l + 1, M)]
+    def pairs(self) -> np.ndarray:
+        """Every pair (l, m), l < m, by l then m: a read-only (P, 2) int array."""
+        pairs = np.column_stack(np.triu_indices(self.num_states, 1))
+        pairs.flags.writeable = False
+        return pairs
 
     @functools.cached_property
     def state_points(self) -> tuple[complex, ...]:
@@ -190,10 +191,10 @@ def control_grid(grid_k: int, ratios: OperatingRatios) -> np.ndarray:
     """
     if grid_k < 1:
         raise ValueError(f"grid_k must be >= 1, got {grid_k!r}")
-    points = [0.0 + 0.0j]
-    for i in range(1, grid_k + 1):
-        rho = ratios.r_ca * i / grid_k
-        for j in range(grid_k):
-            theta = 2.0 * math.pi * j / grid_k
-            points.append(rho * cmath.exp(1j * theta))
-    return np.array(points, dtype=complex)
+    moduli = ratios.r_ca * np.arange(1, grid_k + 1)[:, None] / grid_k
+    ring = np.exp(1j * (2.0 * math.pi * np.arange(grid_k) / grid_k))
+    # Python's complex product, each part rounded on its own: numpy's may
+    # keep the sign of a part that underflows (r_ca below about 1e-307).
+    real = moduli * ring.real - 0.0 * ring.imag
+    imag = moduli * ring.imag + 0.0 * ring.real
+    return np.append(0j, np.stack((real, imag), axis=-1).view(complex))

@@ -13,21 +13,21 @@ Poisson laws.  The rates are finite and positive: every mean the package
 forms comes from ``normalized_rates`` with the dark ratio ``r_sn > 0``.
 ``chernoff_values`` is the package's one evaluator of ``C_s``, without
 cancellation between the rates (the optimizers and ``convexity_margin``
-call it).  This module also maximizes mixtures of it over ``s`` with one
-safeguarded Newton solver (``max_chernoff_mixtures``; ``max_chernoff`` is
-its case of two rates); ``s_star_log`` gives a single pair's maximizer in
-closed form.  ``max_chernoff_mixtures`` takes a table of rates and the
-indices of each pair's two rows, returns the pairs' tilts and maxima as
-float arrays, and walks the pairs in row blocks of at most
-``BLOCK_ELEMENTS`` elements, so its working set does not grow with the
-number of pairs.
+call it); its tilts are floats or arrays.  ``oriented`` orders each pair's
+rates and gives their log-ratio, of which ``s_star_log`` gives a single
+pair's maximizer in closed form.  This module also maximizes mixtures of
+``C_s`` over ``s`` with one safeguarded Newton solver
+(``max_chernoff_mixtures``).  It takes a table of rates and the indices of
+each pair's two rows, returns the pairs' tilts and maxima as float arrays,
+and walks the pairs in row blocks of at most ``BLOCK_ELEMENTS`` elements,
+so its working set does not grow with the number of pairs.
 ``max_chernoff_slopes`` gives a pair's closed-form maximum with its
 logarithmic derivative along a path of rates, by the envelope theorem, and
 ``polish_max`` maximizes a piecewise smooth function from such slopes with
 ``brent_root``, a bracketed root finder: they are the binary optimizer's
-polish.  ``golden_section_max``, the scalar search they replaced, is no
-longer called by the package; it stays importable here and from
-``pskexp.exponent`` because ``bench/tracing.py`` binds it under both names.
+polish.  ``golden_section_max``, the scalar search they replaced, and
+``max_chernoff``, the solver's case of two rates, are no longer called by
+the package; they stay importable because ``bench/tracing.py`` binds them.
 The textbook closed form and the independent series, KL and
 tilted-rate oracles the tests check this module against live in
 ``tests/oracles.py``.
@@ -91,7 +91,7 @@ NEWTON_MAX_ITER = 100
 BLOCK_ELEMENTS = 1 << 15
 
 
-def _oriented(lambda0: np.ndarray, lambda1: np.ndarray):
+def oriented(lambda0: np.ndarray, lambda1: np.ndarray):
     """``(small, big, x, flip)``: the smaller and larger rate, ``x =
     log(small/big) <= 0`` and whether ``lambda0`` is the larger.
     ``C_s(lambda0, lambda1)`` equals ``C_t(small, big)`` with ``t = 1 - s``
@@ -124,19 +124,17 @@ def chernoff_values(
     """Vectorized ``C_s`` over arrays of rate pairs.
 
     Computed as ``big*(t*expm1(x) - expm1(t*x))`` on the oriented rates of
-    ``_oriented``, with ``big*expm1(x)`` taken as ``small - big``.  The
+    ``oriented``, with ``big*expm1(x)`` taken as ``small - big``.  The
     textbook form subtracts terms of the size of the rates, so its relative
     error grows like eps/x**2 as the rates merge.  Here terms of order
     ``x`` cancel, and with ``x`` accurate to a few eps relative (see
-    ``_oriented``) the error grows like eps/|x|: under 2e-7 relative at
+    ``oriented``) the error grows like eps/|x|: under 2e-7 relative at
     BPSK v = 1e-9 on the given rates, where ``x = log(small/big)``, off by
     eps absolute, gave the wrong sign.  Values are never negative.
     ``s`` is a tilt or an array of tilts broadcasting against the
     rates, such as a ``(rows, 1)`` column giving each row of ``(rows, n)``
-    rate arrays its own tilt.  It may instead be a function of the oriented
-    log-ratio ``x`` that gives the tilt ``t`` of ``C_t(small, big)``
-    directly: ``chernoff_values(lambda0, lambda1, s_star_log)`` is each
-    pair's maximum over the tilt, with the rates oriented once.
+    rate arrays its own tilt.  Each pair's maximum over the tilt is
+    ``chernoff_values(small, big, s_star_log(x))`` on ``oriented``'s rates.
 
     Rates must be finite and positive, as every Poisson mean of the package
     is (the dark ratio ``r_sn`` is).  A single zero rate against a positive
@@ -144,10 +142,10 @@ def chernoff_values(
     (0, 1]; ``C_0(0, lambda1)`` and ``C_s(0, 0)`` are NaN, with numpy's
     invalid-value warning.
     """
-    small, big, x, flip = _oriented(
+    small, big, x, flip = oriented(
         np.asarray(lambda0, dtype=float), np.asarray(lambda1, dtype=float)
     )
-    t = s(x) if callable(s) else np.where(flip, 1.0 - s, s)
+    t = np.where(flip, 1.0 - s, s)
     return np.maximum(t * (small - big) - big * np.expm1(t * x), 0.0)
 
 
@@ -183,7 +181,7 @@ def max_chernoff_mixtures(
     ``F_p'(s) = sum_a w*lambda1*(expm1(x) - x*exp(s*x))``, ``x =
     log(lambda0/lambda1)`` with ``lambda0``, ``lambda1`` the pair's two rows,
     at which ``F_p'' = -sum_a w*lambda1*x**2*exp(s*x) < 0``; both are taken
-    on the oriented rates of ``_oriented``, and ``expm1(x) - x`` by
+    on the oriented rates of ``oriented``, and ``expm1(x) - x`` by
     ``_expm1_minus_x``, so ``F_p'`` keeps its relative accuracy as the rates
     merge.  ``F_p'(0) > 0 > F_p'(1)``, and ``F_p'(1/2) <= 0`` when every atom
     has ``lambda0 <= lambda1`` (``>= 0`` when every atom has ``lambda0 >=
@@ -215,7 +213,7 @@ def _max_mixture_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``max_chernoff_mixtures`` on ``(rows, atoms)`` arrays of the pairs'
     left and right rates, all rows at once."""
-    _, big, x, flip = _oriented(l0, l1)
+    _, big, x, flip = oriented(l0, l1)
     live = ~np.all(np.abs(l0 - l1) <= EQUAL_RATE_RTOL * big, axis=1)
     # Per row: F' = fixed - sum(slope * expm1(t*x)), F'' = -sum(curve * exp(t*x)).
     scale = np.where(flip, -w, w) * big
@@ -249,7 +247,8 @@ def _max_mixture_rows(
 def max_chernoff(lambda0: float, lambda1: float) -> tuple[float, float]:
     """Maximize ``C_s(lambda0, lambda1)`` of two rates over the tilt ``s``:
     ``(s_star, value)`` by ``max_chernoff_mixtures`` on one-atom rows.  For
-    equal rates it is identically zero and ``s_star = 1/2`` by convention."""
+    equal rates it is identically zero and ``s_star = 1/2`` by convention;
+    only the benchmark's tracer calls it."""
     (s_star,), (value,) = max_chernoff_mixtures([[lambda0], [lambda1]], [0], [1], [1.0])
     return float(s_star), float(value)
 
@@ -294,14 +293,14 @@ def max_chernoff_slopes(
 
     By the envelope theorem ``P'`` is the derivative of ``C_t(small, big)``
     at the maximizing tilt held fixed: ``dC/dsmall * dsmall + dC/dbig *
-    dbig`` on the oriented rates of ``_oriented``, with ``dC/dsmall =
+    dbig`` on the oriented rates of ``oriented``, with ``dC/dsmall =
     -t*expm1((t - 1)*x)`` and ``dC/dbig = -(1 - t)*expm1(t*x)``, each
     without cancellation as the rates merge.  ``(t - 1)*x >= 0`` is capped
     at ``EXP_CAP``, which it passes only where ``small/big <
     exp(-EXP_CAP)``: BPSK rates reach that only at ``v = 1`` with a dark
     ratio below about 1e-305, where ``dsmall = 0``.
     """
-    small, big, x, flip = _oriented(
+    small, big, x, flip = oriented(
         np.asarray(lambda0, dtype=float), np.asarray(lambda1, dtype=float)
     )
     t = s_star_log(x)
@@ -406,7 +405,7 @@ def s_star_log(x: float | np.ndarray) -> float | np.ndarray:
     ``log(expm1(x)/x) / x``, strictly increasing in R on (0, 1) with range
     (0, 1/2).  Near ``x = 0`` the direct expression loses precision, so the
     expansion ``1/2 + x/24 - x**3/2880 + O(x**5)`` is used (x = 0, equal
-    rates, gives 1/2).  It takes ``x`` as ``_oriented`` gives it, as
+    rates, gives 1/2).  It takes ``x`` as ``oriented`` gives it, as
     ``log(small) - log(big)`` where ``R`` itself would leave the normal
     range."""
     x = np.asarray(x, dtype=float)

@@ -55,6 +55,7 @@ from .divergence import (
     golden_section_max,  # unused here; bench/tracing.py spans this binding
     max_chernoff_mixtures,
     max_chernoff_slopes,
+    oriented,
     polish_max,
     s_star_log,
 )
@@ -220,19 +221,19 @@ class ExponentSolution:
     ) -> "ExponentSolution":
         """``q`` as a solution, from ``pair_exponents`` on every pair of
         ``constellation``: the one builder of solutions."""
-        pairs = np.array(constellation.pairs())
+        pairs = constellation.pairs()
         tilts, values = pair_exponents(q, pairs, constellation, ratios)
         return cls(q, pairs, tilts, values, method, diagnostics)
 
 
 def pair_exponents(
     q: ControlDistribution,
-    pairs: Sequence[tuple[int, int]],
+    pairs: np.ndarray,
     constellation: PskConstellation,
     ratios: OperatingRatios,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Maximize s -> E_Q[C_s(Lambda_l(V), Lambda_m(V))] over s in [0, 1]
-    for every hypothesis pair (l, m) in ``pairs`` (tuples or a (P, 2) array).
+    for every hypothesis pair (l, m), a row of the (P, 2) int array ``pairs``.
 
     One ``max_chernoff_mixtures`` call on the ``(states, atoms)`` rate table
     of ``q``'s atoms solves all pairs and gives its ``(tilts, values)``
@@ -252,7 +253,7 @@ def pair_exponent(
     constellation: PskConstellation,
     ratios: OperatingRatios,
 ) -> tuple[float, float]:
-    """One pair's ``(s_star, value)``: ``pair_exponents`` for a single pair."""
+    """One pair's ``(s_star, value)`` by ``pair_exponents``; only the tracer calls it."""
     (s_star,), (value,) = pair_exponents(q, [pair], constellation, ratios)
     return float(s_star), float(value)
 
@@ -328,10 +329,11 @@ def optimize_binary(ratios: OperatingRatios) -> ExponentSolution:
         if kink_value > 0.0:
             edge = min(ca, max(2.0, 8.0 * math.sqrt(ce / kink_value)))
     cells = min(V_GRID_CELLS, max(2, int(round(edge / V_GRID_STEP))))
-    # The grid, then v = 1 and the kink, each at its closed-form tilt.
+    # The grid, v = 1 and the kink at their closed-form tilts (v >= 0: no flip).
     points = np.append(np.linspace(0.0, edge, cells + 1), [min(1.0, edge), kink])
     rates0, rates1 = normalized_rates(points, constellation, r)
-    values = ce / np.maximum(points * points, ce) * chernoff_values(rates0, rates1, s_star_log)
+    tilts = s_star_log(oriented(rates0, rates1)[2])
+    values = ce / np.maximum(points * points, ce) * chernoff_values(rates0, rates1, tilts)
     k = int(np.argmax(values[: cells + 1]))
     grid, values = points.tolist(), values.tolist()
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, cells)]
@@ -392,7 +394,7 @@ def optimize_general(
     refactorizations (``lp_refactorizations``) summed over the rounds.
     """
     grid = control_grid(grid_k, ratios)
-    lefts, rights = np.array(constellation.pairs()).T
+    lefts, rights = constellation.pairs().T
     grid_energy = np.abs(grid) ** 2
     rate_table = normalized_rates(grid, constellation, ratios.r_sn)
 
@@ -524,9 +526,6 @@ def verify_claims() -> dict:
     JSON-ready report ``{"all_passed", "checks": [{"name", "passed",
     "details"}], "notes"}``.
     """
-    # Looked up at call time, so a wrapper put on pskexp.divergence sees it.
-    from .divergence import max_chernoff
-
     ratios_low = VERIFY_RATIOS_LOW
     checks: list[dict] = []
     notes: list[str] = []
@@ -574,9 +573,10 @@ def verify_claims() -> dict:
     # (3) finite-dark counterexample: interior mass beats time-sharing.
     solution = optimize_binary(ratios_low)
     ts = ControlDistribution.time_sharing(ratios_low.r_ce)
-    _, ts_value = pair_exponent(ts, (0, 1), constellation, ratios_low)
+    ts_value = exponent_of(ts, constellation, ratios_low)
     margin = solution.beta - ts_value
-    _, kennedy = max_chernoff(*normalized_rates(1.0, constellation, ratios_low.r_sn))
+    rates = normalized_rates([1.0], constellation, ratios_low.r_sn)
+    kennedy = float(max_chernoff_mixtures(rates, [0], [1], [1.0])[1][0])
     notes.append(
         "full-budget point exponent at r_sn="
         f"{ratios_low.r_sn:g} is {kennedy:.4f} by the stationarity "
@@ -610,7 +610,7 @@ def verify_claims() -> dict:
         budget_ratios = replace(VERIFY_RATIOS_HIGH, r_ce=float(r_ce))
         beta = optimize_binary(budget_ratios).beta
         ts = ControlDistribution.time_sharing(budget_ratios.r_ce)
-        _, ts_value = pair_exponent(ts, (0, 1), constellation, budget_ratios)
+        ts_value = exponent_of(ts, constellation, budget_ratios)
         gaps.append((beta - ts_value) / beta)
     checks.append(
         dict(

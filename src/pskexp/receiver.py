@@ -61,38 +61,43 @@ MAX_BOX_CELLS = 2_000_000
 MC_BLOCK_TRIALS = 65536
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpenLoopPolicy:
-    """A fixed displacement-ratio sequence with its operating context.
+    """A fixed displacement-ratio sequence, kept as a read-only complex
+    array, with its operating context; it compares by identity.
 
     Both constraints are hard invariants of the class, judged on the
-    policy's type: every displacement stays in the control disk, and the
-    type's second moment never exceeds the budget.
+    policy's type, formed once with its groups: every displacement stays in
+    the control disk, and the type's second moment never exceeds the budget.
     """
 
-    displacements: tuple[complex, ...]
+    displacements: np.ndarray
     scale: SignalScale
     constellation: PskConstellation
     ratios: OperatingRatios
 
     def __post_init__(self) -> None:
-        if len(self.displacements) != self.scale.slices:
+        displacements = np.array(self.displacements, dtype=complex)
+        if len(displacements) != self.scale.slices:
             raise ValueError(
-                f"{len(self.displacements)} displacements for "
-                f"{self.scale.slices} slices"
+                f"{len(displacements)} displacements for {self.scale.slices} slices"
             )
-        self.type_distribution().validate_feasible(self.ratios)
+        groups = np.unique(displacements, return_counts=True)
+        for array in (displacements, *groups):
+            array.flags.writeable = False
+        object.__setattr__(self, "displacements", displacements)
+        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_type", ControlDistribution.from_arrays(*groups))
+        self._type.validate_feasible(self.ratios)
 
     def groups(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct displacements, in ``np.unique`` order, and the number
-        of slices carrying each."""
-        return np.unique(
-            np.array(self.displacements, dtype=complex), return_counts=True
-        )
+        of slices carrying each, as read-only arrays."""
+        return self._groups
 
     def type_distribution(self) -> ControlDistribution:
         """Empirical distribution of the displacement sequence."""
-        return ControlDistribution.from_arrays(*self.groups())
+        return self._type
 
 
 @dataclass(frozen=True)
@@ -153,12 +158,7 @@ def realize_policy(
         counts[dst] += 1
         repair_moves += 1
 
-    policy = OpenLoopPolicy(
-        displacements=tuple(np.repeat(points, counts)),
-        scale=scale,
-        constellation=constellation,
-        ratios=ratios,
-    )
+    policy = OpenLoopPolicy(np.repeat(points, counts), scale, constellation, ratios)
     # Repairs are rare (at most a couple of slots); stash the count for
     # diagnostics without widening the policy type.
     object.__setattr__(policy, "_repair_moves", repair_moves)

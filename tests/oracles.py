@@ -17,10 +17,14 @@ policies' supports.
 HiGHS, and ``certified_control_lp`` finds its exact optimum in mpmath, for
 the tests of the in-package simplex.  ``peak_traced_bytes`` measures a call's peak
 allocation, for the tests that bound a kernel's working set.
+``loop_pairs`` and ``loop_control_grid`` build the hypothesis pairs and the
+polar control grid one Python element at a time, for the tests that the
+package's array builds give the same bytes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -166,6 +170,23 @@ def mp_point_exponent(v, r):
     x = mp.log(lam0 / lam1)
     s = mp.log(mp.expm1(x) / x) / x
     return s * lam0 + (1 - s) * lam1 - lam0**s * lam1 ** (1 - s)
+
+
+def loop_pairs(num_states: int) -> list[tuple[int, int]]:
+    """Every hypothesis pair (l, m) with l < m, ordered by l and then by m."""
+    return [(l, m) for l in range(num_states) for m in range(l + 1, num_states)]
+
+
+def loop_control_grid(grid_k: int, r_ca: float) -> np.ndarray:
+    """The origin, then ``grid_k`` rings of moduli ``r_ca * i / grid_k``,
+    each at the angles ``2*pi*j / grid_k``, one ``cmath.exp`` at a time."""
+    points = [0.0 + 0.0j]
+    for i in range(1, grid_k + 1):
+        rho = r_ca * i / grid_k
+        for j in range(grid_k):
+            theta = 2.0 * math.pi * j / grid_k
+            points.append(rho * cmath.exp(1j * theta))
+    return np.array(points, dtype=complex)
 
 
 def total_variation(p, q, match_tol=1e-4) -> float:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import loop_control_grid, loop_pairs
 from pskexp.constellation import (
     InfeasibleRatiosError,
     OperatingRatios,
@@ -46,6 +47,18 @@ class TestOperatingRatios:
         """r_ce must be nonnegative."""
         with pytest.raises(ValueError, match="r_ce"):
             OperatingRatios(r_sn=0.01, r_ca=1.0, r_ce=-0.1)
+
+    @pytest.mark.parametrize(
+        "field, rule",
+        [("r_sn", "positive and finite"), ("r_ca", "positive and finite"),
+         ("r_ce", "finite and nonnegative")],
+    )
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_ratio_names_the_rule(self, field, rule, bad):
+        """An infinite or NaN ratio is rejected with the rule it breaks."""
+        values = {"r_sn": 0.01, "r_ca": 1.0, "r_ce": 0.5, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be {rule}, got {bad!r}$"):
+            OperatingRatios(**values)
 
     def test_zero_energy_budget_allowed(self):
         """r_ce = 0 is a valid (forced passive) operating point."""
@@ -164,10 +177,21 @@ class TestPskConstellation:
 
     def test_pairs_enumeration(self):
         """pairs() lists the M*(M-1)/2 unordered index pairs in order."""
-        assert bpsk().pairs() == [(0, 1)]
-        assert uniform_psk(4).pairs() == [
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+        assert bpsk().pairs().tolist() == [[0, 1]]
+        assert uniform_psk(4).pairs().tolist() == [
+            [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3],
         ]
+
+    @pytest.mark.parametrize("num_states", [2, 3, 8, 16, 64, 300])
+    def test_pairs_match_the_loop(self, num_states):
+        """pairs() has the bytes, shape and dtype of the array of the
+        loop's tuples, and writing into it raises."""
+        got = uniform_psk(num_states).pairs()
+        want = np.array(loop_pairs(num_states))
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0] = 1
 
     def test_state_points_on_unit_circle(self):
         """Every state point has unit modulus."""
@@ -303,6 +327,16 @@ class TestControlGrid:
         np.testing.assert_allclose(
             control_grid(3, small), 0.5 * control_grid(3, RATIOS), rtol=1e-14
         )
+
+    @pytest.mark.parametrize("r_ca", [1e-6, 0.3, 1.0, 1.25, 1.5, 3.0, 1e10, 5e-324])
+    def test_grid_matches_the_loop(self, r_ca):
+        """The grid has the bytes, shape and dtype of the loop's, signed
+        zeros included, for K 1-60, 80 and 200."""
+        ratios = OperatingRatios(r_sn=0.01, r_ca=r_ca, r_ce=0.0)
+        for k in [*range(1, 61), 80, 200]:
+            got, want = control_grid(k, ratios), loop_control_grid(k, r_ca)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes(), k
 
     def test_rejects_bad_k(self):
         """grid_k must be at least one."""

@@ -31,6 +31,7 @@ from pskexp.divergence import (
     max_chernoff,
     max_chernoff_mixtures,
     max_chernoff_slopes,
+    oriented,
     polish_max,
     s_star_log,
 )
@@ -51,6 +52,13 @@ PAIR_FULL_TILTED = 0.667338295134379857  # equals 4 / log(401)
 
 positive_rates = st.floats(min_value=1e-3, max_value=50.0)
 interior_s = st.floats(min_value=0.01, max_value=0.99)
+
+
+def closed_form_maxima(l0, l1):
+    """Each pair's maximum over the tilt: ``chernoff_values`` on the
+    oriented rates, at the tilt ``s_star_log`` of their log-ratio."""
+    small, big, x, _ = oriented(np.asarray(l0, dtype=float), np.asarray(l1, dtype=float))
+    return chernoff_values(small, big, s_star_log(x))
 
 
 class TestRatePair:
@@ -242,13 +250,13 @@ class TestChernoffValues:
         mirrored = chernoff_values(l1, l0, 1.0 - s)
         assert chernoff_values(l0, l1, s) == pytest.approx(mirrored, rel=1e-12, abs=1e-15)
 
-    def test_closed_form_tilt_function_gives_each_maximum(self):
-        """With ``s_star_log`` as the tilt, each value is the pair's maximum
-        over the tilt, the same in either order of the rates."""
+    def test_closed_form_tilt_gives_each_maximum(self):
+        """At ``s_star_log`` of the oriented log-ratio, each value is the
+        pair's maximum over the tilt, the same in either order of the rates."""
         l0 = np.array([0.01, 4.01, 3.0, 2.0, 1e-300])
         l1 = np.array([4.01, 0.01, 3.0000001, 2.0, 1.0])
-        got = chernoff_values(l0, l1, s_star_log)
-        assert got.tobytes() == chernoff_values(l1, l0, s_star_log).tobytes()
+        got = closed_form_maxima(l0, l1)
+        assert got.tobytes() == closed_form_maxima(l1, l0).tobytes()
         for value, a, b in zip(got, l0, l1):
             assert value == pytest.approx(max_chernoff(a, b)[1], rel=1e-12)
 
@@ -311,12 +319,12 @@ class TestMaxChernoffSlopes:
     """Validate P = max_s C_s and its logarithmic derivative."""
 
     def test_value_is_chernoff_values_at_the_closed_form_tilt(self):
-        """P is bit for bit what ``chernoff_values`` gives at ``s_star_log``,
-        in either orientation of the rates."""
+        """P is bit for bit what ``chernoff_values`` gives at ``s_star_log``
+        of the oriented rates, in either orientation of the rates."""
         rng = np.random.default_rng(7)
         l0, l1 = rng.uniform(1e-3, 5.0, (2, 200))
         value, _ = max_chernoff_slopes(l0, l1, 1.0, -1.0)
-        assert np.array_equal(value, chernoff_values(l0, l1, s_star_log))
+        assert np.array_equal(value, closed_form_maxima(l0, l1))
 
     @pytest.mark.parametrize("r", [1e-12, 1e-6, 0.01, 1.0])
     @pytest.mark.parametrize("v", [1e-3, 0.3, 0.93, 1.0 - 1e-7, 1.0, 1.5, 40.0])
@@ -341,7 +349,7 @@ class TestMaxChernoffSlopes:
         overflow, even with numpy raising on it."""
         with np.errstate(over="raise"):
             value, slope = max_chernoff_slopes(5e-324, 4.0, 0.0, 4.0)
-        assert value == chernoff_values(5e-324, 4.0, s_star_log)
+        assert value == closed_form_maxima(5e-324, 4.0)
         assert 0.0 < float(slope) < math.inf
 
 

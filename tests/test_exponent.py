@@ -351,7 +351,7 @@ class TestExponentSolution:
         sol = ExponentSolution.certify(q, con, ratios, "test", {})
         assert sol.pairs.shape == (len(con.pairs()), 2)
         for i, pair in enumerate(con.pairs()):
-            assert tuple(sol.pairs[i].tolist()) == pair
+            assert sol.pairs[i].tolist() == pair.tolist()
         assert type(sol.beta) is float
         assert sol.beta == sol.values.min()
         for array in (sol.pairs, sol.tilts, sol.values):

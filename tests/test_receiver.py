@@ -211,6 +211,16 @@ class TestOpenLoopPolicy:
                 slice_rates(fine, m).sum(), rel=1e-14
             )
 
+    def test_displacements_are_a_read_only_copy(self):
+        """The policy copies the caller's array: writing into that array
+        leaves the policy as it was, and writing into the policy's raises."""
+        mine = np.array([0.5 + 0j, 0.0j])
+        pol = OpenLoopPolicy(mine, SignalScale(2.0, 2, 1), BPSK, RATIOS_09)
+        mine[0] = 1.0
+        assert pol.displacements.tolist() == [0.5 + 0j, 0.0j]
+        with pytest.raises(ValueError, match="read-only"):
+            pol.displacements[0] = 1.0
+
     def test_rejects_non_finite_displacement(self):
         """A NaN or infinite displacement is rejected at construction."""
         scale = SignalScale(alpha_sq=2.0, slices=2, grid_k=1)
@@ -318,6 +328,23 @@ class TestRealizePolicy:
         # distinct atom (the origin's sink, say) still counts as moved.
         tv = total_variation(pol.type_distribution(), q, match_tol=1e-12)
         assert tv <= (1.0 + moves) / slices + 1e-12
+
+    def test_large_policy_is_one_array_grouped_once(self):
+        """At N = 10**6 the 4-PSK policy's displacements are one read-only
+        complex array, and its groups and type are formed once: repeated
+        calls return the same objects."""
+        con = uniform_psk(4)
+        q = optimize_general(con, RATIOS_09, grid_k=20).q_star
+        scale = SignalScale(alpha_sq=2.0, slices=10**6, grid_k=20)
+        pol = realize_policy(q, scale, con, RATIOS_09)
+        assert isinstance(pol.displacements, np.ndarray)
+        assert pol.displacements.shape == (10**6,) and pol.displacements.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            pol.displacements[0] = 0j
+        assert pol.groups() is pol.groups()
+        assert pol.type_distribution() is pol.type_distribution()
+        points, counts = pol.groups()
+        assert counts.sum() == 10**6 and not points.flags.writeable
 
     @pytest.mark.parametrize("key", REALIZED.keys, ids=REALIZED.id)
     def test_realization_is_pinned(self, key):
